@@ -18,7 +18,7 @@ from apisynth.bench import aggregate, render_markdown, run_suite, write_reports
 from apisynth.extractor import SourceUnit
 from apisynth.llm import MockBackend, TranscriptWriter
 from apisynth.prompting import load_templates
-from apisynth.sandbox import AttemptOutcome, OutcomeKind, fingerprint_of
+from apisynth.sandbox import AttemptOutcome, OutcomeKind, fingerprint_of, save_json
 from apisynth.tasks import load_suite
 
 REPO = Path(__file__).resolve().parent.parent
@@ -47,7 +47,7 @@ class ScriptedSandbox:
         with self._lock:
             queue = self.outcomes[target_name]
             result = queue.pop(0) if len(queue) > 1 else queue[0]
-        (workdir / "outcome.json").write_text(str(result.to_dict()) + "\n", encoding="utf-8")
+        save_json(result, workdir / "outcome.json")
         return result
 
 
@@ -55,7 +55,7 @@ def java_reply(class_name: str, body: str) -> str:
     return f"Here is the implementation:\n\n```java\npublic class {class_name} {{\n{body}\n}}\n```\n"
 
 
-def main() -> int:
+def main(run_dir: Path = RUN_DIR) -> int:
     suite = load_suite(REPO / "tasks" / "sample")
 
     # One canned reply per expected model call; keyed by task id.
@@ -97,27 +97,27 @@ def main() -> int:
         }
     )
 
-    if RUN_DIR.exists():
-        shutil.rmtree(RUN_DIR)
-    backend = MockBackend(script=script, transcript=TranscriptWriter(RUN_DIR / "transcript.jsonl"))
+    if run_dir.exists():
+        shutil.rmtree(run_dir)
+    backend = MockBackend(script=script, transcript=TranscriptWriter(run_dir / "transcript.jsonl"))
     records = run_suite(
         suite,
         backend,
         load_templates(),
         sandbox,
-        RUN_DIR,
+        run_dir,
         max_followups=3,
         workers=2,
     )
     report = aggregate(records)
-    write_reports(RUN_DIR, report)
+    write_reports(run_dir, report)
 
     for record in records:
         print(f"{record.task_id}: {record.final_status.value} "
               f"({len(record.attempts)} attempt(s), {record.followups_used} follow-up(s))")
     print()
     sys.stdout.write(render_markdown(report))
-    print(f"\nartifacts under {RUN_DIR}")
+    print(f"\nartifacts under {run_dir}")
     return 0
 
 

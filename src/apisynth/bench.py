@@ -59,13 +59,6 @@ def percentage(count: int, n: int) -> Decimal | None:
     return (Decimal(count * 100) / Decimal(n)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
 
 
-def _cell(count: int, n: int) -> str:
-    pct = percentage(count, n)
-    if pct is None:
-        return "n/a"
-    return f"{count} ({pct}%)"
-
-
 def _check_invariants(m: SuiteMetrics) -> None:
     checks = [
         m.passed_without <= m.compiled_without <= m.n_tasks,
@@ -147,46 +140,65 @@ def load_baseline(path: Path) -> Baseline:
     return baseline
 
 
-def _baseline_cell(row: SuiteMetrics, report: SuiteReport, baseline: Baseline) -> str:
-    if row.suite == "Total":
-        matched = [baseline[m.suite] for m in report.suites if m.suite in baseline]
-        if not matched:
-            return "n/a"
-        n = sum(m[0] for m in matched)
-        k = sum(m[1] for m in matched)
-        return _cell(k, n)
-    if row.suite not in baseline:
-        return "n/a"
-    n, k = baseline[row.suite]
-    return _cell(k, n)
+# The paper's four measures: SuiteMetrics field, report key, markdown header.
+# A row holds each count under its key and the percentage under "<key>_pct".
+MEASURES = (
+    ("compiled_without", "compiled_no_followups", "Compiled (no follow-ups)"),
+    ("passed_without", "passed_no_followups", "Passed (no follow-ups)"),
+    ("compiled_with", "compiled_with_followups", "Compiled (with follow-ups)"),
+    ("passed_with", "passed_with_followups", "Passed (with follow-ups)"),
+)
+LABEL_KEYS = ("suite", "tasks")
+BASELINE_KEYS = ("baseline_tasks", "baseline_solved", "baseline_pct")
+
+
+def _pct(count: int, n: int) -> str | None:
+    value = percentage(count, n)
+    return None if value is None else str(value)
+
+
+def report_rows(report: SuiteReport, baseline: Baseline | None = None) -> list[dict]:
+    """One dict per suite, then Total: the rows every report format writes.
+
+    The Total row's baseline sums the suites the baseline covers. A row with
+    no baseline tasks has None in every baseline key.
+    """
+    suite_baselines = [(baseline or {}).get(m.suite, (0, 0)) for m in report.suites]
+    total_baseline = (sum(n for n, _ in suite_baselines), sum(k for _, k in suite_baselines))
+    rows = []
+    for metrics, (base_n, base_k) in zip(report.rows(), suite_baselines + [total_baseline]):
+        row = dict(zip(LABEL_KEYS, (metrics.suite, metrics.n_tasks)))
+        for field_name, key, _ in MEASURES:
+            count = getattr(metrics, field_name)
+            row[key] = count
+            row[key + "_pct"] = _pct(count, metrics.n_tasks)
+        row["environment_failures"] = metrics.environment_failures
+        if baseline is not None:
+            pct = _pct(base_k, base_n)
+            values = (None, None, None) if pct is None else (base_n, base_k, pct)
+            row.update(zip(BASELINE_KEYS, values))
+        rows.append(row)
+    return rows
+
+
+def _cell(count: int | None, pct: str | None) -> str:
+    return "n/a" if pct is None else f"{count} ({pct}%)"
 
 
 def render_markdown(report: SuiteReport, baseline: Baseline | None = None) -> str:
-    headers = [
-        "Suite",
-        "Tasks",
-        "Compiled (no follow-ups)",
-        "Passed (no follow-ups)",
-        "Compiled (with follow-ups)",
-        "Passed (with follow-ups)",
-    ]
+    headers = ["Suite", "Tasks"] + [header for _, _, header in MEASURES]
     if baseline is not None:
         headers.append("Baseline solved")
     lines = [
         "| " + " | ".join(headers) + " |",
         "| " + " | ".join("---" for _ in headers) + " |",
     ]
-    for row in report.rows():
-        cells = [
-            row.suite,
-            str(row.n_tasks),
-            _cell(row.compiled_without, row.n_tasks),
-            _cell(row.passed_without, row.n_tasks),
-            _cell(row.compiled_with, row.n_tasks),
-            _cell(row.passed_with, row.n_tasks),
-        ]
+    _, solved_key, pct_key = BASELINE_KEYS
+    for row in report_rows(report, baseline):
+        cells = [str(row[key]) for key in LABEL_KEYS]
+        cells += [_cell(row[key], row[key + "_pct"]) for _, key, _ in MEASURES]
         if baseline is not None:
-            cells.append(_baseline_cell(row, report, baseline))
+            cells.append(_cell(row[solved_key], row[pct_key]))
         lines.append("| " + " | ".join(cells) + " |")
     if report.total.environment_failures:
         lines.append("")
@@ -197,44 +209,8 @@ def render_markdown(report: SuiteReport, baseline: Baseline | None = None) -> st
     return "\n".join(lines) + "\n"
 
 
-def _row_values(row: SuiteMetrics, report: SuiteReport, baseline: Baseline | None) -> dict:
-    def pct(count: int) -> str | None:
-        value = percentage(count, row.n_tasks)
-        return None if value is None else str(value)
-
-    values: dict = {
-        "suite": row.suite,
-        "tasks": row.n_tasks,
-        "compiled_no_followups": row.compiled_without,
-        "compiled_no_followups_pct": pct(row.compiled_without),
-        "passed_no_followups": row.passed_without,
-        "passed_no_followups_pct": pct(row.passed_without),
-        "compiled_with_followups": row.compiled_with,
-        "compiled_with_followups_pct": pct(row.compiled_with),
-        "passed_with_followups": row.passed_with,
-        "passed_with_followups_pct": pct(row.passed_with),
-        "environment_failures": row.environment_failures,
-    }
-    if baseline is not None:
-        cell = _baseline_cell(row, report, baseline)
-        if cell == "n/a":
-            values["baseline_tasks"] = None
-            values["baseline_solved"] = None
-            values["baseline_pct"] = None
-        else:
-            if row.suite == "Total":
-                matched = [baseline[m.suite] for m in report.suites if m.suite in baseline]
-                n, k = sum(m[0] for m in matched), sum(m[1] for m in matched)
-            else:
-                n, k = baseline[row.suite]
-            values["baseline_tasks"] = n
-            values["baseline_solved"] = k
-            values["baseline_pct"] = str(percentage(k, n))
-    return values
-
-
 def render_csv(report: SuiteReport, baseline: Baseline | None = None) -> str:
-    rows = [_row_values(row, report, baseline) for row in report.rows()]
+    rows = report_rows(report, baseline)
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
     writer.writeheader()
@@ -244,10 +220,8 @@ def render_csv(report: SuiteReport, baseline: Baseline | None = None) -> str:
 
 
 def render_json(report: SuiteReport, baseline: Baseline | None = None) -> str:
-    data = {
-        "suites": [_row_values(row, report, baseline) for row in report.suites],
-        "total": _row_values(report.total, report, baseline),
-    }
+    *suites, total = report_rows(report, baseline)
+    data = {"suites": suites, "total": total}
     return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
 
 
@@ -282,15 +256,18 @@ def run_suite(
 
     With resume, tasks whose record already exists are skipped, except
     environment failures, which are retried so a repaired environment can
-    fill them in.
+    fill them in, and records that no longer decode, which are re-run.
     """
     records: dict[str, RunRecord] = {}
     pending = []
     for task in suite.tasks:
         record_path = run_dir / task.id / "record.json"
         if resume and record_path.is_file():
-            existing = load_record(record_path)
-            if existing.final_status is not FinalStatus.FAILED_ENVIRONMENT:
+            try:
+                existing = load_record(record_path)
+            except (ValueError, KeyError, TypeError):
+                existing = None
+            if existing and existing.final_status is not FinalStatus.FAILED_ENVIRONMENT:
                 records[task.id] = existing
                 continue
         pending.append(task)

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from .bench import aggregate, RENDERERS, load_baseline, run_suite, write_reports
-from .config import ConfigError, RunConfig, default_run_id, env_value
+from .config import ConfigError, RunConfig, env_value
 from .llm import BackendConfig, BackendError, TranscriptWriter, make_backend
 from .prompting import (
     PromptError,
@@ -34,14 +35,12 @@ EXIT_TASK_FAILED = 1
 EXIT_ENVIRONMENT = 2
 
 
-def _resolve(flag, env_name: str, default, cast=None):
-    """Precedence: explicit flag, then APISYNTH_<env_name>, then the default."""
+def _resolve(flag, env_name: str, cast=None):
+    """The explicit flag, else APISYNTH_<env_name>, else None so the default applies."""
     if flag is not None:
         return flag
     raw = env_value(env_name)
-    if raw is None:
-        return default
-    if cast is None:
+    if raw is None or cast is None:
         return raw
     try:
         return cast(raw)
@@ -49,42 +48,51 @@ def _resolve(flag, env_name: str, default, cast=None):
         raise ConfigError(f"APISYNTH_{env_name}={raw!r} is not valid: {exc}") from exc
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    out_dir = Path(_resolve(args.out, "OUT", "runs"))
-    run_id = _resolve(getattr(args, "run_id", None), "RUN_ID", None)
-    resume = bool(getattr(args, "resume", False))
-    if run_id is None:
-        if resume:
-            candidates = sorted(p.name for p in out_dir.iterdir() if p.is_dir()) if out_dir.is_dir() else []
-            if not candidates:
-                raise ConfigError(f"--resume needs an existing run under {out_dir}")
-            run_id = candidates[-1]
-        else:
-            run_id = default_run_id()
+def _given(**values) -> dict:
+    return {name: value for name, value in values.items() if value is not None}
 
+
+def _latest_run(out_dir: Path) -> str:
+    runs = [p for p in out_dir.iterdir() if p.is_dir()] if out_dir.is_dir() else []
+    if not runs:
+        raise ConfigError(f"--resume needs an existing run under {out_dir}")
+    return max(runs, key=lambda p: (p.stat().st_mtime, p.name)).name
+
+
+def _build_config(args: argparse.Namespace) -> RunConfig:
+    out = _resolve(args.out, "OUT")
+    prompts = _resolve(args.prompts, "PROMPTS")
+    deps = _resolve(args.deps, "DEPS")
+    mock_script = _resolve(args.mock_script, "MOCK_SCRIPT")
+    run_id = _resolve(getattr(args, "run_id", None), "RUN_ID")
+    resume = bool(getattr(args, "resume", False))
     backend = BackendConfig(
-        kind=_resolve(args.backend, "BACKEND", "http"),
-        model=_resolve(args.model, "MODEL", "gpt-4o"),
-        temperature=_resolve(args.temperature, "TEMPERATURE", 0.7, float),
-        endpoint_url=_resolve(args.endpoint, "ENDPOINT", "https://api.openai.com/v1"),
-        credential_source=env_value("CREDENTIAL_ENV") or "OPENAI_API_KEY",
+        **_given(
+            kind=_resolve(args.backend, "BACKEND"),
+            model=_resolve(args.model, "MODEL"),
+            temperature=_resolve(args.temperature, "TEMPERATURE", float),
+            endpoint_url=_resolve(args.endpoint, "ENDPOINT"),
+            credential_source=env_value("CREDENTIAL_ENV") or None,
+        )
     )
-    prompts = _resolve(args.prompts, "PROMPTS", None)
-    deps = _resolve(args.deps, "DEPS", None)
-    mock_script = _resolve(args.mock_script, "MOCK_SCRIPT", None)
-    return RunConfig(
+    config = RunConfig(
         backend=backend,
         prompts_dir=Path(prompts) if prompts else None,
         deps_dir=Path(deps) if deps else None,
-        workers=_resolve(getattr(args, "workers", None), "WORKERS", 4, int),
-        compile_timeout=_resolve(args.compile_timeout, "COMPILE_TIMEOUT", 60.0, float),
-        run_timeout=_resolve(args.run_timeout, "RUN_TIMEOUT", 30.0, float),
-        max_followups=_resolve(args.max_followups, "MAX_FOLLOWUPS", 3, int),
-        run_id=run_id,
-        out_dir=out_dir,
-        resume=resume,
         mock_script=Path(mock_script) if mock_script else None,
+        resume=resume,
+        **_given(
+            out_dir=None if out is None else Path(out),
+            run_id=run_id,
+            workers=_resolve(getattr(args, "workers", None), "WORKERS", int),
+            compile_timeout=_resolve(args.compile_timeout, "COMPILE_TIMEOUT", float),
+            run_timeout=_resolve(args.run_timeout, "RUN_TIMEOUT", float),
+            max_followups=_resolve(args.max_followups, "MAX_FOLLOWUPS", int),
+        ),
     )
+    if resume and run_id is None:
+        config = dataclasses.replace(config, run_id=_latest_run(config.out_dir))
+    return config
 
 
 def _print_record(record: RunRecord) -> None:
@@ -145,9 +153,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = _build_config(args)
     suite = load_suite(Path(args.suite))
     templates = load_templates(config.prompts_dir)
-    baseline_path = _resolve(args.baseline, "BASELINE", None)
+    baseline_path = _resolve(args.baseline, "BASELINE")
     baseline = load_baseline(Path(baseline_path)) if baseline_path else None
-    output_format = _resolve(args.format, "FORMAT", "markdown")
+    output_format = _resolve(args.format, "FORMAT")
+    if output_format is None:
+        output_format = "markdown"
     if output_format not in RENDERERS:
         raise ConfigError(f"unknown report format {output_format!r}")
 
@@ -178,7 +188,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    deps = _resolve(args.deps, "DEPS", None)
+    deps = _resolve(args.deps, "DEPS")
     deps_dir = Path(deps) if deps else None
     path = Path(args.path)
     if path.is_dir():

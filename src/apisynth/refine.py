@@ -19,6 +19,8 @@ from .sandbox import (
     ToolchainError,
     extraction_failure_outcome,
     find_toolchain,
+    from_json_dict,
+    save_json,
 )
 from .tasks import SynthesisTask
 
@@ -44,51 +46,12 @@ class AttemptRecord:
 class RunRecord:
     task_id: str
     task_suite: str
-    attempts: tuple[AttemptRecord, ...]
-    followups_used: int
     final_status: FinalStatus
+    followups_used: int
     solved_without_followups: bool
     wall_time_seconds: float
     error: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "task_suite": self.task_suite,
-            "final_status": self.final_status.value,
-            "followups_used": self.followups_used,
-            "solved_without_followups": self.solved_without_followups,
-            "wall_time_seconds": self.wall_time_seconds,
-            "error": self.error,
-            "attempts": [
-                {
-                    "index": a.index,
-                    "outcome": a.outcome.to_dict(),
-                    "followup_sent": a.followup_sent,
-                }
-                for a in self.attempts
-            ],
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> RunRecord:
-        return RunRecord(
-            task_id=data["task_id"],
-            task_suite=data["task_suite"],
-            attempts=tuple(
-                AttemptRecord(
-                    index=a["index"],
-                    outcome=AttemptOutcome.from_dict(a["outcome"]),
-                    followup_sent=a.get("followup_sent"),
-                )
-                for a in data.get("attempts", [])
-            ),
-            followups_used=data["followups_used"],
-            final_status=FinalStatus(data["final_status"]),
-            solved_without_followups=data["solved_without_followups"],
-            wall_time_seconds=data["wall_time_seconds"],
-            error=data.get("error"),
-        )
+    attempts: tuple[AttemptRecord, ...] = ()
 
 
 class SandboxLike(Protocol):
@@ -113,11 +76,11 @@ def make_sandbox(compile_timeout: float = 60.0, run_timeout: float = 30.0) -> Sa
 
 def save_record(record: RunRecord, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(record.to_dict(), indent=2) + "\n", encoding="utf-8")
+    save_json(record, path)
 
 
 def load_record(path: Path) -> RunRecord:
-    return RunRecord.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    return from_json_dict(RunRecord, json.loads(path.read_text(encoding="utf-8")))
 
 
 def environment_record(task: SynthesisTask, reason: str) -> RunRecord:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -9,7 +10,9 @@ import shutil
 import signal
 import subprocess
 import time
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -56,24 +59,72 @@ class AttemptOutcome:
     detail: str = ""
     extraction_failed: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "fingerprint": self.fingerprint,
-            "failing_ordinals": sorted(self.failing_ordinals),
-            "detail": self.detail,
-            "extraction_failed": self.extraction_failed,
-        }
 
-    @staticmethod
-    def from_dict(data: dict) -> AttemptOutcome:
-        return AttemptOutcome(
-            kind=OutcomeKind(data["kind"]),
-            fingerprint=data["fingerprint"],
-            failing_ordinals=frozenset(data.get("failing_ordinals", [])),
-            detail=data.get("detail", ""),
-            extraction_failed=data.get("extraction_failed", False),
-        )
+T = typing.TypeVar("T")
+
+
+def _encode(value):
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    if is_dataclass(value):
+        return to_json_dict(value)
+    return value
+
+
+def to_json_dict(obj) -> dict:
+    """A record dataclass as JSON-ready data, one key per field in field order."""
+    return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def _converter(hint):
+    """How to rebuild a value of the annotated type from JSON; None when JSON already has it."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = [_converter(a) for a in args if a is not type(None)]
+        return inner and (lambda value: None if value is None else inner(value))
+    if origin is tuple:
+        item = _converter(args[0])
+        return tuple if item is None else lambda value: tuple(map(item, value))
+    if origin is frozenset:
+        return frozenset
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return hint
+    if is_dataclass(hint):
+        return functools.partial(from_json_dict, hint)
+    return None
+
+
+@functools.cache
+def _field_decoders(cls) -> tuple[tuple[str, typing.Callable | None, bool], ...]:
+    """(name, converter, has default) per field; type hints resolve once per class."""
+    hints = typing.get_type_hints(cls)
+    decoders = []
+    for f in fields(cls):
+        has_default = f.default is not MISSING or f.default_factory is not MISSING
+        decoders.append((f.name, _converter(hints[f.name]), has_default))
+    return tuple(decoders)
+
+
+def from_json_dict(cls: type[T], data: dict) -> T:
+    """Inverse of to_json_dict; a missing key of a field with a default takes that default."""
+    kwargs = {}
+    for name, convert, optional in _field_decoders(cls):
+        if optional and name not in data:
+            continue
+        value = data[name]
+        kwargs[name] = value if convert is None else convert(value)
+    return cls(**kwargs)
+
+
+def save_json(obj, path: Path) -> None:
+    """Write a record dataclass as JSON; dying mid-write leaves the old file or none."""
+    partial = path.with_name(path.name + ".partial")
+    partial.write_text(json.dumps(to_json_dict(obj), indent=2) + "\n", encoding="utf-8")
+    os.replace(partial, path)
 
 
 def _first_diagnostic_line(stderr: str, stdout: str) -> str:
@@ -310,9 +361,7 @@ class Sandbox:
                 _write_log(workdir / "run.log", run_argv, run_result)
 
         outcome = classify(compile_result, run_result, all_ordinals)
-        (workdir / "outcome.json").write_text(
-            json.dumps(outcome.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        save_json(outcome, workdir / "outcome.json")
         return outcome
 
 

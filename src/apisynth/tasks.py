@@ -239,40 +239,6 @@ def validate_task(task: SynthesisTask, deps_dir: Path | None = None) -> list[str
     return violations
 
 
-def serialize_task(task: SynthesisTask) -> dict:
-    tests = []
-    for t in task.test_cases:
-        entry: dict = {"ordinal": t.ordinal}
-        if t.is_script:
-            entry["script"] = t.script
-        else:
-            entry["inputs"] = list(t.inputs)
-            entry["expected"] = t.expected
-        if t.description is not None:
-            entry["description"] = t.description
-        tests.append(entry)
-    data = {
-        "id": task.id,
-        "suite": task.suite,
-        "signature": {
-            "name": task.signature.name,
-            "return_type": task.signature.return_type,
-            "params": [{"name": p.name, "type": p.type} for p in task.signature.parameters],
-            "static": task.signature.static,
-            "throws": list(task.signature.declared_throws),
-        },
-        "tests": tests,
-        "deps": list(task.dependencies),
-    }
-    if task.notes is not None:
-        data["notes"] = task.notes
-    return data
-
-
-def serialize_suite(suite: BenchmarkSuite) -> dict:
-    return {"name": suite.name, "tasks": [serialize_task(t) for t in suite.tasks]}
-
-
 def load_suite(path: Path) -> BenchmarkSuite:
     """Load a suite from a directory of task files or a single task file.
 

@@ -1,4 +1,4 @@
-"""Shared builders for tests: canned outcomes, records, and a scripted sandbox."""
+"""Shared builders for tests: canned outcomes, records, task files, and a scripted sandbox."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from pathlib import Path
 
 from apisynth.refine import AttemptRecord, FinalStatus, RunRecord
 from apisynth.sandbox import AttemptOutcome, OutcomeKind, fingerprint_of
+from apisynth.tasks import SynthesisTask
 
 
 def outcome_of(
@@ -137,3 +138,34 @@ def table_rows_records() -> list[RunRecord]:
     records += [immediate_pass(f"ad-pass-{i:02d}", "additional") for i in range(14)]
     records += [solved_later("ad-late-00", "additional")]
     return records
+
+
+def serialize_task(task: SynthesisTask) -> dict:
+    """The task-file JSON that parses back into task."""
+    tests = []
+    for t in task.test_cases:
+        entry: dict = {"ordinal": t.ordinal}
+        if t.is_script:
+            entry["script"] = t.script
+        else:
+            entry["inputs"] = list(t.inputs)
+            entry["expected"] = t.expected
+        if t.description is not None:
+            entry["description"] = t.description
+        tests.append(entry)
+    data = {
+        "id": task.id,
+        "suite": task.suite,
+        "signature": {
+            "name": task.signature.name,
+            "return_type": task.signature.return_type,
+            "params": [{"name": p.name, "type": p.type} for p in task.signature.parameters],
+            "static": task.signature.static,
+            "throws": list(task.signature.declared_throws),
+        },
+        "tests": tests,
+        "deps": list(task.dependencies),
+    }
+    if task.notes is not None:
+        data["notes"] = task.notes
+    return data

@@ -399,6 +399,24 @@ def test_resume_with_nothing_pending_reads_from_disk(repo_root, tmp_path):
     assert second == first
 
 
+def test_resume_reruns_a_truncated_record(repo_root, tmp_path):
+    suite = load_suite(repo_root / "tasks" / "sample")
+    suite = BenchmarkSuite(name=suite.name, tasks=suite.tasks[:2])
+    run_suite(suite, scripted_backend(), load_templates(), passing_sandbox(), tmp_path)
+    broken, intact = suite.tasks
+    path = tmp_path / broken.id / "record.json"
+    path.write_text(path.read_text(encoding="utf-8")[:40], encoding="utf-8")
+
+    target = SAMPLE_TARGETS[broken.id]
+    backend = MockBackend(script={broken.id: [java_response(f"    void {target}() {{ }}")]})
+    sandbox = StubSandbox(by_target={target: [ok()]})
+    records = run_suite(suite, backend, load_templates(), sandbox, tmp_path, resume=True)
+    assert [call[0] for call in sandbox.calls] == [target]
+    assert all(r.final_status is FinalStatus.SOLVED for r in records)
+    assert load_record(path) == records[0]
+    assert load_record(tmp_path / intact.id / "record.json") == records[1]
+
+
 def test_resolved_dependency_lands_on_classpath(repo_root, tmp_path):
     suite = load_suite(repo_root / "tasks" / "sample")
     needy = dataclasses.replace(suite.tasks[0], dependencies=("demo-dep",))

@@ -371,6 +371,11 @@ def test_bench_resume_picks_latest_run(sample_suite, tmp_path, monkeypatch, caps
     rc = cli.main(bench_args(sample_suite, tmp_path, bench_script(tmp_path)))
     assert rc == 0
     capsys.readouterr()
+    # an older run whose name sorts after the latest one
+    older = out_dir / "zz-older"
+    older.mkdir()
+    latest_mtime = (out_dir / "r1").stat().st_mtime
+    os.utime(older, (latest_mtime - 3600, latest_mtime - 3600))
 
     empty = write_script(tmp_path / "empty.json", {})
     stub_sandbox_factory(monkeypatch, StubSandbox())
@@ -388,7 +393,8 @@ def test_bench_resume_picks_latest_run(sample_suite, tmp_path, monkeypatch, caps
         ]
     )
     assert rc == 0
-    capsys.readouterr()
+    assert "| Total | 5 | 5 (100.0%)" in capsys.readouterr().out
+    assert list(older.iterdir()) == []
 
 
 def test_bench_resume_without_runs_is_an_error(sample_suite, tmp_path, capsys):

@@ -1,0 +1,70 @@
+"""The offline demo end to end, and its reports pinned byte for byte."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import sys
+
+import pytest
+
+from apisynth.bench import RENDERERS, aggregate, load_baseline
+from apisynth.refine import load_record
+
+SUFFIXES = {"markdown": "md", "csv": "csv", "json": "json"}
+
+
+@pytest.fixture(scope="module")
+def demo_run(repo_root, tmp_path_factory):
+    path = repo_root / "scripts" / "run_mock_demo.py"
+    spec = importlib.util.spec_from_file_location("run_mock_demo", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        run_dir = tmp_path_factory.mktemp("demo") / "mock-demo"
+        assert module.main(run_dir) == 0
+    finally:
+        del sys.modules[spec.name]
+    return run_dir
+
+
+@pytest.fixture(scope="module")
+def demo_report(demo_run):
+    return aggregate([load_record(p) for p in sorted(demo_run.glob("*/record.json"))])
+
+
+def test_demo_final_statuses(demo_run):
+    statuses = {
+        p.parent.name: json.loads(p.read_text(encoding="utf-8"))["final_status"]
+        for p in demo_run.glob("*/record.json")
+    }
+    assert statuses == {
+        "collections-swap": "solved",
+        "ellipse-area": "solved",
+        "get-offset-for-line": "failed_same_error",
+        "get-range": "solved",
+        "palindrome-queue": "solved",
+    }
+
+
+def test_demo_outcomes_are_json(demo_run):
+    paths = sorted(demo_run.glob("*/attempt-*/outcome.json"))
+    assert len(paths) == 8
+    for path in paths:
+        assert json.loads(path.read_text(encoding="utf-8"))["kind"]
+
+
+@pytest.mark.parametrize("fmt", sorted(SUFFIXES))
+def test_demo_writes_golden_reports(demo_run, repo_root, fmt):
+    golden = repo_root / "tests" / "data" / f"golden_report.{SUFFIXES[fmt]}"
+    assert (demo_run / f"report.{SUFFIXES[fmt]}").read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("with_baseline", [False, True], ids=["plain", "baseline"])
+@pytest.mark.parametrize("fmt", sorted(SUFFIXES))
+def test_renderers_match_golden_bytes(demo_report, repo_root, fmt, with_baseline):
+    baseline = load_baseline(repo_root / "data" / "frangel_baseline.json") if with_baseline else None
+    name = "golden_report_baseline" if with_baseline else "golden_report"
+    golden = repo_root / "tests" / "data" / f"{name}.{SUFFIXES[fmt]}"
+    assert RENDERERS[fmt](demo_report, baseline).encode("utf-8") == golden.read_bytes()

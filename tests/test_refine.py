@@ -11,9 +11,10 @@ from apisynth.refine import (
     RunRecord,
     environment_record,
     load_record,
+    save_record,
     synthesize,
 )
-from apisynth.sandbox import OutcomeKind
+from apisynth.sandbox import AttemptOutcome, OutcomeKind, from_json_dict, to_json_dict
 from helpers import (
     StubSandbox,
     compile_error,
@@ -185,4 +186,72 @@ def test_environment_record_shape(ellipse_task):
 
 def test_record_dict_round_trip(ellipse_task, tmp_path):
     record, _ = run(ellipse_task, [failing(1, 3), ok()], tmp_path)
-    assert RunRecord.from_dict(record.to_dict()) == record
+    assert from_json_dict(RunRecord, json.loads(json.dumps(to_json_dict(record)))) == record
+    assert load_record(tmp_path / ellipse_task.id / "record.json") == record
+
+
+# A record.json as earlier versions wrote it, byte for byte.
+STORED_RECORD = """{
+  "task_id": "get-range",
+  "task_suite": "control-structures",
+  "final_status": "solved",
+  "followups_used": 1,
+  "solved_without_followups": false,
+  "wall_time_seconds": 0.5,
+  "error": null,
+  "attempts": [
+    {
+      "index": 1,
+      "outcome": {
+        "kind": "failing_tests",
+        "fingerprint": "failing_tests:3,4",
+        "failing_ordinals": [
+          3,
+          4
+        ],
+        "detail": "",
+        "extraction_failed": false
+      },
+      "followup_sent": "fix 3 and 4"
+    },
+    {
+      "index": 2,
+      "outcome": {
+        "kind": "pass",
+        "fingerprint": "pass",
+        "failing_ordinals": [],
+        "detail": "",
+        "extraction_failed": false
+      },
+      "followup_sent": null
+    }
+  ]
+}
+"""
+
+
+def test_stored_record_layout_is_stable(tmp_path):
+    path = tmp_path / "record.json"
+    path.write_text(STORED_RECORD, encoding="utf-8")
+    record = load_record(path)
+    assert record.attempts[0].outcome.failing_ordinals == frozenset({3, 4})
+    assert record.attempts[0].followup_sent == "fix 3 and 4"
+    assert record.final_status is FinalStatus.SOLVED
+    save_record(record, tmp_path / "again" / "record.json")
+    assert (tmp_path / "again" / "record.json").read_text(encoding="utf-8") == STORED_RECORD
+    assert [p.name for p in (tmp_path / "again").iterdir()] == ["record.json"]
+
+
+def test_record_without_optional_keys_loads():
+    data = json.loads(STORED_RECORD)
+    for key in ("attempts", "error"):
+        del data[key]
+    assert from_json_dict(RunRecord, data).attempts == ()
+    data = json.loads(STORED_RECORD)
+    del data["attempts"][0]["followup_sent"]
+    for key in ("failing_ordinals", "detail", "extraction_failed"):
+        del data["attempts"][0]["outcome"][key]
+    attempt = from_json_dict(RunRecord, data).attempts[0]
+    assert attempt.followup_sent is None
+    assert attempt.outcome.failing_ordinals == frozenset()
+    assert attempt.outcome == AttemptOutcome(OutcomeKind.FAILING_TESTS, "failing_tests:3,4")

@@ -20,8 +20,10 @@ from apisynth.sandbox import (
     find_test_method,
     find_toolchain,
     fingerprint_of,
+    from_json_dict,
     make_driver,
     normalize_diagnostic,
+    to_json_dict,
 )
 
 ORDINALS = (1, 2, 3)
@@ -117,7 +119,9 @@ def test_outcome_dict_round_trip():
         failing_ordinals=frozenset({1}),
         detail="x",
     )
-    assert AttemptOutcome.from_dict(outcome.to_dict()) == outcome
+    data = json.loads(json.dumps(to_json_dict(outcome)))
+    assert data["failing_ordinals"] == [1]
+    assert from_json_dict(AttemptOutcome, data) == outcome
 
 
 def test_find_test_method_prefers_target_name():

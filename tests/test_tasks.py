@@ -19,10 +19,10 @@ from apisynth.tasks import (
     parse_task_dict,
     parse_task_file,
     resolve_dependency,
-    serialize_task,
     structural_violations,
     validate_task,
 )
+from helpers import serialize_task
 
 
 def make_task(**overrides) -> SynthesisTask:
