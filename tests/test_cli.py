@@ -194,6 +194,58 @@ def test_unparseable_env_value_is_reported(sample_task, monkeypatch, capsys):
     assert "APISYNTH_TEMPERATURE" in err
 
 
+@pytest.mark.parametrize(
+    "extra, env, message",
+    [
+        (["--workers", "0"], {}, "workers must be >= 1, got 0"),
+        ([], {"APISYNTH_WORKERS": "0"}, "workers must be >= 1, got 0"),
+        (["--max-followups", "-1"], {}, "max-followups must be >= 0, got -1"),
+        (["--compile-timeout", "0"], {}, "timeouts must be positive"),
+        (["--run-timeout", "0"], {}, "timeouts must be positive"),
+        (["--run-id", "a/b"], {}, "run id must be a non-empty path segment, got 'a/b'"),
+    ],
+)
+def test_bench_rejects_bad_settings(sample_suite, tmp_path, monkeypatch, capsys, extra, env, message):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    sandbox = StubSandbox()
+    stub_sandbox_factory(monkeypatch, sandbox)
+    argv = ["bench", sample_suite, "--backend", "mock", "--mock-script",
+            bench_script(tmp_path), "--out", str(tmp_path / "runs"), *extra]
+    rc = cli.main(argv)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sandbox.calls == []
+    assert not (tmp_path / "runs").exists()
+
+
+def run_budget(sample_task, tmp_path, monkeypatch, *extra):
+    script = write_script(tmp_path / "script.json", [java_response("    void f() { }")] * 2)
+    stub_sandbox_factory(monkeypatch, StubSandbox(outcomes=[failing(1), ok()]))
+    out = tmp_path / "runs"
+    rc = cli.main(["synth", sample_task, "--backend", "mock", "--mock-script", script,
+                   "--out", str(out), "--run-id", "t1", *extra])
+    return rc, json.loads((out / "t1" / "ellipse-area" / "record.json").read_text())
+
+
+def test_max_followups_from_env(sample_task, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("APISYNTH_MAX_FOLLOWUPS", "0")
+    rc, record = run_budget(sample_task, tmp_path, monkeypatch)
+    assert rc == 1
+    assert record["final_status"] == "failed_budget"
+    assert len(record["attempts"]) == 1
+    assert "not solved: failed_budget" in capsys.readouterr().out
+
+
+def test_max_followups_flag_beats_env(sample_task, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("APISYNTH_MAX_FOLLOWUPS", "0")
+    rc, record = run_budget(sample_task, tmp_path, monkeypatch, "--max-followups", "1")
+    assert rc == 0
+    assert record["final_status"] == "solved"
+    assert len(record["attempts"]) == 2
+    assert "solved in 2 attempts" in capsys.readouterr().out
+
+
 # --- validate ---------------------------------------------------------------
 
 

@@ -6,14 +6,17 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from apisynth import llm
 from apisynth.config import ConfigError
 from apisynth.llm import (
     BackendConfig,
     BackendError,
+    ChatExchange,
     CredentialError,
     HttpBackend,
     MockBackend,
     ScriptExhaustedError,
+    TokenUsage,
     TranscriptWriter,
     load_mock_script,
     make_backend,
@@ -93,6 +96,26 @@ def test_transcript_written_per_exchange(tmp_path):
     assert lines[0]["request_messages"][-1] == {"role": "user", "content": "q1"}
     assert "timestamp" in lines[0]
     assert "latency_seconds" in lines[1]
+
+
+def test_transcript_line_layout(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    exchange = ChatExchange(
+        request_messages=(Message("system", "persona"), Message("user", "naïve q")),
+        response_text="the code",
+        latency_seconds=0.25,
+        usage=TokenUsage(prompt_tokens=12, completion_tokens=34, total_tokens=46),
+    )
+    llm._persist(TranscriptWriter(path), "task-9", "test-model", exchange)
+    line = path.read_text(encoding="utf-8")
+    timestamp = json.loads(line)["timestamp"]
+    assert line == (
+        f'{{"timestamp": "{timestamp}", "task_id": "task-9", "model": "test-model", '
+        '"request_messages": [{"role": "system", "content": "persona"}, '
+        '{"role": "user", "content": "naïve q"}], "response_text": "the code", '
+        '"latency_seconds": 0.25, "usage": {"prompt_tokens": 12, "completion_tokens": 34, '
+        '"total_tokens": 46}}\n'
+    )
 
 
 def test_load_mock_script_shapes(tmp_path):
