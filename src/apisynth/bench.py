@@ -11,10 +11,10 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Sequence
 
-from .config import ConfigError
-from .llm import ChatBackend
+from .llm import ChatBackend, ConfigError
 from .prompting import PromptTemplateSet
 from .refine import (
+    DEFAULT_MAX_FOLLOWUPS,
     FinalStatus,
     RunRecord,
     SandboxLike,
@@ -24,7 +24,7 @@ from .refine import (
     synthesize,
 )
 from .sandbox import OutcomeKind
-from .tasks import BenchmarkSuite, resolve_dependencies, resolve_dependency
+from .tasks import BenchmarkSuite, resolve_dependencies
 
 
 class MetricsError(Exception):
@@ -248,7 +248,7 @@ def run_suite(
     sandbox: SandboxLike,
     run_dir: Path,
     deps_dir: Path | None = None,
-    max_followups: int = 3,
+    max_followups: int = DEFAULT_MAX_FOLLOWUPS,
     workers: int = 4,
     resume: bool = False,
 ) -> list[RunRecord]:
@@ -274,14 +274,11 @@ def run_suite(
 
     def work(task):
         task_dir = run_dir / task.id
-        unresolved = [d for d in task.dependencies if resolve_dependency(d, deps_dir) is None]
-        if unresolved:
-            record = environment_record(
-                task, "unresolved dependencies: " + ", ".join(unresolved)
-            )
+        classpath, missing = resolve_dependencies(task, deps_dir)
+        if missing:
+            record = environment_record(task, "unresolved dependencies: " + ", ".join(missing))
             save_record(record, task_dir / "record.json")
             return record
-        classpath = resolve_dependencies(task, deps_dir)
         return synthesize(task, backend, templates, sandbox, task_dir, classpath, max_followups)
 
     if pending:

@@ -1,15 +1,19 @@
-"""Command-line interface: synth, bench, and validate subcommands."""
+"""Command-line interface: synth, bench, and validate subcommands.
+
+Each setting is its flag, else ``APISYNTH_<DEST>`` (the flag's dest
+upper-cased), else the default of the library call it is passed to.
+"""
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import os
 import sys
+import time
 from pathlib import Path
 
 from .bench import aggregate, RENDERERS, load_baseline, run_suite, write_reports
-from .config import ConfigError, RunConfig, env_value
-from .llm import BackendConfig, BackendError, TranscriptWriter, make_backend
+from .llm import BackendConfig, BackendError, ConfigError, TranscriptWriter, make_backend
 from .prompting import (
     PromptError,
     build_initial_conversation,
@@ -25,8 +29,8 @@ from .tasks import (
     load_suite,
     parse_task_file,
     resolve_dependencies,
-    resolve_dependency,
     structural_violations,
+    task_files,
     validate_task,
 )
 
@@ -35,21 +39,58 @@ EXIT_TASK_FAILED = 1
 EXIT_ENVIRONMENT = 2
 
 
-def _resolve(flag, env_name: str, cast=None):
-    """The explicit flag, else APISYNTH_<env_name>, else None so the default applies."""
-    if flag is not None:
-        return flag
-    raw = env_value(env_name)
-    if raw is None or cast is None:
-        return raw
+def _setting(args: argparse.Namespace, dest: str, cast=str):
+    """--<dest> when given, else APISYNTH_<DEST> cast like the flag, else None."""
+    value = getattr(args, dest, None)
+    if value is not None:
+        return value
+    name = "APISYNTH_" + dest.upper()
+    raw = os.environ.get(name)
+    if raw is None:
+        return None
     try:
         return cast(raw)
     except ValueError as exc:
-        raise ConfigError(f"APISYNTH_{env_name}={raw!r} is not valid: {exc}") from exc
+        raise ConfigError(f"{name}={raw!r} is not valid: {exc}") from exc
+
+
+def _path(args: argparse.Namespace, dest: str) -> Path | None:
+    value = _setting(args, dest)
+    return Path(value) if value else None
 
 
 def _given(**values) -> dict:
+    """The settings that were set; the others keep the callee's defaults."""
     return {name: value for name, value in values.items() if value is not None}
+
+
+def _backend_config(args: argparse.Namespace) -> BackendConfig:
+    return BackendConfig(
+        **_given(
+            kind=_setting(args, "backend"),
+            model=_setting(args, "model"),
+            temperature=_setting(args, "temperature", float),
+            endpoint_url=_setting(args, "endpoint"),
+            credential_source=_setting(args, "credential_env") or None,
+        )
+    )
+
+
+def _at_least(args: argparse.Namespace, dest: str, low: int) -> int | None:
+    value = _setting(args, dest, int)
+    if value is not None and value < low:
+        raise ConfigError(f"{dest.replace('_', '-')} must be >= {low}, got {value}")
+    return value
+
+
+def _timeouts(args: argparse.Namespace) -> dict:
+    timeouts = _given(
+        compile_timeout=_setting(args, "compile_timeout", float),
+        run_timeout=_setting(args, "run_timeout", float),
+    )
+    if any(timeout <= 0 for timeout in timeouts.values()):
+        raise ConfigError("timeouts must be positive")
+    return timeouts
 
 
 def _latest_run(out_dir: Path) -> str:
@@ -59,40 +100,15 @@ def _latest_run(out_dir: Path) -> str:
     return max(runs, key=lambda p: (p.stat().st_mtime, p.name)).name
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    out = _resolve(args.out, "OUT")
-    prompts = _resolve(args.prompts, "PROMPTS")
-    deps = _resolve(args.deps, "DEPS")
-    mock_script = _resolve(args.mock_script, "MOCK_SCRIPT")
-    run_id = _resolve(getattr(args, "run_id", None), "RUN_ID")
-    resume = bool(getattr(args, "resume", False))
-    backend = BackendConfig(
-        **_given(
-            kind=_resolve(args.backend, "BACKEND"),
-            model=_resolve(args.model, "MODEL"),
-            temperature=_resolve(args.temperature, "TEMPERATURE", float),
-            endpoint_url=_resolve(args.endpoint, "ENDPOINT"),
-            credential_source=env_value("CREDENTIAL_ENV") or None,
-        )
-    )
-    config = RunConfig(
-        backend=backend,
-        prompts_dir=Path(prompts) if prompts else None,
-        deps_dir=Path(deps) if deps else None,
-        mock_script=Path(mock_script) if mock_script else None,
-        resume=resume,
-        **_given(
-            out_dir=None if out is None else Path(out),
-            run_id=run_id,
-            workers=_resolve(getattr(args, "workers", None), "WORKERS", int),
-            compile_timeout=_resolve(args.compile_timeout, "COMPILE_TIMEOUT", float),
-            run_timeout=_resolve(args.run_timeout, "RUN_TIMEOUT", float),
-            max_followups=_resolve(args.max_followups, "MAX_FOLLOWUPS", int),
-        ),
-    )
-    if resume and run_id is None:
-        config = dataclasses.replace(config, run_id=_latest_run(config.out_dir))
-    return config
+def _run_dir(args: argparse.Namespace, resume: bool = False) -> Path:
+    out = _setting(args, "out")
+    out_dir = Path("runs" if out is None else out)
+    run_id = _setting(args, "run_id")
+    if run_id is None:
+        run_id = _latest_run(out_dir) if resume else time.strftime("%Y%m%d-%H%M%S")
+    if not run_id or "/" in run_id:
+        raise ConfigError(f"run id must be a non-empty path segment, got {run_id!r}")
+    return out_dir / run_id
 
 
 def _print_record(record: RunRecord) -> None:
@@ -113,33 +129,40 @@ def _print_record(record: RunRecord) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+    backend_config = _backend_config(args)
+    max_followups = _at_least(args, "max_followups", 0)
+    timeouts = _timeouts(args)
+    run_dir = _run_dir(args)
     task = parse_task_file(Path(args.task))
     violations = structural_violations(task)
     if violations:
         for violation in violations:
             print(f"error: {task.id}: {violation}", file=sys.stderr)
         return EXIT_ENVIRONMENT
-    templates = load_templates(config.prompts_dir)
+    templates = load_templates(_path(args, "prompts"))
 
     if args.dry_run:
         conversation = build_initial_conversation(task, templates)
         sys.stdout.write(render_conversation_text(conversation))
         return EXIT_OK
 
-    unresolved = [d for d in task.dependencies if resolve_dependency(d, config.deps_dir) is None]
-    if unresolved:
-        for dep in unresolved:
+    classpath, missing = resolve_dependencies(task, _path(args, "deps"))
+    if missing:
+        for dep in missing:
             print(f"error: dependency '{dep}' does not resolve", file=sys.stderr)
         return EXIT_ENVIRONMENT
-    classpath = resolve_dependencies(task, config.deps_dir)
 
-    run_dir = config.run_dir
     transcript = TranscriptWriter(run_dir / "transcript.jsonl")
-    backend = make_backend(config.backend, transcript, config.mock_script)
-    sandbox = make_sandbox(config.compile_timeout, config.run_timeout)
+    backend = make_backend(backend_config, transcript, _path(args, "mock_script"))
+    sandbox = make_sandbox(**timeouts)
     record = synthesize(
-        task, backend, templates, sandbox, run_dir / task.id, classpath, config.max_followups
+        task,
+        backend,
+        templates,
+        sandbox,
+        run_dir / task.id,
+        classpath,
+        **_given(max_followups=max_followups),
     )
     _print_record(record)
     if record.final_status is FinalStatus.SOLVED:
@@ -150,21 +173,24 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+    backend_config = _backend_config(args)
+    workers = _at_least(args, "workers", 1)
+    max_followups = _at_least(args, "max_followups", 0)
+    timeouts = _timeouts(args)
+    run_dir = _run_dir(args, args.resume)
     suite = load_suite(Path(args.suite))
-    templates = load_templates(config.prompts_dir)
-    baseline_path = _resolve(args.baseline, "BASELINE")
-    baseline = load_baseline(Path(baseline_path)) if baseline_path else None
-    output_format = _resolve(args.format, "FORMAT")
+    templates = load_templates(_path(args, "prompts"))
+    baseline_path = _path(args, "baseline")
+    baseline = load_baseline(baseline_path) if baseline_path else None
+    output_format = _setting(args, "format")
     if output_format is None:
         output_format = "markdown"
     if output_format not in RENDERERS:
         raise ConfigError(f"unknown report format {output_format!r}")
 
-    run_dir = config.run_dir
     transcript = TranscriptWriter(run_dir / "transcript.jsonl")
-    backend = make_backend(config.backend, transcript, config.mock_script)
-    sandbox = make_sandbox(config.compile_timeout, config.run_timeout)
+    backend = make_backend(backend_config, transcript, _path(args, "mock_script"))
+    sandbox = make_sandbox(**timeouts)
 
     records = run_suite(
         suite,
@@ -172,10 +198,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         templates,
         sandbox,
         run_dir,
-        deps_dir=config.deps_dir,
-        max_followups=config.max_followups,
-        workers=config.workers,
-        resume=config.resume,
+        deps_dir=_path(args, "deps"),
+        resume=args.resume,
+        **_given(max_followups=max_followups, workers=workers),
     )
     report = aggregate(records)
     write_reports(run_dir, report, baseline)
@@ -188,19 +213,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    deps = _resolve(args.deps, "DEPS")
-    deps_dir = Path(deps) if deps else None
-    path = Path(args.path)
-    if path.is_dir():
-        files = sorted(path.glob("*.json"))
-        if not files:
-            raise ConfigError(f"{path}: no task files found")
-    else:
-        files = [path]
-
+    deps_dir = _path(args, "deps")
     failed = False
     seen: dict[str, Path] = {}
-    for file in files:
+    for file in task_files(Path(args.path)):
         task = parse_task_file(file)
         violations = validate_task(task, deps_dir)
         if task.id in seen:
@@ -248,10 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run a whole suite and write reports")
     bench.add_argument("suite", help="path to a directory of task JSON files")
-    bench.add_argument("--workers", type=int, help="parallel tasks (default 4)")
+    bench.add_argument("--workers", type=int, help="parallel tasks")
     bench.add_argument("--resume", action="store_true", help="skip tasks with existing records")
     bench.add_argument("--baseline", metavar="FILE", help="baseline JSON for an extra column")
-    bench.add_argument("--format", choices=["markdown", "csv", "json"], help="stdout format")
+    bench.add_argument("--format", choices=list(RENDERERS), help="stdout format")
     add_common(bench)
     bench.set_defaults(func=cmd_bench)
 

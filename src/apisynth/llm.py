@@ -13,10 +13,14 @@ from typing import Protocol, Sequence
 
 import requests
 
-from .config import ConfigError
 from .prompting import Message
+from .sandbox import to_json_dict
 
 RETRYABLE_STATUS = (429, 500, 502, 503, 504)
+
+
+class ConfigError(Exception):
+    """Bad configuration; callers map this to the environment/config exit code."""
 
 
 class BackendError(Exception):
@@ -40,9 +44,6 @@ class BackendConfig:
     credential_source: str = "OPENAI_API_KEY"
     request_timeout: float = 120.0
     max_retries_transport: int = 2
-    top_p: float | None = None
-    max_tokens: int | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("http", "mock"):
@@ -101,24 +102,12 @@ def _persist(
 ) -> None:
     if transcript is None:
         return
-    usage = None
-    if exchange.usage is not None:
-        usage = {
-            "prompt_tokens": exchange.usage.prompt_tokens,
-            "completion_tokens": exchange.usage.completion_tokens,
-            "total_tokens": exchange.usage.total_tokens,
-        }
     transcript.append(
         {
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "task_id": task_id,
             "model": model,
-            "request_messages": [
-                {"role": m.role, "content": m.content} for m in exchange.request_messages
-            ],
-            "response_text": exchange.response_text,
-            "latency_seconds": exchange.latency_seconds,
-            "usage": usage,
+            **to_json_dict(exchange),
         }
     )
 
@@ -144,17 +133,11 @@ class HttpBackend:
     def complete(self, conversation: Sequence[Message], task_id: str) -> ChatExchange:
         _check_conversation(conversation)
         url = self.config.endpoint_url.rstrip("/") + "/chat/completions"
-        body: dict = {
+        body = {
             "model": self.config.model,
             "messages": [{"role": m.role, "content": m.content} for m in conversation],
             "temperature": self.config.temperature,
         }
-        if self.config.top_p is not None:
-            body["top_p"] = self.config.top_p
-        if self.config.max_tokens is not None:
-            body["max_tokens"] = self.config.max_tokens
-        if self.config.seed is not None:
-            body["seed"] = self.config.seed
         headers = {"Authorization": f"Bearer {self._api_key}"}
 
         attempts = self.config.max_retries_transport + 1

@@ -65,13 +65,9 @@ class SandboxLike(Protocol):
     ) -> AttemptOutcome: ...
 
 
-def make_sandbox(compile_timeout: float = 60.0, run_timeout: float = 30.0) -> Sandbox:
-    """Real toolchain sandbox; raises when no JDK is available."""
-    return Sandbox(
-        toolchain=find_toolchain(),
-        compile_timeout=compile_timeout,
-        run_timeout=run_timeout,
-    )
+def make_sandbox(**timeouts: float) -> Sandbox:
+    """Real toolchain sandbox; an omitted timeout keeps Sandbox's default. Needs a JDK."""
+    return Sandbox(toolchain=find_toolchain(), **timeouts)
 
 
 def save_record(record: RunRecord, path: Path) -> None:

@@ -29,11 +29,6 @@ class ToolchainError(Exception):
     """The Java toolchain is unavailable; an environment problem, not a task failure."""
 
 
-class Phase(str, Enum):
-    COMPILE = "compile"
-    RUN = "run"
-
-
 class OutcomeKind(str, Enum):
     PASS = "pass"
     COMPILE_ERROR = "compile_error"
@@ -43,7 +38,6 @@ class OutcomeKind(str, Enum):
 
 @dataclass(frozen=True)
 class ExecutionResult:
-    phase: Phase
     exit_code: int
     stdout: str
     stderr: str
@@ -277,7 +271,7 @@ def _write_log(path: Path, argv: list[str], result: ExecutionResult) -> None:
     )
 
 
-def _execute(argv: list[str], cwd: Path, timeout: float, phase: Phase) -> ExecutionResult:
+def _execute(argv: list[str], cwd: Path, timeout: float) -> ExecutionResult:
     start = time.monotonic()
     proc = subprocess.Popen(
         argv,
@@ -299,7 +293,6 @@ def _execute(argv: list[str], cwd: Path, timeout: float, phase: Phase) -> Execut
         stdout, stderr = proc.communicate()
         timed_out = True
     return ExecutionResult(
-        phase=phase,
         exit_code=proc.returncode if proc.returncode is not None else -1,
         stdout=stdout or "",
         stderr=stderr or "",
@@ -345,7 +338,7 @@ class Sandbox:
         if classpath:
             compile_argv += ["-cp", os.pathsep.join(str(p) for p in classpath)]
         compile_argv.append(source_path.name)
-        compile_result = _execute(compile_argv, workdir, self.compile_timeout, Phase.COMPILE)
+        compile_result = _execute(compile_argv, workdir, self.compile_timeout)
         _write_log(workdir / "compile.log", compile_argv, compile_result)
 
         run_result = None
@@ -357,7 +350,7 @@ class Sandbox:
             else:
                 run_cp = os.pathsep.join(["."] + [str(p) for p in classpath])
                 run_argv = [self.toolchain.java, "-ea", "-cp", run_cp, main_class]
-                run_result = _execute(run_argv, workdir, self.run_timeout, Phase.RUN)
+                run_result = _execute(run_argv, workdir, self.run_timeout)
                 _write_log(workdir / "run.log", run_argv, run_result)
 
         outcome = classify(compile_result, run_result, all_ordinals)

@@ -177,6 +177,8 @@ def parse_task_dict(data: dict, ctx: str) -> SynthesisTask:
 def parse_task_file(path: Path) -> SynthesisTask:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise TaskParseError(f"{path}: cannot read task file: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise TaskParseError(f"{path}: invalid JSON: {exc}") from exc
     return parse_task_dict(data, str(path))
@@ -219,24 +221,41 @@ def resolve_dependency(identifier: str, deps_dir: Path | None) -> Path | None:
     return None
 
 
-def resolve_dependencies(task: SynthesisTask, deps_dir: Path | None) -> list[Path]:
-    """Resolved archive paths for a task; unresolved identifiers are skipped."""
-    resolved = []
+def resolve_dependencies(
+    task: SynthesisTask, deps_dir: Path | None
+) -> tuple[list[Path], list[str]]:
+    """The task's classpath, and the dependency identifiers that do not resolve."""
+    classpath, missing = [], []
     for dep in task.dependencies:
         path = resolve_dependency(dep, deps_dir)
-        if path is not None:
-            resolved.append(path)
-    return resolved
+        if path is None:
+            missing.append(dep)
+        else:
+            classpath.append(path)
+    return classpath, missing
 
 
 def validate_task(task: SynthesisTask, deps_dir: Path | None = None) -> list[str]:
     """Full validation report; empty iff all invariants hold and deps resolve."""
     violations = structural_violations(task)
-    for dep in task.dependencies:
-        if resolve_dependency(dep, deps_dir) is None:
-            where = deps_dir if deps_dir is not None else "an unconfigured dependency directory"
-            violations.append(f"dependency '{dep}' does not resolve under {where}")
+    _, missing = resolve_dependencies(task, deps_dir)
+    where = deps_dir if deps_dir is not None else "an unconfigured dependency directory"
+    for dep in missing:
+        violations.append(f"dependency '{dep}' does not resolve under {where}")
     return violations
+
+
+def task_files(path: Path) -> list[Path]:
+    """The task file at path, or the ``*.json`` files directly in a directory, by name."""
+    path = Path(path)
+    if not path.exists():
+        raise TaskParseError(f"{path}: no such file or directory")
+    if not path.is_dir():
+        return [path]
+    files = sorted(path.glob("*.json"))
+    if not files:
+        raise TaskParseError(f"{path}: no task files found")
+    return files
 
 
 def load_suite(path: Path) -> BenchmarkSuite:
@@ -246,14 +265,8 @@ def load_suite(path: Path) -> BenchmarkSuite:
     violations and duplicate ids fail the load.
     """
     path = Path(path)
-    if not path.exists():
-        raise TaskParseError(f"{path}: no such file or directory")
-    if path.is_dir():
-        files = sorted(path.glob("*.json"))
-        default_name = path.name
-    else:
-        files = [path]
-        default_name = path.stem
+    files = task_files(path)
+    default_name = path.name if path.is_dir() else path.stem
     tasks = [parse_task_file(f) for f in files]
     for task, origin in zip(tasks, files):
         violations = structural_violations(task)

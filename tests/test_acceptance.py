@@ -227,7 +227,7 @@ def test_live_backend_solves_reference_tasks(repo_root, templates, tmp_path):
     )
     transcript = TranscriptWriter(tmp_path / "transcript.jsonl")
     backend = make_backend(config, transcript)
-    sandbox = make_sandbox(60.0, 30.0)
+    sandbox = make_sandbox(compile_timeout=60.0, run_timeout=30.0)
 
     for task_file in ("ellipse-area.json", "get-range.json"):
         task = parse_task_file(repo_root / "tasks" / "sample" / task_file)

@@ -19,8 +19,7 @@ from apisynth.bench import (
     run_suite,
     write_reports,
 )
-from apisynth.config import ConfigError
-from apisynth.llm import MockBackend
+from apisynth.llm import ConfigError, MockBackend
 from apisynth.prompting import load_templates
 from apisynth.refine import FinalStatus, RunRecord, load_record
 from apisynth.tasks import BenchmarkSuite, load_suite

@@ -35,8 +35,8 @@ def write_script(path, payload):
 def stub_sandbox_factory(monkeypatch, sandbox):
     calls = []
 
-    def factory(compile_timeout, run_timeout):
-        calls.append((compile_timeout, run_timeout))
+    def factory(**timeouts):
+        calls.append(timeouts)
         return sandbox
 
     monkeypatch.setattr(cli, "make_sandbox", factory)
@@ -205,7 +205,9 @@ def test_unparseable_env_value_is_reported(sample_task, monkeypatch, capsys):
         (["--run-id", "a/b"], {}, "run id must be a non-empty path segment, got 'a/b'"),
     ],
 )
-def test_bench_rejects_bad_settings(sample_suite, tmp_path, monkeypatch, capsys, extra, env, message):
+def test_bench_rejects_bad_settings(
+    sample_suite, tmp_path, monkeypatch, capsys, extra, env, message
+):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     sandbox = StubSandbox()
@@ -303,6 +305,33 @@ def test_validate_empty_directory(tmp_path, capsys):
     rc = cli.main(["validate", str(tmp_path)])
     assert rc == 2
     assert "no task files" in capsys.readouterr().err
+
+
+def test_validate_missing_path(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    rc = cli.main(["validate", str(missing)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {missing}: no such file or directory\n"
+
+
+def test_synth_missing_task_file(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    rc = cli.main(["synth", str(missing), "--dry-run"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {missing}: cannot read task file")
+
+
+def test_bench_directory_without_task_files(tmp_path, repo_root, capsys):
+    # like `bench tasks`: the task files sit one level down
+    nested = tmp_path / "suites" / "sample"
+    nested.mkdir(parents=True)
+    (nested / "t.json").write_text((repo_root / "tasks" / "sample" / "get-range.json").read_text())
+    out = tmp_path / "runs"
+    rc = cli.main(["bench", str(tmp_path / "suites"), "--backend", "mock", "--mock-script",
+                   write_script(tmp_path / "empty.json", {}), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'suites'}: no task files found\n"
+    assert not out.exists()
 
 
 def test_parse_error_names_file(tmp_path, capsys):

@@ -7,11 +7,11 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from apisynth import llm
-from apisynth.config import ConfigError
 from apisynth.llm import (
     BackendConfig,
     BackendError,
     ChatExchange,
+    ConfigError,
     CredentialError,
     HttpBackend,
     MockBackend,
@@ -208,6 +208,7 @@ def test_http_backend_round_trip(http_stub, monkeypatch, tmp_path):
     request = handler.seen[0]
     assert request["path"] == "/v1/chat/completions"
     assert request["auth"] == "Bearer sekrit"
+    assert set(request["body"]) == {"model", "messages", "temperature"}
     assert request["body"]["model"] == "test-model"
     assert request["body"]["temperature"] == 0.7
     assert request["body"]["messages"][-1]["content"] == "write code"
@@ -263,21 +264,3 @@ def test_http_backend_rejects_malformed_payload(http_stub, monkeypatch):
         backend.complete(conversation(), "t")
     assert "malformed" in str(excinfo.value)
 
-
-def test_http_backend_optional_sampling_fields(http_stub, monkeypatch):
-    server, handler = http_stub
-    handler.responses.append((200, _completion_payload("ok")))
-    monkeypatch.setenv("DEMO_KEY", "k")
-    config = BackendConfig(
-        endpoint_url=f"http://127.0.0.1:{server.server_port}/v1",
-        credential_source="DEMO_KEY",
-        request_timeout=5,
-        top_p=0.9,
-        max_tokens=2048,
-        seed=7,
-    )
-    HttpBackend(config).complete(conversation(), "t")
-    body = handler.seen[0]["body"]
-    assert body["top_p"] == 0.9
-    assert body["max_tokens"] == 2048
-    assert body["seed"] == 7

@@ -12,7 +12,6 @@ from apisynth.sandbox import (
     AttemptOutcome,
     ExecutionResult,
     OutcomeKind,
-    Phase,
     Sandbox,
     Toolchain,
     ToolchainError,
@@ -30,11 +29,11 @@ ORDINALS = (1, 2, 3)
 
 
 def compile_result(exit_code=0, stderr="", timed_out=False) -> ExecutionResult:
-    return ExecutionResult(Phase.COMPILE, exit_code, "", stderr, 0.1, timed_out)
+    return ExecutionResult(exit_code, "", stderr, 0.1, timed_out)
 
 
 def run_result(exit_code=0, stdout="", stderr="", timed_out=False) -> ExecutionResult:
-    return ExecutionResult(Phase.RUN, exit_code, stdout, stderr, 0.1, timed_out)
+    return ExecutionResult(exit_code, stdout, stderr, 0.1, timed_out)
 
 
 def test_classify_compile_failure():
