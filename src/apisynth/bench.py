@@ -119,7 +119,7 @@ def load_baseline(path: Path) -> Baseline:
     """A baseline file maps suite name to {n_tasks, success_count}."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot load baseline: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: baseline must be a JSON object keyed by suite name")

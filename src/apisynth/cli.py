@@ -22,7 +22,7 @@ from .prompting import (
     render_conversation_text,
 )
 from .refine import FinalStatus, RunRecord, make_sandbox, synthesize
-from .sandbox import OutcomeKind, ToolchainError
+from .sandbox import CompilerPool, OutcomeKind, ToolchainError
 from .tasks import (
     TaskParseError,
     TaskValidationError,
@@ -154,16 +154,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     transcript = TranscriptWriter(run_dir / "transcript.jsonl")
     backend = make_backend(backend_config, transcript, _path(args, "mock_script"))
-    sandbox = make_sandbox(**timeouts)
-    record = synthesize(
-        task,
-        backend,
-        templates,
-        sandbox,
-        run_dir / task.id,
-        classpath,
-        **_given(max_followups=max_followups),
-    )
+    # The command, not the sandbox (make_sandbox's result may be a wrapper),
+    # owns the compile servers and reaps them before it returns.
+    with CompilerPool() as compilers:
+        sandbox = make_sandbox(compilers=compilers, **timeouts)
+        record = synthesize(
+            task,
+            backend,
+            templates,
+            sandbox,
+            run_dir / task.id,
+            classpath,
+            **_given(max_followups=max_followups),
+        )
     _print_record(record)
     if record.final_status is FinalStatus.SOLVED:
         return EXIT_OK
@@ -190,18 +193,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     transcript = TranscriptWriter(run_dir / "transcript.jsonl")
     backend = make_backend(backend_config, transcript, _path(args, "mock_script"))
-    sandbox = make_sandbox(**timeouts)
-
-    records = run_suite(
-        suite,
-        backend,
-        templates,
-        sandbox,
-        run_dir,
-        deps_dir=_path(args, "deps"),
-        resume=args.resume,
-        **_given(max_followups=max_followups, workers=workers),
-    )
+    with CompilerPool() as compilers:
+        sandbox = make_sandbox(compilers=compilers, **timeouts)
+        records = run_suite(
+            suite,
+            backend,
+            templates,
+            sandbox,
+            run_dir,
+            deps_dir=_path(args, "deps"),
+            resume=args.resume,
+            **_given(max_followups=max_followups, workers=workers),
+        )
     report = aggregate(records)
     write_reports(run_dir, report, baseline)
     sys.stdout.write(RENDERERS[output_format](report, baseline))

@@ -114,12 +114,16 @@ def _persist(
 
 @dataclass
 class HttpBackend:
-    """Client for a chat-completions endpoint; retries transport-level faults."""
+    """Client for a chat-completions endpoint; retries transport-level faults.
+
+    Each thread that calls it gets its own ``requests.Session``: a session is
+    not safe to share between the ``--workers`` threads.
+    """
 
     config: BackendConfig
     transcript: TranscriptWriter | None = None
     _api_key: str = field(init=False, repr=False)
-    _session: requests.Session = field(init=False, repr=False)
+    _local: threading.local = field(default_factory=threading.local, init=False, repr=False)
 
     def __post_init__(self) -> None:
         key = os.environ.get(self.config.credential_source)
@@ -128,7 +132,13 @@ class HttpBackend:
                 f"credential environment variable {self.config.credential_source} is not set"
             )
         self._api_key = key
-        self._session = requests.Session()
+
+    @property
+    def _session(self) -> requests.Session:
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        return session
 
     def complete(self, conversation: Sequence[Message], task_id: str) -> ChatExchange:
         _check_conversation(conversation)
@@ -196,7 +206,7 @@ def load_mock_script(path: Path) -> list[str] | dict[str, list[str]]:
     """A mock script is a JSON array of responses or a task-id-keyed object."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise BackendError(f"{path}: cannot load mock script: {exc}") from exc
     if isinstance(data, list):
         if not all(isinstance(item, str) for item in data):

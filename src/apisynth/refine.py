@@ -65,9 +65,9 @@ class SandboxLike(Protocol):
     ) -> AttemptOutcome: ...
 
 
-def make_sandbox(**timeouts: float) -> Sandbox:
-    """Real toolchain sandbox; an omitted timeout keeps Sandbox's default. Needs a JDK."""
-    return Sandbox(toolchain=find_toolchain(), **timeouts)
+def make_sandbox(**settings) -> Sandbox:
+    """Real toolchain sandbox; an omitted setting keeps Sandbox's default. Needs a JDK."""
+    return Sandbox(toolchain=find_toolchain(), **settings)
 
 
 def save_record(record: RunRecord, path: Path) -> None:

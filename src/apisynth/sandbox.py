@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
+import locale
 import os
 import re
 import shutil
 import signal
 import subprocess
+import tempfile
+import threading
 import time
 import types
 import typing
@@ -23,6 +27,23 @@ SUCCESS_MARKER = "All test cases passed."
 
 TIMEOUT_DIAGNOSTIC = "process timed out (forcibly terminated)"
 NO_ENTRY_POINT_DIAGNOSTIC = "no runnable entry point (no main method or test method found)"
+
+# Every JVM started here gets it, so none leaves an hsperfdata file in the
+# system temp directory.
+NO_PERF_DATA = "-XX:-UsePerfData"
+COMPILE_SERVER = Path(__file__).with_name("CompileServer.java")
+# Measured on JDK 17: a compile server peaks at about 300 MB with the JVM's
+# defaults and at about 89 MB with these after a thousand compiles; one cold
+# javac peaks at about 84 MB.
+COMPILE_SERVER_FLAGS = (
+    "-XX:+UseSerialGC", "-Xmx32m", "-Xms8m", "-XX:TieredStopAtLevel=1",
+    "-XX:ReservedCodeCacheSize=16m", "-Xss512k", "-XX:CICompilerCount=1",
+    NO_PERF_DATA, "-XX:MaxMetaspaceSize=64m",
+)
+# javac's system-error and abnormal exits (an OutOfMemoryError under the small
+# heap, a compiler crash): a fault of the server, not a verdict on the source.
+JAVAC_FAULT_EXITS = (3, 4)
+_REPLY_HEADER = re.compile(rb"(\d+) (\d+) (\d+)\n")
 
 
 class ToolchainError(Exception):
@@ -271,6 +292,15 @@ def _write_log(path: Path, argv: list[str], result: ExecutionResult) -> None:
     )
 
 
+def _kill_group(proc: subprocess.Popen) -> None:
+    if proc.returncode is not None:  # reaped: its pid may belong to another process now
+        return
+    try:
+        os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
+    except (ProcessLookupError, PermissionError):
+        proc.kill()
+
+
 def _execute(argv: list[str], cwd: Path, timeout: float) -> ExecutionResult:
     start = time.monotonic()
     proc = subprocess.Popen(
@@ -286,10 +316,7 @@ def _execute(argv: list[str], cwd: Path, timeout: float) -> ExecutionResult:
         timed_out = False
     except subprocess.TimeoutExpired:
         # Kill the whole process group: javac/java may have forked.
-        try:
-            os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            proc.kill()
+        _kill_group(proc)
         stdout, stderr = proc.communicate()
         timed_out = True
     return ExecutionResult(
@@ -301,11 +328,181 @@ def _execute(argv: list[str], cwd: Path, timeout: float) -> ExecutionResult:
     )
 
 
+def _decode(data: bytes) -> str:
+    """Child output as subprocess's text mode decodes it."""
+    text = data.decode(locale.getpreferredencoding(False))
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _request_line(*fields: str) -> bytes | None:
+    """One compile request, or None when a field cannot travel on a line."""
+    if any(re.search(r"[\t\n\r]", f) for f in fields):
+        return None
+    try:
+        return ("\t".join(fields) + "\n").encode("utf-8")
+    except UnicodeEncodeError:
+        return None
+
+
+class _CompileServer:
+    """One compiler JVM running CompileServer.java; it serves one compile at a time."""
+
+    def __init__(self, java: str) -> None:
+        self.home = tempfile.mkdtemp(prefix="apisynth-compiler-")
+        self.expired = False
+        try:
+            self.proc = subprocess.Popen(
+                [java, *COMPILE_SERVER_FLAGS, str(COMPILE_SERVER)],
+                cwd=self.home,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+                start_new_session=True,
+            )
+        except OSError:
+            shutil.rmtree(self.home, ignore_errors=True)
+            raise
+
+    def _expire(self) -> None:
+        self.expired = True
+        _kill_group(self.proc)
+
+    def _bounded(self, timeout: float, read):
+        """read() with the server killed once timeout passes; None on a broken exchange."""
+        timer = threading.Timer(timeout, self._expire)
+        timer.start()
+        try:
+            return read()
+        except (OSError, ValueError):
+            return None
+        finally:
+            timer.cancel()
+
+    def ready(self, timeout: float) -> bool:
+        return self._bounded(timeout, self.proc.stdout.readline) == b"ready\n"
+
+    def compile(self, request: bytes, timeout: float) -> tuple[int, bytes, bytes] | None:
+        """(exit code, stdout, stderr), or None when the server did not answer in form."""
+
+        def exchange():
+            self.proc.stdin.write(request)
+            self.proc.stdin.flush()
+            header = _REPLY_HEADER.fullmatch(self.proc.stdout.readline())
+            if header is None:
+                return None
+            exit_code, n_out, n_err = map(int, header.groups())
+            stdout, stderr = self.proc.stdout.read(n_out), self.proc.stdout.read(n_err)
+            if len(stdout) != n_out or len(stderr) != n_err:
+                return None
+            return exit_code, stdout, stderr
+
+        return self._bounded(timeout, exchange)
+
+    def stop(self, kill: bool = False) -> None:
+        """End the server (at once when kill) and reap it; safe to call twice."""
+        if kill:
+            _kill_group(self.proc)
+        with contextlib.suppress(OSError, ValueError):
+            self.proc.stdin.close()
+        try:
+            self.proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            _kill_group(self.proc)
+            self.proc.wait()
+        self.proc.stdout.close()
+        shutil.rmtree(self.home, ignore_errors=True)
+
+
+class CompilerPool:
+    """Warm compiler JVMs for a sandbox, started on first use.
+
+    A compile takes an idle server or starts a new one, so the pool grows to
+    the number of compiles that run at once. A server that dies, answers out
+    of form or exits with a javac fault code is dropped and the compile is
+    left to a cold javac. close() reaps every server, so their CPU time and
+    peak memory count among this process's waited-for children.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: list[_CompileServer] = []
+        self._live: set[_CompileServer] = set()
+        self._closed = False
+        self._unusable = False  # a server failed to start: this JVM cannot host one
+
+    def __enter__(self) -> CompilerPool:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _take(self, java: str, timeout: float) -> _CompileServer | None:
+        with self._lock:
+            if self._closed or self._unusable:
+                return None
+            if self._idle:
+                return self._idle.pop()
+            try:
+                server = _CompileServer(java)
+            except OSError:
+                self._unusable = True
+                return None
+            self._live.add(server)
+        if server.ready(timeout):
+            return server
+        with self._lock:
+            self._unusable = self._unusable or not server.expired
+        self._drop(server)
+        return None
+
+    def _drop(self, server: _CompileServer) -> None:
+        with self._lock:
+            self._live.discard(server)
+        server.stop(kill=True)
+
+    def compile(
+        self, java: str, workdir: Path, classpath: list[Path], source_name: str, timeout: float
+    ) -> ExecutionResult | None:
+        """Compile workdir/source_name like javac run in workdir; None leaves it to a cold javac."""
+        home = os.path.abspath(workdir)
+        # javac resolves the default "." and relative entries against its working directory.
+        entries = [os.path.join(home, p) for p in classpath] or [home]
+        request = _request_line(home, os.pathsep.join(entries), source_name)
+        server = None if request is None else self._take(java, timeout)
+        if server is None:
+            return None
+        start = time.monotonic()
+        reply = server.compile(request, timeout)
+        duration = time.monotonic() - start
+        if server.expired:
+            self._drop(server)
+            return ExecutionResult(-signal.SIGKILL, "", "", duration, timed_out=True)
+        if reply is None or reply[0] in JAVAC_FAULT_EXITS:
+            self._drop(server)
+            return None
+        with self._lock:
+            self._idle.append(server)
+        exit_code, stdout, stderr = reply
+        return ExecutionResult(exit_code, _decode(stdout), _decode(stderr), duration)
+
+    def close(self) -> None:
+        """Stop taking compiles; let every server exit and reap it."""
+        with self._lock:
+            self._closed = True
+            servers, self._idle = list(self._live), []
+            self._live.clear()
+        for server in servers:
+            server.stop()
+
+
 @dataclass
 class Sandbox:
+    """Compiles and runs candidates; compiles go through ``compilers`` when given."""
+
     toolchain: Toolchain
     compile_timeout: float = 60.0
     run_timeout: float = 30.0
+    compilers: CompilerPool | None = None
 
     def evaluate(
         self,
@@ -334,12 +531,10 @@ class Sandbox:
         source_path = workdir / f"{unit.public_class_name}.java"
         source_path.write_text(source, encoding="utf-8")
 
-        compile_argv = [self.toolchain.javac]
-        if classpath:
-            compile_argv += ["-cp", os.pathsep.join(str(p) for p in classpath)]
-        compile_argv.append(source_path.name)
-        compile_result = _execute(compile_argv, workdir, self.compile_timeout)
-        _write_log(workdir / "compile.log", compile_argv, compile_result)
+        javac_args = ["-cp", os.pathsep.join(str(p) for p in classpath)] if classpath else []
+        javac_args.append(source_path.name)
+        compile_result = self._compile(workdir, classpath, javac_args)
+        _write_log(workdir / "compile.log", [self.toolchain.javac, *javac_args], compile_result)
 
         run_result = None
         if compile_result.exit_code == 0 and not compile_result.timed_out:
@@ -349,13 +544,24 @@ class Sandbox:
                 )
             else:
                 run_cp = os.pathsep.join(["."] + [str(p) for p in classpath])
-                run_argv = [self.toolchain.java, "-ea", "-cp", run_cp, main_class]
+                run_argv = [self.toolchain.java, NO_PERF_DATA, "-ea", "-cp", run_cp, main_class]
                 run_result = _execute(run_argv, workdir, self.run_timeout)
                 _write_log(workdir / "run.log", run_argv, run_result)
 
         outcome = classify(compile_result, run_result, all_ordinals)
         save_json(outcome, workdir / "outcome.json")
         return outcome
+
+    def _compile(self, workdir: Path, classpath: list[Path], javac_args: list[str]) -> ExecutionResult:
+        """Through a warm compiler JVM when there is one; else, or on its fault, a cold javac."""
+        if self.compilers is not None:
+            result = self.compilers.compile(
+                self.toolchain.java, workdir, classpath, javac_args[-1], self.compile_timeout
+            )
+            if result is not None:
+                return result
+        argv = [self.toolchain.javac, "-J" + NO_PERF_DATA, *javac_args]
+        return _execute(argv, workdir, self.compile_timeout)
 
 
 def extraction_failure_outcome(reason: str) -> AttemptOutcome:

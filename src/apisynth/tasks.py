@@ -179,7 +179,7 @@ def parse_task_file(path: Path) -> SynthesisTask:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise TaskParseError(f"{path}: cannot read task file: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise TaskParseError(f"{path}: invalid JSON: {exc}") from exc
     return parse_task_dict(data, str(path))
 

@@ -35,8 +35,8 @@ def write_script(path, payload):
 def stub_sandbox_factory(monkeypatch, sandbox):
     calls = []
 
-    def factory(**timeouts):
-        calls.append(timeouts)
+    def factory(**settings):
+        calls.append(settings)
         return sandbox
 
     monkeypatch.setattr(cli, "make_sandbox", factory)
@@ -340,6 +340,37 @@ def test_parse_error_names_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "broken.json" in err
+
+
+NOT_UTF8 = b"\xff\xfe{\x00}\x00"  # "{}" in UTF-16 with its byte-order mark
+
+
+def test_task_file_not_utf8_exits_two(tmp_path, capsys):
+    task = tmp_path / "utf16.json"
+    task.write_bytes(NOT_UTF8)
+    rc = cli.main(["validate", str(task)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {task}: invalid JSON: 'utf-8' codec")
+
+
+def test_baseline_not_utf8_exits_two(sample_suite, tmp_path, monkeypatch, capsys):
+    sandbox = all_pass_sandbox()
+    stub_sandbox_factory(monkeypatch, sandbox)
+    baseline = tmp_path / "baseline.json"
+    baseline.write_bytes(NOT_UTF8)
+    rc = cli.main(bench_args(sample_suite, tmp_path, bench_script(tmp_path), "--baseline", str(baseline)))
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {baseline}: cannot load baseline: 'utf-8' codec")
+    assert sandbox.calls == []
+
+
+def test_mock_script_not_utf8_exits_two(sample_task, tmp_path, capsys):
+    script = tmp_path / "script.json"
+    script.write_bytes(NOT_UTF8)
+    rc = cli.main(["synth", sample_task, "--backend", "mock", "--mock-script", str(script),
+                   "--out", str(tmp_path / "runs")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {script}: cannot load mock script: 'utf-8' codec")
 
 
 # --- bench ------------------------------------------------------------------

@@ -217,6 +217,20 @@ def test_http_backend_round_trip(http_stub, monkeypatch, tmp_path):
     assert persisted["usage"]["total_tokens"] == 46
 
 
+def test_http_backend_session_per_thread(monkeypatch):
+    monkeypatch.setenv("DEMO_KEY", "k")
+    backend = HttpBackend(BackendConfig(credential_source="DEMO_KEY"))
+    mine = backend._session
+    assert backend._session is mine
+    theirs = []
+    worker = threading.Thread(target=lambda: theirs.extend([backend._session, backend._session]))
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert theirs[0] is theirs[1]
+    assert theirs[0] is not mine
+
+
 def test_http_backend_retries_transient_status(http_stub, monkeypatch):
     server, handler = http_stub
     handler.responses.append((503, {"error": "busy"}))

@@ -9,7 +9,9 @@ import pytest
 from apisynth.extractor import SourceUnit
 from apisynth.sandbox import (
     NO_ENTRY_POINT_DIAGNOSTIC,
+    NO_PERF_DATA,
     AttemptOutcome,
+    CompilerPool,
     ExecutionResult,
     OutcomeKind,
     Sandbox,
@@ -313,3 +315,18 @@ def test_classpath_passed_to_both_phases(fake_sandbox, tmp_path):
     assert outcome.kind is OutcomeKind.PASS
     assert str(jar) in (workdir / "compile.log").read_text(encoding="utf-8")
     assert str(jar) in (workdir / "run.log").read_text(encoding="utf-8")
+
+
+def test_fake_java_cannot_host_a_compile_server(fake_sandbox, tmp_path):
+    """The fake java answers the server's start with test output: every compile goes cold."""
+    source = "public class Solution { public static void main(String[] a) {} }"
+    with CompilerPool() as pool:
+        pooled = Sandbox(toolchain=fake_sandbox.toolchain, compile_timeout=5.0, compilers=pool)
+        for attempt in ("a1", "a2"):
+            outcome = pooled.evaluate(unit(source), "f", (1,), tmp_path / attempt)
+            assert outcome.kind is OutcomeKind.PASS
+        assert pool._unusable and not pool._live
+    compile_log = (tmp_path / "a2" / "compile.log").read_text(encoding="utf-8")
+    run_log = (tmp_path / "a2" / "run.log").read_text(encoding="utf-8")
+    assert compile_log.startswith(f"$ {fake_sandbox.toolchain.javac} Solution.java\n")
+    assert run_log.startswith(f"$ {fake_sandbox.toolchain.java} {NO_PERF_DATA} -ea -cp . Solution\n")
