@@ -18,7 +18,8 @@ from apisynth.bench import aggregate, render_markdown, run_suite, write_reports
 from apisynth.extractor import SourceUnit
 from apisynth.llm import MockBackend, TranscriptWriter
 from apisynth.prompting import load_templates
-from apisynth.sandbox import AttemptOutcome, OutcomeKind, fingerprint_of, save_json
+from apisynth.records import save_json
+from apisynth.sandbox import AttemptOutcome, OutcomeKind, fingerprint_of
 from apisynth.tasks import load_suite
 
 REPO = Path(__file__).resolve().parent.parent

@@ -261,11 +261,10 @@ def run_suite(
     records: dict[str, RunRecord] = {}
     pending = []
     for task in suite.tasks:
-        record_path = run_dir / task.id / "record.json"
-        if resume and record_path.is_file():
+        if resume:
             try:
-                existing = load_record(record_path)
-            except (ValueError, KeyError, TypeError):
+                existing = load_record(run_dir / task.id / "record.json")
+            except (OSError, ValueError):  # missing, not JSON or not UTF-8, or mistyped
                 existing = None
             if existing and existing.final_status is not FinalStatus.FAILED_ENVIRONMENT:
                 records[task.id] = existing

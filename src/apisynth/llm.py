@@ -14,7 +14,7 @@ from typing import Protocol, Sequence
 import requests
 
 from .prompting import Message
-from .sandbox import to_json_dict
+from .records import to_json_dict
 
 RETRYABLE_STATUS = (429, 500, 502, 503, 504)
 

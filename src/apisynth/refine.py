@@ -12,6 +12,7 @@ from typing import Protocol
 from .extractor import ExtractionError, SourceUnit, extract_source_unit
 from .llm import BackendError, ChatBackend
 from .prompting import Message, PromptTemplateSet, build_followup, build_initial_conversation
+from .records import from_json_dict, save_json
 from .sandbox import (
     AttemptOutcome,
     OutcomeKind,
@@ -19,8 +20,6 @@ from .sandbox import (
     ToolchainError,
     extraction_failure_outcome,
     find_toolchain,
-    from_json_dict,
-    save_json,
 )
 from .tasks import SynthesisTask
 

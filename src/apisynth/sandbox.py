@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import functools
-import json
 import locale
 import os
 import re
@@ -14,13 +12,12 @@ import subprocess
 import tempfile
 import threading
 import time
-import types
-import typing
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 from .extractor import SourceUnit, strip_comments_and_strings
+from .records import save_json
 
 FAIL_MARKER_RE = re.compile(r"Test case #(\d+) failed")
 SUCCESS_MARKER = "All test cases passed."
@@ -75,73 +72,6 @@ class AttemptOutcome:
     extraction_failed: bool = False
 
 
-T = typing.TypeVar("T")
-
-
-def _encode(value):
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, frozenset):
-        return sorted(value)
-    if isinstance(value, tuple):
-        return [_encode(item) for item in value]
-    if is_dataclass(value):
-        return to_json_dict(value)
-    return value
-
-
-def to_json_dict(obj) -> dict:
-    """A record dataclass as JSON-ready data, one key per field in field order."""
-    return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
-
-
-def _converter(hint):
-    """How to rebuild a value of the annotated type from JSON; None when JSON already has it."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):
-        (inner,) = [_converter(a) for a in args if a is not type(None)]
-        return inner and (lambda value: None if value is None else inner(value))
-    if origin is tuple:
-        item = _converter(args[0])
-        return tuple if item is None else lambda value: tuple(map(item, value))
-    if origin is frozenset:
-        return frozenset
-    if isinstance(hint, type) and issubclass(hint, Enum):
-        return hint
-    if is_dataclass(hint):
-        return functools.partial(from_json_dict, hint)
-    return None
-
-
-@functools.cache
-def _field_decoders(cls) -> tuple[tuple[str, typing.Callable | None, bool], ...]:
-    """(name, converter, has default) per field; type hints resolve once per class."""
-    hints = typing.get_type_hints(cls)
-    decoders = []
-    for f in fields(cls):
-        has_default = f.default is not MISSING or f.default_factory is not MISSING
-        decoders.append((f.name, _converter(hints[f.name]), has_default))
-    return tuple(decoders)
-
-
-def from_json_dict(cls: type[T], data: dict) -> T:
-    """Inverse of to_json_dict; a missing key of a field with a default takes that default."""
-    kwargs = {}
-    for name, convert, optional in _field_decoders(cls):
-        if optional and name not in data:
-            continue
-        value = data[name]
-        kwargs[name] = value if convert is None else convert(value)
-    return cls(**kwargs)
-
-
-def save_json(obj, path: Path) -> None:
-    """Write a record dataclass as JSON; dying mid-write leaves the old file or none."""
-    partial = path.with_name(path.name + ".partial")
-    partial.write_text(json.dumps(to_json_dict(obj), indent=2) + "\n", encoding="utf-8")
-    os.replace(partial, path)
-
-
 def _first_diagnostic_line(stderr: str, stdout: str) -> str:
     for text in (stderr, stdout):
         for line in text.splitlines():
@@ -192,9 +122,9 @@ def classify(
 ) -> AttemptOutcome:
     """Map raw execution results onto the four outcome kinds.
 
-    A nonzero run exit with failure markers is a test failure rather than a
-    crash: assertions raised under -ea carry the marker text and exit nonzero.
-    A clean exit without the success marker is conservatively treated as
+    Failure markers decide first, whatever the exit code and even next to
+    the success marker: assertions raised under -ea carry the marker text. A
+    clean exit without the success marker is conservatively treated as
     failing every test case, since the harness printed no verdict.
     """
     if compile_result.timed_out:
@@ -207,15 +137,13 @@ def classify(
     if run_result.timed_out:
         return _outcome(OutcomeKind.RUNTIME_ERROR, TIMEOUT_DIAGNOSTIC)
     failing = _parse_failing_ordinals(run_result.stdout, run_result.stderr)
+    if failing:
+        return _outcome(OutcomeKind.FAILING_TESTS, ordinals=failing)
     if run_result.exit_code != 0:
-        if failing:
-            return _outcome(OutcomeKind.FAILING_TESTS, ordinals=failing)
         detail = _first_diagnostic_line(run_result.stderr, run_result.stdout)
         return _outcome(OutcomeKind.RUNTIME_ERROR, detail or "nonzero exit")
     if SUCCESS_MARKER in run_result.stdout:
         return _outcome(OutcomeKind.PASS)
-    if failing:
-        return _outcome(OutcomeKind.FAILING_TESTS, ordinals=failing)
     return _outcome(OutcomeKind.FAILING_TESTS, ordinals=frozenset(all_ordinals))
 
 
@@ -303,14 +231,18 @@ def _kill_group(proc: subprocess.Popen) -> None:
 
 def _execute(argv: list[str], cwd: Path, timeout: float) -> ExecutionResult:
     start = time.monotonic()
-    proc = subprocess.Popen(
-        argv,
-        cwd=cwd,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        start_new_session=True,
-    )
+    try:
+        proc = subprocess.Popen(
+            argv,
+            cwd=cwd,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            errors="replace",  # a candidate may print any bytes
+            start_new_session=True,
+        )
+    except OSError as exc:
+        raise ToolchainError(f"cannot start {argv[0]}: {exc.strerror or exc}") from exc
     try:
         stdout, stderr = proc.communicate(timeout=timeout)
         timed_out = False
@@ -330,7 +262,7 @@ def _execute(argv: list[str], cwd: Path, timeout: float) -> ExecutionResult:
 
 def _decode(data: bytes) -> str:
     """Child output as subprocess's text mode decodes it."""
-    text = data.decode(locale.getpreferredencoding(False))
+    text = data.decode(locale.getpreferredencoding(False), errors="replace")
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -549,6 +481,9 @@ class Sandbox:
                 _write_log(workdir / "run.log", run_argv, run_result)
 
         outcome = classify(compile_result, run_result, all_ordinals)
+        if outcome.kind is OutcomeKind.PASS and not unit.contains_target_method:
+            # The harness passed without the method it was meant to test.
+            outcome = _outcome(OutcomeKind.FAILING_TESTS, ordinals=frozenset(all_ordinals))
         save_json(outcome, workdir / "outcome.json")
         return outcome
 

@@ -7,6 +7,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .records import DecodeError, from_json_dict
+
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*$")
 
 
@@ -28,9 +30,9 @@ class Parameter:
 class MethodSignature:
     name: str
     return_type: str
-    parameters: tuple[Parameter, ...] = ()
+    parameters: tuple[Parameter, ...] = field(default=(), metadata={"json": "params"})
     static: bool = False
-    declared_throws: tuple[str, ...] = ()
+    declared_throws: tuple[str, ...] = field(default=(), metadata={"json": "throws"})
 
     def render(self) -> str:
         """Java-style method line, e.g. ``double ellipseArea(Ellipse2D ellipse)``."""
@@ -65,8 +67,8 @@ class SynthesisTask:
     id: str
     suite: str
     signature: MethodSignature
-    test_cases: tuple[TestCase, ...]
-    dependencies: tuple[str, ...] = ()
+    test_cases: tuple[TestCase, ...] = field(metadata={"json": "tests"})
+    dependencies: tuple[str, ...] = field(default=(), metadata={"json": "deps"})
     notes: str | None = None
 
 
@@ -76,102 +78,25 @@ class BenchmarkSuite:
     tasks: tuple[SynthesisTask, ...]
 
 
-def _require(data: dict, key: str, ctx: str):
-    if key not in data:
-        raise TaskParseError(f"{ctx}: missing required field '{key}'")
-    return data[key]
-
-
-def _require_str(data: dict, key: str, ctx: str) -> str:
-    value = _require(data, key, ctx)
-    if not isinstance(value, str):
-        raise TaskParseError(f"{ctx}: field '{key}' must be a string")
-    return value
-
-
-def _require_str_list(value, key: str, ctx: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise TaskParseError(f"{ctx}: field '{key}' must be an array of strings")
-    return tuple(value)
-
-
-def parse_signature(data: dict, ctx: str) -> MethodSignature:
-    if not isinstance(data, dict):
-        raise TaskParseError(f"{ctx}: field 'signature' must be an object")
-    name = _require_str(data, "name", ctx)
-    return_type = _require_str(data, "return_type", ctx)
-    raw_params = data.get("params", [])
-    if not isinstance(raw_params, list):
-        raise TaskParseError(f"{ctx}: field 'signature.params' must be an array")
-    params = []
-    for i, p in enumerate(raw_params):
-        if not isinstance(p, dict):
-            raise TaskParseError(f"{ctx}: field 'signature.params[{i}]' must be an object")
-        params.append(
-            Parameter(
-                name=_require_str(p, "name", f"{ctx}: signature.params[{i}]"),
-                type=_require_str(p, "type", f"{ctx}: signature.params[{i}]"),
-            )
-        )
-    static = data.get("static", False)
-    if not isinstance(static, bool):
-        raise TaskParseError(f"{ctx}: field 'signature.static' must be a boolean")
-    throws = _require_str_list(data.get("throws", []), "signature.throws", ctx)
-    return MethodSignature(
-        name=name,
-        return_type=return_type,
-        parameters=tuple(params),
-        static=static,
-        declared_throws=throws,
-    )
-
-
-def parse_test_case(data: dict, index: int, ctx: str) -> TestCase:
-    if not isinstance(data, dict):
-        raise TaskParseError(f"{ctx}: field 'tests[{index}]' must be an object")
-    tctx = f"{ctx}: tests[{index}]"
-    ordinal = _require(data, "ordinal", tctx)
-    if not isinstance(ordinal, int) or isinstance(ordinal, bool) or ordinal < 1:
-        raise TaskParseError(f"{tctx}: field 'ordinal' must be a positive integer")
-    has_script = "script" in data
-    has_pair = "inputs" in data or "expected" in data
-    if has_script and has_pair:
-        raise TaskParseError(f"{tctx}: use either 'inputs'/'expected' or 'script', not both")
-    description = data.get("description")
-    if description is not None and not isinstance(description, str):
-        raise TaskParseError(f"{tctx}: field 'description' must be a string")
-    if has_script:
-        script = data["script"]
-        if not isinstance(script, str) or not script.strip():
-            raise TaskParseError(f"{tctx}: field 'script' must be a non-empty string")
-        return TestCase(ordinal=ordinal, script=script, description=description)
-    inputs = _require_str_list(_require(data, "inputs", tctx), "inputs", tctx)
-    expected = _require_str(data, "expected", tctx)
-    return TestCase(ordinal=ordinal, inputs=inputs, expected=expected, description=description)
-
-
-def parse_task_dict(data: dict, ctx: str) -> SynthesisTask:
-    if not isinstance(data, dict):
-        raise TaskParseError(f"{ctx}: top level must be an object")
-    task_id = _require_str(data, "id", ctx)
-    suite = _require_str(data, "suite", ctx)
-    signature = parse_signature(_require(data, "signature", ctx), ctx)
-    raw_tests = _require(data, "tests", ctx)
-    if not isinstance(raw_tests, list):
-        raise TaskParseError(f"{ctx}: field 'tests' must be an array")
-    tests = tuple(parse_test_case(t, i, ctx) for i, t in enumerate(raw_tests))
-    deps = _require_str_list(data.get("deps", []), "deps", ctx)
-    notes = data.get("notes")
-    if notes is not None and not isinstance(notes, str):
-        raise TaskParseError(f"{ctx}: field 'notes' must be a string")
-    return SynthesisTask(
-        id=task_id,
-        suite=suite,
-        signature=signature,
-        test_cases=tests,
-        dependencies=deps,
-        notes=notes,
-    )
+def parse_task_dict(data, ctx: str) -> SynthesisTask:
+    """Decode a task file's JSON; ctx (the file) leads every error message."""
+    try:
+        task = from_json_dict(SynthesisTask, data)
+    except DecodeError as exc:
+        raise TaskParseError(f"{ctx}: {exc}") from exc
+    # Which shape a test case has is decided by the keys it gives.
+    for index, (raw, case) in enumerate(zip(data["tests"], task.test_cases)):
+        where = f"{ctx}: tests[{index}]"
+        if case.ordinal < 1:
+            raise TaskParseError(f"{where}.ordinal: expected a positive integer")
+        if "script" in raw:
+            if "inputs" in raw or "expected" in raw:
+                raise TaskParseError(f"{where}: use either 'inputs'/'expected' or 'script', not both")
+            if not (case.script or "").strip():
+                raise TaskParseError(f"{where}.script: expected a non-empty string")
+        elif "inputs" not in raw or case.expected is None:
+            raise TaskParseError(f"{where}: needs 'inputs' and a string 'expected', or a 'script'")
+    return task
 
 
 def parse_task_file(path: Path) -> SynthesisTask:
@@ -224,14 +149,17 @@ def resolve_dependency(identifier: str, deps_dir: Path | None) -> Path | None:
 def resolve_dependencies(
     task: SynthesisTask, deps_dir: Path | None
 ) -> tuple[list[Path], list[str]]:
-    """The task's classpath, and the dependency identifiers that do not resolve."""
+    """The task's classpath, and the dependency identifiers that do not resolve.
+
+    Classpath entries are absolute: javac and java run in the attempt's workdir.
+    """
     classpath, missing = [], []
     for dep in task.dependencies:
         path = resolve_dependency(dep, deps_dir)
         if path is None:
             missing.append(dep)
         else:
-            classpath.append(path)
+            classpath.append(path.absolute())
     return classpath, missing
 
 

@@ -399,21 +399,31 @@ def test_resume_with_nothing_pending_reads_from_disk(repo_root, tmp_path):
 
 
 def test_resume_reruns_a_truncated_record(repo_root, tmp_path):
+    """A record cut short, or one with a field of the wrong type, is re-run."""
     suite = load_suite(repo_root / "tasks" / "sample")
-    suite = BenchmarkSuite(name=suite.name, tasks=suite.tasks[:2])
+    suite = BenchmarkSuite(name=suite.name, tasks=suite.tasks[:3])
     run_suite(suite, scripted_backend(), load_templates(), passing_sandbox(), tmp_path)
-    broken, intact = suite.tasks
-    path = tmp_path / broken.id / "record.json"
+    truncated, mistyped, intact = suite.tasks
+    path = tmp_path / truncated.id / "record.json"
     path.write_text(path.read_text(encoding="utf-8")[:40], encoding="utf-8")
+    mistyped_path = tmp_path / mistyped.id / "record.json"
+    data = json.loads(mistyped_path.read_text(encoding="utf-8"))
+    mistyped_path.write_text(json.dumps({**data, "followups_used": "x"}), encoding="utf-8")
 
-    target = SAMPLE_TARGETS[broken.id]
-    backend = MockBackend(script={broken.id: [java_response(f"    void {target}() {{ }}")]})
-    sandbox = StubSandbox(by_target={target: [ok()]})
-    records = run_suite(suite, backend, load_templates(), sandbox, tmp_path, resume=True)
-    assert [call[0] for call in sandbox.calls] == [target]
+    targets = [SAMPLE_TARGETS[task.id] for task in (truncated, mistyped)]
+    backend = MockBackend(
+        script={
+            task.id: [java_response(f"    void {target}() {{ }}")]
+            for task, target in zip((truncated, mistyped), targets)
+        }
+    )
+    sandbox = StubSandbox(by_target={target: [ok()] for target in targets})
+    records = run_suite(suite, backend, load_templates(), sandbox, tmp_path, resume=True, workers=1)
+    assert [call[0] for call in sandbox.calls] == targets
     assert all(r.final_status is FinalStatus.SOLVED for r in records)
     assert load_record(path) == records[0]
-    assert load_record(tmp_path / intact.id / "record.json") == records[1]
+    assert load_record(mistyped_path) == records[1]
+    assert load_record(tmp_path / intact.id / "record.json") == records[2]
 
 
 def test_resolved_dependency_lands_on_classpath(repo_root, tmp_path):

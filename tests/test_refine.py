@@ -6,6 +6,7 @@ import pytest
 
 from apisynth.llm import MockBackend, TranscriptWriter
 from apisynth.prompting import COMPILE_FOLLOWUP, RUNTIME_FOLLOWUP, load_templates
+from apisynth.records import from_json_dict, to_json_dict
 from apisynth.refine import (
     FinalStatus,
     RunRecord,
@@ -14,7 +15,7 @@ from apisynth.refine import (
     save_record,
     synthesize,
 )
-from apisynth.sandbox import AttemptOutcome, OutcomeKind, from_json_dict, to_json_dict
+from apisynth.sandbox import AttemptOutcome, OutcomeKind
 from helpers import (
     StubSandbox,
     compile_error,

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from apisynth.extractor import SourceUnit
+from apisynth.records import from_json_dict, to_json_dict
 from apisynth.sandbox import (
     NO_ENTRY_POINT_DIAGNOSTIC,
     NO_PERF_DATA,
@@ -21,10 +22,8 @@ from apisynth.sandbox import (
     find_test_method,
     find_toolchain,
     fingerprint_of,
-    from_json_dict,
     make_driver,
     normalize_diagnostic,
-    to_json_dict,
 )
 
 ORDINALS = (1, 2, 3)
@@ -84,6 +83,13 @@ def test_classify_clean_exit_with_failure_markers_uses_them():
     assert outcome.kind is OutcomeKind.FAILING_TESTS
     assert outcome.failing_ordinals == frozenset({1, 3})
     assert outcome.fingerprint == "failing_tests:1,3"
+
+
+def test_classify_failure_markers_beat_the_success_marker():
+    stdout = "Test case #2 failed\nAll test cases passed.\n"
+    outcome = classify(compile_result(), run_result(0, stdout=stdout), ORDINALS)
+    assert outcome.kind is OutcomeKind.FAILING_TESTS
+    assert outcome.failing_ordinals == frozenset({2})
 
 
 def test_classify_timeouts():
@@ -192,6 +198,9 @@ if "RUNTIME_BOOM" in src:
     sys.stderr.write('Exception in thread "main" java.lang.IllegalStateException: boom\\n')
     sys.stderr.write('\\tat Solution.f(Solution.java:7)\\n')
     sys.exit(1)
+if "BYTE_FF" in src:
+    sys.stdout.buffer.write(b"\\xff\\n")
+    sys.stdout.buffer.flush()
 if "FAIL_CASE_2" in src:
     sys.stderr.write('Exception in thread "main" java.lang.AssertionError: Test case #2 failed\\n')
     sys.exit(1)
@@ -259,6 +268,29 @@ def test_evaluate_failing_case_marker(fake_sandbox, tmp_path):
     outcome = fake_sandbox.evaluate(unit(source), "f", (1, 2, 3), tmp_path / "a1")
     assert outcome.kind is OutcomeKind.FAILING_TESTS
     assert outcome.failing_ordinals == frozenset({2})
+
+
+def test_evaluate_pass_without_the_target_fails_every_case(fake_sandbox, tmp_path):
+    source = "public class Solution { public static void main(String[] a) {} }"
+    outcome = fake_sandbox.evaluate(unit(source, target=False), "f", (1, 2, 3), tmp_path / "a1")
+    assert outcome.kind is OutcomeKind.FAILING_TESTS
+    assert outcome.failing_ordinals == frozenset({1, 2, 3})
+
+
+def test_evaluate_output_that_is_not_utf8(fake_sandbox, tmp_path):
+    workdir = tmp_path / "a1"
+    source = "public class Solution { /* BYTE_FF */ public static void main(String[] a) {} }"
+    outcome = fake_sandbox.evaluate(unit(source), "f", (1,), workdir)
+    assert outcome.kind is OutcomeKind.PASS
+    assert "\ufffd" in (workdir / "run.log").read_text(encoding="utf-8")
+
+
+def test_evaluate_toolchain_that_cannot_start(tmp_path):
+    missing = tmp_path / "no-such-jdk" / "bin"
+    sandbox = Sandbox(toolchain=Toolchain(javac=str(missing / "javac"), java=str(missing / "java")))
+    source = "public class Solution { public static void main(String[] a) {} }"
+    with pytest.raises(ToolchainError, match="cannot start"):
+        sandbox.evaluate(unit(source), "f", (1,), tmp_path / "a1")
 
 
 def test_fingerprints_stable_across_workdirs(fake_sandbox, tmp_path):

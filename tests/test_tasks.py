@@ -18,6 +18,7 @@ from apisynth.tasks import (
     load_suite,
     parse_task_dict,
     parse_task_file,
+    resolve_dependencies,
     resolve_dependency,
     structural_violations,
     validate_task,
@@ -75,6 +76,37 @@ def test_parse_error_names_file_and_field(tmp_path):
         parse_task_file(path)
     assert "bad.json" in str(excinfo.value)
     assert "signature" in str(excinfo.value)
+
+
+def _set_at(data, path: tuple, value) -> None:
+    for step in path[:-1]:
+        data = data[step]
+    data[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("signature", "params", 1, "name"), 7, "signature.params[1].name: expected a string"),
+        (("signature", "static"), 1, "signature.static: expected a boolean"),
+        (("tests", 0, "ordinal"), 0, "tests[0].ordinal: expected a positive integer"),
+        (("tests", 0, "ordinal"), True, "tests[0].ordinal: expected an integer"),
+        (("tests", 0, "inputs", 1), None, "tests[0].inputs[1]: expected a string"),
+    ],
+    ids=["param-name", "static", "ordinal-zero", "ordinal-true", "input"],
+)
+def test_parse_error_names_file_and_field_path(tmp_path, path, value, message):
+    task = make_task(
+        signature=MethodSignature("m", "int", (Parameter("a", "int"), Parameter("b", "int"))),
+        test_cases=(Case(ordinal=1, inputs=("a = 1", "b = 2"), expected="3"),),
+    )
+    data = serialize_task(task)
+    _set_at(data, path, value)
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(TaskParseError) as excinfo:
+        parse_task_file(file)
+    assert str(excinfo.value) == f"{file}: {message}"
 
 
 def test_parse_error_on_invalid_json(tmp_path):
@@ -159,6 +191,16 @@ def test_dependency_resolution_order(tmp_path):
     assert resolve_dependency("plainfile", tmp_path) == tmp_path / "plainfile"
     assert resolve_dependency("absent", tmp_path) is None
     assert resolve_dependency("guava", None) is None
+
+
+def test_resolved_dependencies_are_absolute(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("deps").mkdir()
+    (tmp_path / "deps" / "guava.jar").write_bytes(b"")
+    classpath, missing = resolve_dependencies(make_task(dependencies=("guava",)), Path("deps"))
+    assert missing == []
+    assert classpath == [tmp_path / "deps" / "guava.jar"]
+    assert all(p.is_absolute() and p.is_file() for p in classpath)
 
 
 def test_validate_task_names_unresolved_dependency(tmp_path):
