@@ -19,20 +19,11 @@ from apisynth.extractor import SourceUnit
 from apisynth.llm import MockBackend, TranscriptWriter
 from apisynth.prompting import load_templates
 from apisynth.records import save_json
-from apisynth.sandbox import AttemptOutcome, OutcomeKind, fingerprint_of
+from apisynth.sandbox import AttemptOutcome, OutcomeKind
 from apisynth.tasks import load_suite
 
 REPO = Path(__file__).resolve().parent.parent
 RUN_DIR = REPO / "runs" / "mock-demo"
-
-
-def outcome(kind: OutcomeKind, detail: str = "", ordinals: frozenset[int] = frozenset()) -> AttemptOutcome:
-    return AttemptOutcome(
-        kind=kind,
-        fingerprint=fingerprint_of(kind, detail, ordinals),
-        failing_ordinals=ordinals,
-        detail=detail,
-    )
 
 
 @dataclass
@@ -81,19 +72,19 @@ def main(run_dir: Path = RUN_DIR) -> int:
     # the same runtime error twice, showing the same-error cutoff.
     sandbox = ScriptedSandbox(
         {
-            "swap": [outcome(OutcomeKind.PASS)],
-            "ellipseArea": [outcome(OutcomeKind.PASS)],
+            "swap": [AttemptOutcome.of(OutcomeKind.PASS)],
+            "ellipseArea": [AttemptOutcome.of(OutcomeKind.PASS)],
             "getOffsetForLine": [
-                outcome(OutcomeKind.RUNTIME_ERROR, "Exception in thread \"main\" java.lang.StringIndexOutOfBoundsException"),
-                outcome(OutcomeKind.RUNTIME_ERROR, "Exception in thread \"main\" java.lang.StringIndexOutOfBoundsException"),
+                AttemptOutcome.of(OutcomeKind.RUNTIME_ERROR, "Exception in thread \"main\" java.lang.StringIndexOutOfBoundsException"),
+                AttemptOutcome.of(OutcomeKind.RUNTIME_ERROR, "Exception in thread \"main\" java.lang.StringIndexOutOfBoundsException"),
             ],
             "GetRange": [
-                outcome(OutcomeKind.FAILING_TESTS, ordinals=frozenset({3, 4, 5})),
-                outcome(OutcomeKind.PASS),
+                AttemptOutcome.of(OutcomeKind.FAILING_TESTS, ordinals=frozenset({3, 4, 5})),
+                AttemptOutcome.of(OutcomeKind.PASS),
             ],
             "isPalindrome": [
-                outcome(OutcomeKind.COMPILE_ERROR, "error: ';' expected"),
-                outcome(OutcomeKind.PASS),
+                AttemptOutcome.of(OutcomeKind.COMPILE_ERROR, "error: ';' expected"),
+                AttemptOutcome.of(OutcomeKind.PASS),
             ],
         }
     )

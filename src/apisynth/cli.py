@@ -26,6 +26,7 @@ from .sandbox import CompilerPool, OutcomeKind, ToolchainError
 from .tasks import (
     TaskParseError,
     TaskValidationError,
+    is_path_segment,
     load_suite,
     parse_task_file,
     resolve_dependencies,
@@ -106,7 +107,7 @@ def _run_dir(args: argparse.Namespace, resume: bool = False) -> Path:
     run_id = _setting(args, "run_id")
     if run_id is None:
         run_id = _latest_run(out_dir) if resume else time.strftime("%Y%m%d-%H%M%S")
-    if not run_id or "/" in run_id:
+    if not is_path_segment(run_id):
         raise ConfigError(f"run id must be a non-empty path segment, got {run_id!r}")
     return out_dir / run_id
 
@@ -210,6 +211,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     sys.stdout.write(RENDERERS[output_format](report, baseline))
 
     verdicts = [r for r in records if r.final_status is not FinalStatus.FAILED_ENVIRONMENT]
+    if not verdicts:
+        print("error: no task reached a verdict", file=sys.stderr)
+        return EXIT_ENVIRONMENT
     if all(r.final_status is FinalStatus.SOLVED for r in verdicts):
         return EXIT_OK
     return EXIT_TASK_FAILED

@@ -5,7 +5,6 @@ from __future__ import annotations
 import re
 import textwrap
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -13,6 +12,7 @@ from .sandbox import AttemptOutcome, OutcomeKind
 from .tasks import SynthesisTask, TestCase
 
 VALID_ROLES = ("system", "user", "assistant")
+PACKAGED_PROMPTS = Path(__file__).with_name("prompts")
 
 COMPILE_FOLLOWUP = (
     "The solution doesn't compile. Please fix the bug and make sure the "
@@ -185,30 +185,21 @@ def load_templates(prompts_dir: Path | None = None) -> PromptTemplateSet:
     A custom directory may override any subset: role.txt, instruction.txt,
     task_frame.txt, output_directive.txt, exemplars/*.txt.
     """
-    packaged = resources.files("apisynth").joinpath("prompts")
+
+    def pick(name: str, present) -> Path:
+        if prompts_dir is not None and present(Path(prompts_dir) / name):
+            return Path(prompts_dir) / name
+        return PACKAGED_PROMPTS / name
 
     def read(name: str) -> str:
-        if prompts_dir is not None:
-            candidate = Path(prompts_dir) / name
-            if candidate.is_file():
-                return candidate.read_text(encoding="utf-8").rstrip("\n")
-        return packaged.joinpath(name).read_text(encoding="utf-8").rstrip("\n")
+        return pick(name, Path.is_file).read_text(encoding="utf-8").rstrip("\n")
 
-    if prompts_dir is not None and (Path(prompts_dir) / "exemplars").is_dir():
-        exemplar_sources = [
-            (p.read_text(encoding="utf-8"), str(p))
-            for p in sorted((Path(prompts_dir) / "exemplars").glob("*.txt"))
-        ]
-    else:
-        entries = [e for e in packaged.joinpath("exemplars").iterdir() if e.name.endswith(".txt")]
-        exemplar_sources = [
-            (e.read_text(encoding="utf-8"), e.name) for e in sorted(entries, key=lambda e: e.name)
-        ]
+    exemplar_files = sorted(pick("exemplars", Path.is_dir).glob("*.txt"))
 
     return PromptTemplateSet(
         role_text=read("role.txt"),
         instruction_text=read("instruction.txt"),
-        exemplars=tuple(parse_exemplar(text, origin) for text, origin in exemplar_sources),
+        exemplars=tuple(parse_exemplar(p.read_text(encoding="utf-8"), str(p)) for p in exemplar_files),
         task_frame=read("task_frame.txt"),
         output_directive=read("output_directive.txt"),
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -13,14 +14,7 @@ from .extractor import ExtractionError, SourceUnit, extract_source_unit
 from .llm import BackendError, ChatBackend
 from .prompting import Message, PromptTemplateSet, build_followup, build_initial_conversation
 from .records import from_json_dict, save_json
-from .sandbox import (
-    AttemptOutcome,
-    OutcomeKind,
-    Sandbox,
-    ToolchainError,
-    extraction_failure_outcome,
-    find_toolchain,
-)
+from .sandbox import AttemptOutcome, OutcomeKind, Sandbox, ToolchainError, find_toolchain
 from .tasks import SynthesisTask
 
 DEFAULT_MAX_FOLLOWUPS = 3
@@ -105,24 +99,31 @@ def synthesize(
     The conversation is continuous: each failed attempt appends the model's
     reply and one error-specific follow-up. The loop stops on a pass, on two
     consecutive attempts with the same error fingerprint, on an exhausted
-    follow-up budget, or on an environment fault (backend or toolchain).
+    follow-up budget, or on an environment fault (backend or toolchain). A
+    stop on unusable model output, which counts as a compile error until
+    then, is an extraction failure. Attempt directories that an earlier run
+    left in task_dir are removed first.
     """
     start = time.monotonic()
+    for stale in task_dir.glob("attempt-*"):
+        if stale.is_dir():
+            shutil.rmtree(stale)
     conversation = build_initial_conversation(task, templates)
     ordinals = tuple(t.ordinal for t in task.test_cases)
     param_count = len(task.signature.parameters)
     attempts: list[AttemptRecord] = []
     followups_used = 0
+    final_status: FinalStatus | None = None
     error: str | None = None
 
     try:
-        while True:
+        while final_status is None:
             index = len(attempts) + 1
             exchange = backend.complete(conversation, task.id)
             try:
                 unit = extract_source_unit(exchange.response_text, task.signature.name, param_count)
             except ExtractionError as exc:
-                outcome = extraction_failure_outcome(str(exc))
+                outcome = AttemptOutcome.of(OutcomeKind.COMPILE_ERROR, str(exc), extraction_failed=True)
             else:
                 outcome = sandbox.evaluate(
                     unit,
@@ -132,36 +133,23 @@ def synthesize(
                     classpath,
                 )
 
-            if outcome.kind is OutcomeKind.PASS:
-                attempts.append(AttemptRecord(index, outcome))
-                final_status = FinalStatus.SOLVED
-                break
-
             previous = attempts[-1].outcome.fingerprint if attempts else None
-            if previous == outcome.fingerprint:
-                attempts.append(AttemptRecord(index, outcome))
-                final_status = (
-                    FinalStatus.FAILED_EXTRACTION
-                    if outcome.extraction_failed
-                    else FinalStatus.FAILED_SAME_ERROR
-                )
-                break
-            if followups_used >= max_followups:
-                attempts.append(AttemptRecord(index, outcome))
-                final_status = (
-                    FinalStatus.FAILED_EXTRACTION
-                    if outcome.extraction_failed
-                    else FinalStatus.FAILED_BUDGET
-                )
-                break
-
-            followup = build_followup(outcome)
+            if outcome.kind is OutcomeKind.PASS:
+                final_status = FinalStatus.SOLVED
+            elif outcome.fingerprint == previous:
+                final_status = FinalStatus.FAILED_SAME_ERROR
+            elif followups_used >= max_followups:
+                final_status = FinalStatus.FAILED_BUDGET
+            if final_status is not None and outcome.extraction_failed:
+                final_status = FinalStatus.FAILED_EXTRACTION
+            followup = build_followup(outcome) if final_status is None else None
             attempts.append(AttemptRecord(index, outcome, followup_sent=followup))
-            conversation = list(conversation) + [
-                Message("assistant", exchange.response_text),
-                Message("user", followup),
-            ]
-            followups_used += 1
+            if followup is not None:
+                conversation = list(conversation) + [
+                    Message("assistant", exchange.response_text),
+                    Message("user", followup),
+                ]
+                followups_used += 1
     except (BackendError, ToolchainError) as exc:
         final_status = FinalStatus.FAILED_ENVIRONMENT
         error = str(exc)

@@ -71,6 +71,18 @@ class AttemptOutcome:
     detail: str = ""
     extraction_failed: bool = False
 
+    @classmethod
+    def of(
+        cls,
+        kind: OutcomeKind,
+        detail: str = "",
+        ordinals: frozenset[int] = frozenset(),
+        extraction_failed: bool = False,
+    ) -> AttemptOutcome:
+        """The outcome with the fingerprint its fields imply; a stored one keeps its own."""
+        fingerprint = fingerprint_of(kind, detail, ordinals, extraction_failed)
+        return cls(kind, fingerprint, ordinals, detail, extraction_failed)
+
 
 def _first_diagnostic_line(stderr: str, stdout: str) -> str:
     for text in (stderr, stdout):
@@ -98,53 +110,49 @@ def _parse_failing_ordinals(*texts: str) -> frozenset[int]:
     return frozenset(found)
 
 
-def fingerprint_of(kind: OutcomeKind, detail: str, ordinals: frozenset[int]) -> str:
+def fingerprint_of(
+    kind: OutcomeKind, detail: str, ordinals: frozenset[int], extraction_failed: bool = False
+) -> str:
     if kind is OutcomeKind.PASS:
         return "pass"
     if kind is OutcomeKind.FAILING_TESTS:
         return "failing_tests:" + ",".join(str(o) for o in sorted(ordinals))
-    return f"{kind.value}:{normalize_diagnostic(detail)}"
-
-
-def _outcome(kind: OutcomeKind, detail: str = "", ordinals: frozenset[int] = frozenset()) -> AttemptOutcome:
-    return AttemptOutcome(
-        kind=kind,
-        fingerprint=fingerprint_of(kind, detail, ordinals),
-        failing_ordinals=ordinals,
-        detail=detail,
-    )
+    source = "extraction:" if extraction_failed else ""
+    return f"{kind.value}:{source}{normalize_diagnostic(detail)}"
 
 
 def classify(
     compile_result: ExecutionResult,
     run_result: ExecutionResult | None,
     all_ordinals: tuple[int, ...],
+    declares_target: bool = True,
 ) -> AttemptOutcome:
     """Map raw execution results onto the four outcome kinds.
 
-    Failure markers decide first, whatever the exit code and even next to
-    the success marker: assertions raised under -ea carry the marker text. A
-    clean exit without the success marker is conservatively treated as
-    failing every test case, since the harness printed no verdict.
+    A pass needs all three of: the unit declares the target method, the run
+    printed no failure marker, and its stdout holds the success marker.
+    Failure markers decide first, whatever the exit code: assertions raised
+    under -ea carry the marker text. A clean exit that is not a pass fails
+    every test case, since the harness gave no verdict on the target.
     """
     if compile_result.timed_out:
-        return _outcome(OutcomeKind.COMPILE_ERROR, TIMEOUT_DIAGNOSTIC)
+        return AttemptOutcome.of(OutcomeKind.COMPILE_ERROR, TIMEOUT_DIAGNOSTIC)
     if compile_result.exit_code != 0:
         detail = _first_diagnostic_line(compile_result.stderr, compile_result.stdout)
-        return _outcome(OutcomeKind.COMPILE_ERROR, detail or "compilation failed")
+        return AttemptOutcome.of(OutcomeKind.COMPILE_ERROR, detail or "compilation failed")
     if run_result is None:
-        return _outcome(OutcomeKind.RUNTIME_ERROR, NO_ENTRY_POINT_DIAGNOSTIC)
+        return AttemptOutcome.of(OutcomeKind.RUNTIME_ERROR, NO_ENTRY_POINT_DIAGNOSTIC)
     if run_result.timed_out:
-        return _outcome(OutcomeKind.RUNTIME_ERROR, TIMEOUT_DIAGNOSTIC)
+        return AttemptOutcome.of(OutcomeKind.RUNTIME_ERROR, TIMEOUT_DIAGNOSTIC)
     failing = _parse_failing_ordinals(run_result.stdout, run_result.stderr)
     if failing:
-        return _outcome(OutcomeKind.FAILING_TESTS, ordinals=failing)
+        return AttemptOutcome.of(OutcomeKind.FAILING_TESTS, ordinals=failing)
     if run_result.exit_code != 0:
         detail = _first_diagnostic_line(run_result.stderr, run_result.stdout)
-        return _outcome(OutcomeKind.RUNTIME_ERROR, detail or "nonzero exit")
-    if SUCCESS_MARKER in run_result.stdout:
-        return _outcome(OutcomeKind.PASS)
-    return _outcome(OutcomeKind.FAILING_TESTS, ordinals=frozenset(all_ordinals))
+        return AttemptOutcome.of(OutcomeKind.RUNTIME_ERROR, detail or "nonzero exit")
+    if declares_target and SUCCESS_MARKER in run_result.stdout:
+        return AttemptOutcome.of(OutcomeKind.PASS)
+    return AttemptOutcome.of(OutcomeKind.FAILING_TESTS, ordinals=frozenset(all_ordinals))
 
 
 @dataclass(frozen=True)
@@ -480,10 +488,7 @@ class Sandbox:
                 run_result = _execute(run_argv, workdir, self.run_timeout)
                 _write_log(workdir / "run.log", run_argv, run_result)
 
-        outcome = classify(compile_result, run_result, all_ordinals)
-        if outcome.kind is OutcomeKind.PASS and not unit.contains_target_method:
-            # The harness passed without the method it was meant to test.
-            outcome = _outcome(OutcomeKind.FAILING_TESTS, ordinals=frozenset(all_ordinals))
+        outcome = classify(compile_result, run_result, all_ordinals, unit.contains_target_method)
         save_json(outcome, workdir / "outcome.json")
         return outcome
 
@@ -498,12 +503,3 @@ class Sandbox:
         argv = [self.toolchain.javac, "-J" + NO_PERF_DATA, *javac_args]
         return _execute(argv, workdir, self.compile_timeout)
 
-
-def extraction_failure_outcome(reason: str) -> AttemptOutcome:
-    """Treat unusable model output like code that failed to compile."""
-    return AttemptOutcome(
-        kind=OutcomeKind.COMPILE_ERROR,
-        fingerprint="compile_error:extraction:" + normalize_diagnostic(reason),
-        detail=reason,
-        extraction_failed=True,
-    )

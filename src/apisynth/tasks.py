@@ -109,9 +109,16 @@ def parse_task_file(path: Path) -> SynthesisTask:
     return parse_task_dict(data, str(path))
 
 
+def is_path_segment(name: str) -> bool:
+    """Whether name can be one directory name: not empty, "." or "..", no "/" or NUL."""
+    return name not in ("", ".", "..") and "/" not in name and "\0" not in name
+
+
 def structural_violations(task: SynthesisTask) -> list[str]:
     """Invariant violations that are intrinsic to the task data itself."""
     violations = []
+    if not is_path_segment(task.id):
+        violations.append(f"task id {task.id!r} is not a single path segment")
     if not _IDENTIFIER_RE.match(task.signature.name):
         violations.append(f"method name {task.signature.name!r} is not a valid identifier")
     names = [p.name for p in task.signature.parameters]

@@ -6,35 +6,24 @@ import threading
 from pathlib import Path
 
 from apisynth.refine import AttemptRecord, FinalStatus, RunRecord
-from apisynth.sandbox import AttemptOutcome, OutcomeKind, fingerprint_of
+from apisynth.sandbox import AttemptOutcome, OutcomeKind
 from apisynth.tasks import SynthesisTask
 
 
-def outcome_of(
-    kind: OutcomeKind, detail: str = "", ordinals: frozenset[int] = frozenset()
-) -> AttemptOutcome:
-    return AttemptOutcome(
-        kind=kind,
-        fingerprint=fingerprint_of(kind, detail, ordinals),
-        failing_ordinals=ordinals,
-        detail=detail,
-    )
-
-
 def ok() -> AttemptOutcome:
-    return outcome_of(OutcomeKind.PASS)
+    return AttemptOutcome.of(OutcomeKind.PASS)
 
 
 def compile_error(detail: str = "error: ';' expected") -> AttemptOutcome:
-    return outcome_of(OutcomeKind.COMPILE_ERROR, detail)
+    return AttemptOutcome.of(OutcomeKind.COMPILE_ERROR, detail)
 
 
 def runtime_error(detail: str = "Exception in thread \"main\" java.lang.IllegalStateException") -> AttemptOutcome:
-    return outcome_of(OutcomeKind.RUNTIME_ERROR, detail)
+    return AttemptOutcome.of(OutcomeKind.RUNTIME_ERROR, detail)
 
 
 def failing(*ordinals: int) -> AttemptOutcome:
-    return outcome_of(OutcomeKind.FAILING_TESTS, ordinals=frozenset(ordinals))
+    return AttemptOutcome.of(OutcomeKind.FAILING_TESTS, ordinals=frozenset(ordinals))
 
 
 class StubSandbox:

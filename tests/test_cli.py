@@ -203,6 +203,7 @@ def test_unparseable_env_value_is_reported(sample_task, monkeypatch, capsys):
         (["--compile-timeout", "0"], {}, "timeouts must be positive"),
         (["--run-timeout", "0"], {}, "timeouts must be positive"),
         (["--run-id", "a/b"], {}, "run id must be a non-empty path segment, got 'a/b'"),
+        (["--run-id", ".."], {}, "run id must be a non-empty path segment, got '..'"),
     ],
 )
 def test_bench_rejects_bad_settings(
@@ -219,6 +220,103 @@ def test_bench_rejects_bad_settings(
     assert capsys.readouterr().err == f"error: {message}\n"
     assert sandbox.calls == []
     assert not (tmp_path / "runs").exists()
+
+
+def test_synth_structural_violations_exit_two(tmp_path, repo_root, monkeypatch, capsys):
+    task = json.loads((repo_root / "tasks" / "sample" / "ellipse-area.json").read_text())
+    task["tests"][1]["ordinal"] = 1
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(task))
+    sandbox = StubSandbox()
+    stub_sandbox_factory(monkeypatch, sandbox)
+    rc = cli.main(["synth", str(path), "--backend", "mock", "--mock-script",
+                   write_script(tmp_path / "script.json", []), "--out", str(tmp_path / "runs")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: ellipse-area: duplicate test case ordinal 1",
+        "error: ellipse-area: test case ordinals must be 1..N consecutive, got [1, 3, 4]",
+    ]
+    assert sandbox.calls == []
+
+
+def test_synth_backend_failure_exits_two(sample_task, tmp_path, monkeypatch, capsys):
+    stub_sandbox_factory(monkeypatch, StubSandbox())
+    rc = cli.main(["synth", sample_task, "--backend", "mock", "--mock-script",
+                   write_script(tmp_path / "script.json", []), "--out", str(tmp_path / "runs"),
+                   "--run-id", "t1"])
+    assert rc == 2
+    assert capsys.readouterr().out == (
+        "not solved: failed_environment (mock script exhausted after 0 responses)\n"
+    )
+
+
+def task_with_id(repo_root, tmp_path, task_id):
+    task = json.loads((repo_root / "tasks" / "sample" / "ellipse-area.json").read_text())
+    task["id"] = task_id
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "t.json").write_text(json.dumps(task))
+    return suite / "t.json"
+
+
+@pytest.mark.parametrize("task_id", ["../../escaped", "..", ".", "", "a/b", "a\0b"])
+def test_task_id_must_be_one_path_segment(repo_root, tmp_path, task_id, capsys):
+    task_file = task_with_id(repo_root, tmp_path, task_id)
+    rc = cli.main(["validate", str(task_file)])
+    assert rc == 1
+    assert capsys.readouterr().out == f"{task_id}: task id {task_id!r} is not a single path segment\n"
+
+
+def test_task_id_that_escapes_the_run_dir_is_refused(repo_root, tmp_path, monkeypatch, capsys):
+    task_file = task_with_id(repo_root, tmp_path, "../../escaped")
+    sandbox = StubSandbox(outcomes=[ok()])
+    stub_sandbox_factory(monkeypatch, sandbox)
+    script = write_script(tmp_path / "script.json", [java_response("    void f() { }")])
+    common = ["--backend", "mock", "--mock-script", script, "--out", str(tmp_path / "runs"),
+              "--run-id", "r1"]
+
+    rc = cli.main(["synth", str(task_file), *common])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: ../../escaped: task id '../../escaped' is not a single path segment\n"
+    )
+    rc = cli.main(["bench", str(task_file.parent), *common])
+    assert rc == 2
+    assert "task id '../../escaped' is not a single path segment" in capsys.readouterr().err
+    assert sandbox.calls == []
+    assert not (tmp_path / "escaped").exists()
+
+
+class WritingSandbox(StubSandbox):
+    """A stub that creates each attempt's workdir, as the real sandbox does."""
+
+    def evaluate(self, unit, target_name, all_ordinals, workdir, classpath=None):
+        workdir.mkdir(parents=True, exist_ok=True)
+        return super().evaluate(unit, target_name, all_ordinals, workdir, classpath)
+
+
+def test_rerun_task_leaves_no_stale_attempts(repo_root, tmp_path, monkeypatch, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "t.json").write_text((repo_root / "tasks" / "sample" / "ellipse-area.json").read_text())
+    task_dir = tmp_path / "runs" / "r1" / "ellipse-area"
+    reply = java_response("    void f() { }")
+
+    def bench(outcomes, *extra):
+        stub_sandbox_factory(monkeypatch, WritingSandbox(outcomes=outcomes))
+        script = write_script(tmp_path / "script.json", {"ellipse-area": [reply] * len(outcomes)})
+        return cli.main(["bench", str(suite), "--backend", "mock", "--mock-script", script,
+                         "--out", str(tmp_path / "runs"), "--run-id", "r1", *extra])
+
+    assert bench([failing(1), failing(2)], "--max-followups", "1") == 1
+    assert sorted(p.name for p in task_dir.iterdir()) == ["attempt-1", "attempt-2", "record.json"]
+    (task_dir / "record.json").unlink()
+    (task_dir / "notes.txt").write_text("kept")
+
+    assert bench([ok()], "--resume") == 0
+    assert "| Total | 1 | 1 (100.0%) | 1 (100.0%)" in capsys.readouterr().out
+    assert sorted(p.name for p in task_dir.iterdir()) == ["attempt-1", "notes.txt", "record.json"]
+    assert len(json.loads((task_dir / "record.json").read_text())["attempts"]) == 1
 
 
 def run_budget(sample_task, tmp_path, monkeypatch, *extra):
@@ -526,6 +624,16 @@ def test_bench_resume_without_runs_is_an_error(sample_suite, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "resume" in err
+
+
+def test_bench_without_verdicts_exits_two(sample_suite, tmp_path, monkeypatch, capsys):
+    stub_sandbox_factory(monkeypatch, StubSandbox())
+    empty = write_script(tmp_path / "empty.json", {})
+    rc = cli.main(bench_args(sample_suite, tmp_path, empty, "--format", "json"))
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: no task reached a verdict\n"
+    assert json.loads(captured.out)["total"]["environment_failures"] == 5
 
 
 def test_bench_unknown_format_from_env(sample_suite, tmp_path, monkeypatch, capsys):

@@ -209,12 +209,19 @@ def test_bench_reaps_every_server(jdk, repo_root, tmp_path, monkeypatch, capsys)
         (suite / f"{name}.json").write_text(
             (repo_root / "tasks" / "sample" / f"{name}.json").read_text(encoding="utf-8"), encoding="utf-8"
         )
-    passing = java_response('    public static void main(String[] a) { System.out.println("All test cases passed."); }')
+    main = '    public static void main(String[] a) { System.out.println("All test cases passed."); }'
+    replies = {
+        "get-range": "    java.util.List<Integer> GetRange(int start, int end) { return null; }",
+        "collections-swap": "    void swap(java.util.List<String> list, int i, int j) { }",
+    }
     script = tmp_path / "script.json"
-    script.write_text(json.dumps({"get-range": [passing], "collections-swap": [passing]}), encoding="utf-8")
+    script.write_text(
+        json.dumps({task: [java_response(method + "\n" + main)] for task, method in replies.items()}),
+        encoding="utf-8",
+    )
     rc = cli.main(["bench", str(suite), "--backend", "mock", "--mock-script", str(script),
                    "--out", str(tmp_path / "runs"), "--run-id", "r1", "--workers", "2"])
-    capsys.readouterr()
+    assert "| Total | 2 | 2 (100.0%) | 2 (100.0%)" in capsys.readouterr().out
     assert rc == 0
     assert started
     for server in started:

@@ -69,6 +69,12 @@ def test_classify_success_marker_is_pass():
     outcome = classify(compile_result(), run_result(0, stdout="All test cases passed.\n"), ORDINALS)
     assert outcome.kind is OutcomeKind.PASS
     assert outcome.fingerprint == "pass"
+    # without the target method the same run is no pass: it fails every case
+    outcome = classify(
+        compile_result(), run_result(0, stdout="All test cases passed.\n"), ORDINALS, declares_target=False
+    )
+    assert outcome.kind is OutcomeKind.FAILING_TESTS
+    assert outcome.failing_ordinals == frozenset(ORDINALS)
 
 
 def test_classify_clean_exit_without_marker_fails_all():
