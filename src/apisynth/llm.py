@@ -2,21 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Protocol, Sequence
 
 import requests
 
-from .prompting import Message
-from .records import to_json_dict
+from .prompting import Message, PromptError
+from .records import from_json_dict, to_json_dict
 
 RETRYABLE_STATUS = (429, 500, 502, 503, 504)
+# The longest wait a Retry-After header gets; a larger value is taken as this.
+RETRY_AFTER_CAP = 60.0
 
 
 class ConfigError(Exception):
@@ -71,19 +74,199 @@ class ChatExchange:
     usage: TokenUsage | None = None
 
 
+@dataclass(frozen=True)
+class TranscriptLine:
+    """One transcript line: an exchange, holding only the messages its request adds.
+
+    A conversation's first line (turn 0) holds its whole request. A later turn
+    holds the messages after the previous turn's reply, which is on disk as
+    that line's response_text. A conversation id is the number of the line
+    that starts the conversation, so it is unique within the file.
+    """
+
+    timestamp: str
+    task_id: str
+    model: str
+    conversation: int
+    turn: int
+    new_messages: tuple[Message, ...]
+    response_text: str
+    latency_seconds: float
+    usage: TokenUsage | None = None
+
+
+@dataclass(frozen=True)
+class TranscriptEntry:
+    """An exchange as read back from a transcript, with its whole request rebuilt."""
+
+    task_id: str
+    conversation: int
+    turn: int
+    model: str
+    timestamp: str
+    exchange: ChatExchange
+
+
+@dataclass(frozen=True)
+class _Tail:
+    """A writer's state for a task's latest conversation: a digest in place of its messages."""
+
+    conversation: int
+    turn: int
+    count: int  # messages written so far, the last reply included
+    digest: bytes
+
+
+def _digest(pairs) -> bytes:
+    """A hash of (role, content) pairs; each content is fed after its role and byte length."""
+    hasher = hashlib.blake2b(digest_size=16)
+    for role, content in pairs:
+        data = content.encode("utf-8")
+        hasher.update(f"{role} {len(data)}\n".encode("utf-8"))
+        hasher.update(data)
+    return hasher.digest()
+
+
+def _count_lines(path: Path) -> int:
+    try:
+        with path.open("rb") as fh:
+            return sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 16), b""))
+    except FileNotFoundError:
+        return 0
+
+
 @dataclass
 class TranscriptWriter:
-    """Append-only JSONL log of every model exchange, flushed before use."""
+    """Append-only JSONL log of every model exchange, flushed before use.
+
+    A request continues its task's latest conversation when it starts with
+    every message written for it so far, the last reply included as an
+    assistant message; its line then holds only the messages after those.
+    Any other request starts a new conversation. Per task the writer keeps
+    the conversation id, the turn, the message count and a digest, never
+    the messages.
+    """
 
     path: Path
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _lines: int | None = field(default=None, repr=False)  # counted on first append
+    _tails: dict[str, _Tail] = field(default_factory=dict, repr=False)
 
-    def append(self, record: dict) -> None:
-        line = json.dumps(record, ensure_ascii=False)
+    def append(self, task_id: str, model: str, exchange: ChatExchange) -> None:
+        request = exchange.request_messages
+        pairs = [(m.role, m.content) for m in request]
         with self._lock:
+            if self._lines is None:
+                self._lines = _count_lines(self.path)
+            tail = self._tails.get(task_id)
+            if (
+                tail is not None
+                and len(pairs) > tail.count
+                and _digest(pairs[: tail.count]) == tail.digest
+            ):
+                conversation, turn, start = tail.conversation, tail.turn + 1, tail.count
+            else:
+                conversation, turn, start = self._lines + 1, 0, 0
+            line = TranscriptLine(
+                timestamp=datetime.now(timezone.utc).isoformat(),
+                task_id=task_id,
+                model=model,
+                conversation=conversation,
+                turn=turn,
+                new_messages=request[start:],
+                response_text=exchange.response_text,
+                latency_seconds=exchange.latency_seconds,
+                usage=exchange.usage,
+            )
+            text = json.dumps(to_json_dict(line), ensure_ascii=False) + "\n"
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+                fh.write(text)
+            self._lines += 1
+            pairs.append(("assistant", exchange.response_text))
+            self._tails[task_id] = _Tail(conversation, turn, len(pairs), _digest(pairs))
+
+
+def _written(entry: TranscriptEntry) -> tuple[Message, ...]:
+    """The conversation as it stands after an exchange: its request, then the reply."""
+    return entry.exchange.request_messages + (Message("assistant", entry.exchange.response_text),)
+
+
+def _continuation(line: TranscriptLine, tail: TranscriptEntry | None) -> TranscriptLine:
+    """A line of the replaced layout, whose request is whole, as a delta on the task's tail."""
+    if tail is None or not tail.exchange.response_text:
+        return line
+    written = _written(tail)
+    request = line.new_messages
+    if len(request) <= len(written) or request[: len(written)] != written:
+        return line
+    return replace(
+        line,
+        conversation=tail.conversation,
+        turn=tail.turn + 1,
+        new_messages=request[len(written) :],
+    )
+
+
+def read_transcript(path: Path) -> list[TranscriptEntry]:
+    """Every exchange of a transcript in file order, each with its whole request.
+
+    Lines of the replaced layout, whose ``request_messages`` held the whole
+    request, are read too; each joins its task's latest conversation by the
+    rule the writer applies. A line that continues an unknown conversation,
+    or that does not decode, raises ValueError naming its line number.
+    """
+    entries: list[TranscriptEntry] = []
+    tails: dict[tuple[str, int], TranscriptEntry] = {}
+    latest: dict[str, int] = {}
+    with Path(path).open(encoding="utf-8") as fh:
+        for number, text in enumerate(fh, 1):
+            try:
+                data = json.loads(text)
+                replaced = isinstance(data, dict) and "conversation" not in data
+                if replaced:
+                    data = {
+                        **data,
+                        "conversation": number,
+                        "turn": 0,
+                        "new_messages": data.get("request_messages"),
+                    }
+                line = from_json_dict(TranscriptLine, data)
+                if replaced:
+                    line = _continuation(line, tails.get((line.task_id, latest.get(line.task_id))))
+                key = (line.task_id, line.conversation)
+                tail = tails.get(key)
+                if tail is None and line.turn:
+                    raise ValueError(
+                        f"turn {line.turn} continues an unknown conversation "
+                        f"{line.conversation} of task {line.task_id!r}"
+                    )
+                if tail is not None and line.turn != tail.turn + 1:
+                    raise ValueError(
+                        f"turn {line.turn} cannot follow turn {tail.turn} of conversation "
+                        f"{line.conversation} of task {line.task_id!r}"
+                    )
+                request = line.new_messages if tail is None else _written(tail) + line.new_messages
+            except (ValueError, PromptError) as exc:
+                raise ValueError(f"{path}: line {number}: {exc}") from None
+            exchange = ChatExchange(request, line.response_text, line.latency_seconds, line.usage)
+            entry = TranscriptEntry(
+                line.task_id, line.conversation, line.turn, line.model, line.timestamp, exchange
+            )
+            tails[key] = entry
+            latest[line.task_id] = line.conversation
+            entries.append(entry)
+    return entries
+
+
+def _retry_after(response: requests.Response) -> float | None:
+    """The wait a 429 or 503 reply asks for in delta-seconds, capped; None for none."""
+    if response.status_code not in (429, 503):
+        return None
+    value = response.headers.get("Retry-After", "").strip()
+    if not (value.isascii() and value.isdigit()):  # absent, or an HTTP date
+        return None
+    return min(float(value), RETRY_AFTER_CAP)
 
 
 class ChatBackend(Protocol):
@@ -100,16 +283,8 @@ def _check_conversation(conversation: Sequence[Message]) -> None:
 def _persist(
     transcript: TranscriptWriter | None, task_id: str, model: str, exchange: ChatExchange
 ) -> None:
-    if transcript is None:
-        return
-    transcript.append(
-        {
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-            "task_id": task_id,
-            "model": model,
-            **to_json_dict(exchange),
-        }
-    )
+    if transcript is not None:
+        transcript.append(task_id, model, exchange)
 
 
 @dataclass
@@ -152,9 +327,11 @@ class HttpBackend:
 
         attempts = self.config.max_retries_transport + 1
         last_error: Exception | None = None
+        wait: float | None = None  # what the last reply asked for
         for attempt in range(attempts):
             if attempt:
-                time.sleep(min(0.5 * 2**attempt, 8.0))
+                time.sleep(min(0.5 * 2**attempt, 8.0) if wait is None else wait)
+                wait = None
             start = time.monotonic()
             try:
                 response = self._session.post(
@@ -165,6 +342,7 @@ class HttpBackend:
                 continue
             if response.status_code in RETRYABLE_STATUS and attempt + 1 < attempts:
                 last_error = BackendError(f"HTTP {response.status_code}: {response.text[:200]}")
+                wait = _retry_after(response)
                 continue
             if response.status_code != 200:
                 raise BackendError(

@@ -31,11 +31,13 @@ NO_PERF_DATA = "-XX:-UsePerfData"
 COMPILE_SERVER = Path(__file__).with_name("CompileServer.java")
 # Measured on JDK 17: a compile server peaks at about 300 MB with the JVM's
 # defaults and at about 89 MB with these after a thousand compiles; one cold
-# javac peaks at about 84 MB.
+# javac peaks at about 84 MB. The JVM prints its own warnings (such as a heap
+# flag it adjusts) to stdout by default, where they would precede "ready" on
+# the reply channel; the -Xlog pair sends them to stderr instead.
 COMPILE_SERVER_FLAGS = (
     "-XX:+UseSerialGC", "-Xmx32m", "-Xms8m", "-XX:TieredStopAtLevel=1",
     "-XX:ReservedCodeCacheSize=16m", "-Xss512k", "-XX:CICompilerCount=1",
-    NO_PERF_DATA, "-XX:MaxMetaspaceSize=64m",
+    NO_PERF_DATA, "-XX:MaxMetaspaceSize=64m", "-Xlog:disable", "-Xlog:all=warning:stderr",
 )
 # javac's system-error and abnormal exits (an OutOfMemoryError under the small
 # heap, a compiler crash): a fault of the server, not a verdict on the source.

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import io
 import json
+import sys
+import time
 from decimal import Decimal
 
 import pytest
@@ -19,7 +21,7 @@ from apisynth.bench import (
     run_suite,
     write_reports,
 )
-from apisynth.llm import ConfigError, MockBackend
+from apisynth.llm import ConfigError, MockBackend, TranscriptWriter, read_transcript
 from apisynth.prompting import load_templates
 from apisynth.refine import FinalStatus, RunRecord, load_record
 from apisynth.tasks import BenchmarkSuite, load_suite
@@ -329,6 +331,69 @@ def test_run_suite_mixed_outcomes(repo_root, tmp_path):
     assert report.total.n_tasks == 5
     assert report.total.passed_with == 4
     assert report.total.compiled_without == 4  # ellipse-area missed its first compile
+
+
+class RecordingBackend:
+    """Passes each call on to a backend and keeps the conversation it was sent."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.sent: dict[str, list[tuple]] = {}
+
+    def complete(self, conversation, task_id):
+        exchange = self.backend.complete(conversation, task_id)
+        self.sent.setdefault(task_id, []).append(tuple(conversation))
+        return exchange
+
+
+def test_transcript_rebuilds_interleaved_conversations(repo_root, tmp_path):
+    """Three workers, more than the cores, write turns of many tasks into one file."""
+    sample = load_suite(repo_root / "tasks" / "sample")
+    tasks = tuple(
+        dataclasses.replace(task, id=f"{task.id}-{copy}") for copy in range(4) for task in sample.tasks
+    )
+    outcomes = {task.id: [compile_error(), runtime_error(), failing(1), ok()] for task in tasks}
+
+    class PerTaskSandbox(StubSandbox):
+        def evaluate(self, unit, target_name, all_ordinals, workdir, classpath=None):
+            time.sleep(0.002)  # a real sandbox waits on javac and java here
+            return outcomes[workdir.parent.name].pop(0)
+
+    transcript = TranscriptWriter(tmp_path / "transcript.jsonl")
+    script = {
+        task.id: [java_response(f"    void {task.signature.name}() {{ }}\n    void test{i}() {{ }}")
+                  for i in range(4)]
+        for task in tasks
+    }
+    backend = RecordingBackend(MockBackend(script=script, transcript=transcript))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        records = run_suite(
+            BenchmarkSuite(name="sample", tasks=tasks),
+            backend,
+            load_templates(),
+            PerTaskSandbox(),
+            tmp_path,
+            workers=3,
+        )
+    finally:
+        sys.setswitchinterval(switch)
+    assert all(r.final_status is FinalStatus.SOLVED and len(r.attempts) == 4 for r in records)
+
+    entries = read_transcript(tmp_path / "transcript.jsonl")
+    # Some turn follows another task's line: the conversations really interleave.
+    assert any(b.turn and a.task_id != b.task_id for a, b in zip(entries, entries[1:]))
+    rebuilt: dict[str, list[tuple]] = {}
+    turns: dict[str, list[tuple[int, int]]] = {}
+    for entry in entries:
+        rebuilt.setdefault(entry.task_id, []).append(entry.exchange.request_messages)
+        turns.setdefault(entry.task_id, []).append((entry.conversation, entry.turn))
+    assert rebuilt == backend.sent
+    for task_id, seen in turns.items():
+        assert [turn for _, turn in seen] == [0, 1, 2, 3]
+        assert len({conversation for conversation, _ in seen}) == 1, task_id
+    assert len({seen[0][0] for seen in turns.values()}) == len(tasks)
 
 
 def test_unresolved_dependency_skips_backend(repo_root, tmp_path):

@@ -6,6 +6,7 @@ import os
 import pytest
 
 import apisynth.cli as cli
+from apisynth.llm import read_transcript
 from helpers import StubSandbox, compile_error, failing, java_response, ok, runtime_error
 
 
@@ -573,6 +574,30 @@ def test_bench_resume_reuses_records(sample_suite, tmp_path, monkeypatch, capsys
     second_out = capsys.readouterr().out
     assert second_rc == 1
     assert json.loads(second_out) == json.loads(first_out)
+
+
+def test_bench_resume_appends_a_new_conversation(sample_suite, tmp_path, monkeypatch, capsys):
+    reply = java_response("    void GetRange() { }")
+    sandbox = all_pass_sandbox()
+    sandbox.by_target["GetRange"] = [failing(1)]
+    stub_sandbox_factory(monkeypatch, sandbox)
+    # get-range's script runs out before its follow-up: an environment failure
+    assert cli.main(bench_args(sample_suite, tmp_path, bench_script(tmp_path))) == 0
+    capsys.readouterr()
+
+    script = write_script(tmp_path / "retry.json", {"get-range": [reply, reply]})
+    stub_sandbox_factory(monkeypatch, StubSandbox(by_target={"GetRange": [failing(1), ok()]}))
+    assert cli.main(bench_args(sample_suite, tmp_path, script, "--resume")) == 0
+    assert "| Total | 5 | 5 (100.0%) | 4 (80.0%) | 5 (100.0%) | 5 (100.0%) |" in capsys.readouterr().out
+
+    conversations: dict[str, dict[int, list[int]]] = {}
+    for entry in read_transcript(tmp_path / "runs" / "r1" / "transcript.jsonl"):
+        turns = conversations.setdefault(entry.task_id, {}).setdefault(entry.conversation, [])
+        turns.append(entry.turn)
+    rerun = conversations.pop("get-range")
+    assert list(rerun.values()) == [[0], [0, 1]]  # the re-run is the last conversation
+    assert sorted(conversations) == sorted(TARGETS.keys() - {"get-range"})
+    assert all(list(c.values()) == [[0]] for c in conversations.values())
 
 
 def test_bench_resume_picks_latest_run(sample_suite, tmp_path, monkeypatch, capsys):

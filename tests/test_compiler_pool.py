@@ -146,6 +146,17 @@ def test_server_killed_between_compiles(jdk, pool, java_fixture_dir, tmp_path):
     assert served_by(pool) != killed
 
 
+def test_jvm_warnings_stay_off_the_reply_channel(jdk, java_fixture_dir, tmp_path, monkeypatch):
+    # -Xmn16m above the 8 MB initial heap makes the JVM warn before the server says "ready".
+    flags = sandbox_module.COMPILE_SERVER_FLAGS + ("-Xmn16m",)
+    monkeypatch.setattr(sandbox_module, "COMPILE_SERVER_FLAGS", flags)
+    unit = fixture_unit(java_fixture_dir, "SecondCaseFails.java", "twice", 1)
+    with CompilerPool() as pool:
+        outcome = Sandbox(jdk, compilers=pool).evaluate(unit, "twice", (1, 2), tmp_path / "a1")
+        served_by(pool)
+    assert outcome.kind is OutcomeKind.FAILING_TESTS
+
+
 def test_server_compile_timeout(jdk, pool, java_fixture_dir, tmp_path):
     unit = fixture_unit(java_fixture_dir, "PalindromeChecker.java", "isPalindrome", 1)
     ordinals = (1, 2, 3, 4, 5, 6)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import io
 import json
 import sys
 
@@ -14,18 +15,21 @@ from apisynth.refine import load_record
 SUFFIXES = {"markdown": "md", "csv": "csv", "json": "json"}
 
 
-@pytest.fixture(scope="module")
-def demo_run(repo_root, tmp_path_factory):
-    path = repo_root / "scripts" / "run_mock_demo.py"
-    spec = importlib.util.spec_from_file_location("run_mock_demo", path)
+def load_script(repo_root, name):
+    spec = importlib.util.spec_from_file_location(name, repo_root / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     try:
         spec.loader.exec_module(module)
-        run_dir = tmp_path_factory.mktemp("demo") / "mock-demo"
-        assert module.main(run_dir) == 0
     finally:
         del sys.modules[spec.name]
+    return module
+
+
+@pytest.fixture(scope="module")
+def demo_run(repo_root, tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("demo") / "mock-demo"
+    assert load_script(repo_root, "run_mock_demo").main(run_dir) == 0
     return run_dir
 
 
@@ -68,3 +72,20 @@ def test_renderers_match_golden_bytes(demo_report, repo_root, fmt, with_baseline
     name = "golden_report_baseline" if with_baseline else "golden_report"
     golden = repo_root / "tests" / "data" / f"{name}.{SUFFIXES[fmt]}"
     assert RENDERERS[fmt](demo_report, baseline).encode("utf-8") == golden.read_bytes()
+
+
+def test_show_transcript_prints_rebuilt_conversations(demo_run, repo_root, capsys):
+    show = load_script(repo_root, "show_transcript").show
+    out = io.StringIO()
+    assert show(demo_run, "get-range", out) == 0
+    text = out.getvalue()
+    assert text.startswith("=== task get-range, conversation ")
+    assert ", 2 turn(s)\n--- system\n" in text
+    assert text.count("--- system\n") == text.count("--- assistant (turn 1,") == 1
+    assert "The implementation fails test cases 3, 4 and 5." in text
+    assert text.index("return List.of();") < text.index("/* fixed */")
+
+    assert show(demo_run) == 0
+    assert capsys.readouterr().out.count("=== task ") == 5
+    assert show(demo_run, "no-such-task") == 1
+    assert "no exchange of task 'no-such-task'" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+import requests
 
 from apisynth import llm
 from apisynth.llm import (
@@ -20,8 +21,10 @@ from apisynth.llm import (
     TranscriptWriter,
     load_mock_script,
     make_backend,
+    read_transcript,
 )
 from apisynth.prompting import Message
+from apisynth.records import to_json_dict
 
 
 def conversation(text: str = "implement it") -> list[Message]:
@@ -89,33 +92,129 @@ def test_transcript_written_per_exchange(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1  # persisted before the call returned
     backend.complete(conversation("q2"), "task-2")
-    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-    assert len(lines) == 2
-    assert lines[0]["task_id"] == "task-1"
-    assert lines[0]["response_text"] == "one"
-    assert lines[0]["request_messages"][-1] == {"role": "user", "content": "q1"}
-    assert "timestamp" in lines[0]
-    assert "latency_seconds" in lines[1]
+    entries = read_transcript(path)
+    assert len(entries) == 2
+    assert entries[0].task_id == "task-1"
+    assert entries[0].exchange.response_text == "one"
+    assert entries[0].exchange.request_messages[-1] == Message("user", "q1")
+    assert entries[0].timestamp
+    assert entries[1].exchange.latency_seconds == 0.0
 
 
 def test_transcript_line_layout(tmp_path):
     path = tmp_path / "transcript.jsonl"
-    exchange = ChatExchange(
+    writer = TranscriptWriter(path)
+    first = ChatExchange(
         request_messages=(Message("system", "persona"), Message("user", "naïve q")),
         response_text="the code",
         latency_seconds=0.25,
         usage=TokenUsage(prompt_tokens=12, completion_tokens=34, total_tokens=46),
     )
-    llm._persist(TranscriptWriter(path), "task-9", "test-model", exchange)
-    line = path.read_text(encoding="utf-8")
-    timestamp = json.loads(line)["timestamp"]
-    assert line == (
-        f'{{"timestamp": "{timestamp}", "task_id": "task-9", "model": "test-model", '
-        '"request_messages": [{"role": "system", "content": "persona"}, '
+    llm._persist(writer, "task-9", "test-model", first)
+    followup = first.request_messages + (Message("assistant", "the code"), Message("user", "fix"))
+    llm._persist(writer, "task-9", "test-model", ChatExchange(followup, "fixed", 0.5))
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    stamps = [json.loads(line)["timestamp"] for line in lines]
+    assert lines == [
+        f'{{"timestamp": "{stamps[0]}", "task_id": "task-9", "model": "test-model", '
+        '"conversation": 1, "turn": 0, "new_messages": [{"role": "system", "content": "persona"}, '
         '{"role": "user", "content": "naïve q"}], "response_text": "the code", '
         '"latency_seconds": 0.25, "usage": {"prompt_tokens": 12, "completion_tokens": 34, '
-        '"total_tokens": 46}}\n'
-    )
+        '"total_tokens": 46}}\n',
+        f'{{"timestamp": "{stamps[1]}", "task_id": "task-9", "model": "test-model", '
+        '"conversation": 1, "turn": 1, "new_messages": [{"role": "user", "content": "fix"}], '
+        '"response_text": "fixed", "latency_seconds": 0.5, "usage": null}\n',
+    ]
+
+
+def exchange(*contents: str, reply: str = "reply") -> ChatExchange:
+    """A request of alternating user and assistant messages after a system message."""
+    roles = ["user", "assistant"] * len(contents)
+    messages = (Message("system", "persona"),) + tuple(map(Message, roles, contents))
+    return ChatExchange(messages, reply, 0.0)
+
+
+def test_transcript_continues_only_a_matching_conversation(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    writer = TranscriptWriter(path)
+    sent = [
+        ("a", exchange("q")),
+        ("b", exchange("q")),  # same messages, another task: a conversation of its own
+        ("a", exchange("q", "reply", "follow-up")),
+        ("a", exchange("q", "another reply", "follow-up")),  # differs from what was written
+        ("a", exchange("q", "another reply", "follow-up", "reply", "again")),
+        ("a", exchange("q")),  # a re-run starts over
+    ]
+    for task_id, ex in sent:
+        writer.append(task_id, "m", ex)
+    entries = read_transcript(path)
+    assert [(e.task_id, e.conversation, e.turn) for e in entries] == [
+        ("a", 1, 0),
+        ("b", 2, 0),
+        ("a", 1, 1),
+        ("a", 4, 0),
+        ("a", 4, 1),
+        ("a", 6, 0),
+    ]
+    assert [e.exchange for e in entries] == [ex for _, ex in sent]
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert [len(line["new_messages"]) for line in lines] == [2, 2, 1, 4, 1, 2]
+
+
+def test_transcript_ids_stay_unique_across_writers(tmp_path):
+    """A resumed run appends with a new writer; its conversations get new ids."""
+    path = tmp_path / "transcript.jsonl"
+    TranscriptWriter(path).append("a", "m", exchange("q"))
+    TranscriptWriter(path).append("a", "m", exchange("q"))
+    later = TranscriptWriter(path)
+    later.append("a", "m", exchange("q"))
+    later.append("a", "m", exchange("q", "reply", "follow-up"))
+    entries = read_transcript(path)
+    assert [(e.conversation, e.turn) for e in entries] == [(1, 0), (2, 0), (3, 0), (3, 1)]
+
+
+def test_transcript_reads_the_replaced_layout(tmp_path):
+    """Lines that held the whole request, followed by lines a resumed run appended."""
+    path = tmp_path / "transcript.jsonl"
+    old = [
+        ("a", exchange("q")),
+        ("a", exchange("q", "reply", "follow-up")),
+        ("b", exchange("q", reply="")),
+        ("a", exchange("q")),
+    ]
+    with path.open("w", encoding="utf-8") as fh:
+        for task_id, ex in old:
+            line = {"timestamp": "t", "task_id": task_id, "model": "m", **to_json_dict(ex)}
+            fh.write(json.dumps(line) + "\n")
+    TranscriptWriter(path).append("b", "m", exchange("q"))
+    entries = read_transcript(path)
+    assert [(e.task_id, e.conversation, e.turn) for e in entries] == [
+        ("a", 1, 0),
+        ("a", 1, 1),
+        ("b", 3, 0),
+        ("a", 4, 0),
+        ("b", 5, 0),
+    ]
+    assert [e.exchange for e in entries] == [ex for _, ex in old] + [exchange("q")]
+
+
+def test_transcript_reader_rejects_an_unknown_conversation(tmp_path):
+    path = tmp_path / "transcript.jsonl"
+    writer = TranscriptWriter(path)
+    writer.append("a", "m", exchange("q"))
+    writer.append("a", "m", exchange("q", "reply", "follow-up"))
+    first, second = path.read_text(encoding="utf-8").splitlines()
+    for lines, message in (
+        ([second], "line 1: turn 1 continues an unknown conversation 1 of task 'a'"),
+        ([first, second.replace('"task_id": "a"', '"task_id": "b"')], "line 2: turn 1"),
+        ([first, second.replace('"turn": 1', '"turn": 2')], "line 2: turn 2 cannot follow turn 0"),
+        ([first, first], "line 2: turn 0 cannot follow turn 0 of conversation 1 of task 'a'"),
+        ([first, second.replace('"user"', '"robot"')], "line 2: invalid message role"),
+        ([first, second.replace('"turn": 1', '"turn": "1"')], "line 2: turn: expected an integer"),
+    ):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            read_transcript(path)
 
 
 def test_load_mock_script_shapes(tmp_path):
@@ -278,3 +377,37 @@ def test_http_backend_rejects_malformed_payload(http_stub, monkeypatch):
         backend.complete(conversation(), "t")
     assert "malformed" in str(excinfo.value)
 
+
+
+class _StubSession:
+    """Answers each post with the next (status, headers, payload) it was given."""
+
+    def __init__(self, *replies):
+        self.replies = list(replies)
+        self.posts = 0
+
+    def post(self, url, **kwargs):
+        self.posts += 1
+        status, headers, payload = self.replies.pop(0)
+        response = requests.Response()
+        response.status_code = status
+        response.headers.update(headers)
+        response._content = json.dumps(payload).encode()
+        return response
+
+
+def test_http_backend_honours_retry_after(monkeypatch):
+    monkeypatch.setenv("DEMO_KEY", "k")
+    sleeps = []
+    monkeypatch.setattr(llm.time, "sleep", sleeps.append)
+    backend = HttpBackend(BackendConfig(credential_source="DEMO_KEY", max_retries_transport=4))
+    backend._local.session = session = _StubSession(
+        (429, {"Retry-After": "7"}, {}),
+        (503, {"Retry-After": "3600"}, {}),  # capped
+        (503, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, {}),  # a date: backoff
+        (500, {"Retry-After": "3"}, {}),  # only 429 and 503 are honoured: backoff
+        (200, {}, _completion_payload("at last")),
+    )
+    assert backend.complete(conversation(), "t").response_text == "at last"
+    assert session.posts == 5
+    assert sleeps == [7.0, llm.RETRY_AFTER_CAP, 4.0, 8.0]

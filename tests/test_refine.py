@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from apisynth.llm import MockBackend, TranscriptWriter
+from apisynth.llm import MockBackend, TranscriptWriter, read_transcript
 from apisynth.prompting import COMPILE_FOLLOWUP, RUNTIME_FOLLOWUP, load_templates
 from apisynth.records import from_json_dict, to_json_dict
 from apisynth.refine import (
@@ -63,20 +63,20 @@ def test_compile_error_then_pass(ellipse_task, tmp_path):
     assert not record.solved_without_followups
     assert record.attempts[0].followup_sent == COMPILE_FOLLOWUP
 
-    exchanges = [json.loads(line) for line in (tmp_path / "t.jsonl").read_text().splitlines()]
-    assert len(exchanges) == 2
-    first, second = exchanges
-    assert [m["role"] for m in first["request_messages"]] == ["system", "user"]
+    entries = read_transcript(tmp_path / "t.jsonl")
+    assert len(entries) == 2
+    first, second = (entry.exchange for entry in entries)
+    assert [m.role for m in first.request_messages] == ["system", "user"]
     # one continuous conversation: reply + follow-up appended, nothing rebuilt
-    assert [m["role"] for m in second["request_messages"]] == [
+    assert [m.role for m in second.request_messages] == [
         "system",
         "user",
         "assistant",
         "user",
     ]
-    assert second["request_messages"][0:2] == first["request_messages"][0:2]
-    assert second["request_messages"][2]["content"] == first["response_text"]
-    assert second["request_messages"][3]["content"] == COMPILE_FOLLOWUP
+    assert second.request_messages[0:2] == first.request_messages[0:2]
+    assert second.request_messages[2].content == first.response_text
+    assert second.request_messages[3].content == COMPILE_FOLLOWUP
 
 
 def test_runtime_error_followup_text(ellipse_task, tmp_path):
