@@ -381,7 +381,11 @@ class HttpBackend:
 
 
 def load_mock_script(path: Path) -> list[str] | dict[str, list[str]]:
-    """A mock script is a JSON array of responses or a task-id-keyed object."""
+    """A mock script is a JSON array of responses or a task-id-keyed object.
+
+    An empty response is refused here, as HttpBackend refuses empty message
+    text, so a run stops before its first task instead of within one.
+    """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -389,6 +393,7 @@ def load_mock_script(path: Path) -> list[str] | dict[str, list[str]]:
     if isinstance(data, list):
         if not all(isinstance(item, str) for item in data):
             raise BackendError(f"{path}: mock script array must contain only strings")
+        _refuse_empty(path, "", data)
         return data
     if isinstance(data, dict):
         normalized: dict[str, list[str]] = {}
@@ -401,8 +406,15 @@ def load_mock_script(path: Path) -> list[str] | dict[str, list[str]]:
                 raise BackendError(
                     f"{path}: mock script entry {key!r} must be a string or array of strings"
                 )
+            _refuse_empty(path, repr(key), normalized[key])
         return normalized
     raise BackendError(f"{path}: mock script must be a JSON array or object")
+
+
+def _refuse_empty(path: Path, key: str, responses: list[str]) -> None:
+    for index, response in enumerate(responses):
+        if not response:
+            raise BackendError(f"{path}: mock script entry {key}[{index}] is an empty response")
 
 
 @dataclass

@@ -472,6 +472,25 @@ def test_mock_script_not_utf8_exits_two(sample_task, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {script}: cannot load mock script: 'utf-8' codec")
 
 
+def test_empty_mock_response_exits_two_before_any_task(sample_task, sample_suite, tmp_path, monkeypatch, capsys):
+    sandbox = all_pass_sandbox()
+    stub_sandbox_factory(monkeypatch, sandbox)
+    script = write_script(tmp_path / "script.json", [""])
+    rc = cli.main(["synth", sample_task, "--backend", "mock", "--mock-script", script,
+                   "--out", str(tmp_path / "runs"), "--run-id", "r1"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {script}: mock script entry [0] is an empty response\n"
+
+    payload = {task_id: [java_response(f"    void {t}() {{ }}")] for task_id, t in TARGETS.items()}
+    payload["ellipse-area"] = ""
+    script = write_script(tmp_path / "script.json", payload)
+    rc = cli.main(bench_args(sample_suite, tmp_path, script))
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {script}: mock script entry 'ellipse-area'[0] is an empty response\n"
+    assert sandbox.calls == []
+    assert not list((tmp_path / "runs").glob("r1/*/record.json"))
+
+
 # --- bench ------------------------------------------------------------------
 
 TARGETS = {

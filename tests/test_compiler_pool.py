@@ -147,14 +147,39 @@ def test_server_killed_between_compiles(jdk, pool, java_fixture_dir, tmp_path):
 
 
 def test_jvm_warnings_stay_off_the_reply_channel(jdk, java_fixture_dir, tmp_path, monkeypatch):
-    # -Xmn16m above the 8 MB initial heap makes the JVM warn before the server says "ready".
-    flags = sandbox_module.COMPILE_SERVER_FLAGS + ("-Xmn16m",)
-    monkeypatch.setattr(sandbox_module, "COMPILE_SERVER_FLAGS", flags)
+    # A young generation as large as the initial heap makes the JVM warn before "ready".
+    (initial_mb,) = [int(f[4:-1]) for f in sandbox_module.COMPILE_SERVER_FLAGS if f.startswith("-Xms")]
+    provoke = f"-Xmn{initial_mb}m"
+    log_pair = ("-Xlog:disable", "-Xlog:all=warning:stderr")
+    bare = [f for f in sandbox_module.COMPILE_SERVER_FLAGS if f not in log_pair]
+    probe = subprocess.run([jdk.java, *bare, provoke, "-version"], capture_output=True, text=True)
+    assert "NewSize was set larger than initial heap size" in probe.stdout
+
+    monkeypatch.setattr(sandbox_module, "COMPILE_SERVER_FLAGS", sandbox_module.COMPILE_SERVER_FLAGS + (provoke,))
     unit = fixture_unit(java_fixture_dir, "SecondCaseFails.java", "twice", 1)
     with CompilerPool() as pool:
         outcome = Sandbox(jdk, compilers=pool).evaluate(unit, "twice", (1, 2), tmp_path / "a1")
         served_by(pool)
     assert outcome.kind is OutcomeKind.FAILING_TESTS
+
+
+def test_warm_compiles_run_no_full_gc(jdk, java_fixture_dir, tmp_path, monkeypatch):
+    """One compile's garbage dies in the young generation, so a warm server never collects in full."""
+    gc_log = tmp_path / "gc.log"
+    flags = sandbox_module.COMPILE_SERVER_FLAGS + (f"-Xlog:gc:file={gc_log}",)
+    monkeypatch.setattr(sandbox_module, "COMPILE_SERVER_FLAGS", flags)
+    source = (java_fixture_dir / "PalindromeChecker.java").read_text(encoding="utf-8")
+    with CompilerPool() as pool:
+        for i in range(40):
+            workdir = tmp_path / f"c{i}"
+            workdir.mkdir()
+            (workdir / "PalindromeChecker.java").write_text(source, encoding="utf-8")
+            result = pool.compile(jdk.java, workdir, [], "PalindromeChecker.java", timeout=60)
+            assert result is not None and result.exit_code == 0
+        served_by(pool)
+    log = gc_log.read_text(encoding="utf-8")
+    assert "Pause Young" in log
+    assert "Pause Full" not in log
 
 
 def test_server_compile_timeout(jdk, pool, java_fixture_dir, tmp_path):

@@ -235,6 +235,18 @@ def test_load_mock_script_shapes(tmp_path):
         load_mock_script(bad)
 
 
+@pytest.mark.parametrize(
+    "script, entry",
+    [(["a", ""], "[1]"), ({"t1": ""}, "'t1'[0]"), ({"t1": "a", "t2": ["x", ""]}, "'t2'[1]")],
+)
+def test_load_mock_script_refuses_empty_responses(tmp_path, script, entry):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    with pytest.raises(BackendError) as raised:
+        load_mock_script(path)
+    assert str(raised.value) == f"{path}: mock script entry {entry} is an empty response"
+
+
 def test_make_backend_mock_requires_script():
     with pytest.raises(ConfigError):
         make_backend(BackendConfig(kind="mock"))
