@@ -28,23 +28,30 @@ NO_ENTRY_POINT_DIAGNOSTIC = "no runnable entry point (no main method or test met
 # Every JVM started here gets it, so none leaves an hsperfdata file in the
 # system temp directory.
 NO_PERF_DATA = "-XX:-UsePerfData"
+# A candidate's heap and thread stacks are bounded; measured on JDK 17, these
+# limits cost nothing at start-up against a bare `java -ea` (33 ms at p50).
+CANDIDATE_JVM_FLAGS = (NO_PERF_DATA, "-Xmx256m", "-Xss1m", "-ea")
 COMPILE_SERVER = Path(__file__).with_name("CompileServer.java")
 # Measured on JDK 17: a compile server peaks at about 300 MB with the JVM's
-# defaults and at about 90 MB with these after a thousand compiles; one cold
-# javac peaks at about 84 MB. One compile allocates about 8 MB, so the young
-# generation (eden 8.4 MB) holds a whole compile and its garbage dies there.
-# With a 5 MB young generation (-Xms8m -Xmx32m), young GCs mid-compile promote
-# javac's state and a full GC follows every 4 to 5 compiles: over 1035
-# compiles of benchmark candidates that layout ran 230 full GCs in 24.4 s of
-# server CPU, this one none in 16.8 s, at the same peak RSS. The old
-# generation starts at 10 MB, above the 6 MB a warm server keeps live, and may
-# grow to 22 MB. The JVM prints its own warnings (such as a heap flag it
-# adjusts) to stdout by default, where they would precede "ready" on the
-# reply channel; the -Xlog pair sends them to stderr instead.
+# defaults and at about 89 MB with these after a thousand compiles; one cold
+# javac peaks at about 84 MB. The server reuses one javac context per
+# dependency classpath (see CompileServer.java), so a compile allocates about
+# 10 times less than a fresh context's 8 MB, and a 6 MB young generation holds
+# several. The old generation starts at 14 MB, above the 10 to 11 MB the heap
+# holds after a young GC over a thousand compiles, so a warm server runs no
+# full GC, and may grow to 26 MB for a second context or a large --deps jar.
+# Over 1035 compiles of benchmark candidates: 0 full GCs, server CPU 30 -> 9 s
+# and peak RSS 90 -> 89 MB against fresh contexts with -Xmn14m -Xms24m -Xmx36m
+# (scripts/compile_probe.py). The
+# --add-exports open the javac internals the server uses. The JVM prints its
+# own warnings (such as a heap flag it adjusts) to stdout by default, where
+# they would precede "ready" on the reply channel; the -Xlog pair sends them
+# to stderr instead.
 COMPILE_SERVER_FLAGS = (
-    "-XX:+UseSerialGC", "-Xmn14m", "-XX:SurvivorRatio=3", "-Xms24m", "-Xmx36m",
+    "-XX:+UseSerialGC", "-Xmn6m", "-Xms20m", "-Xmx32m",
     "-XX:TieredStopAtLevel=1", "-XX:ReservedCodeCacheSize=16m", "-Xss512k", "-XX:CICompilerCount=1",
     NO_PERF_DATA, "-XX:MaxMetaspaceSize=64m", "-Xlog:disable", "-Xlog:all=warning:stderr",
+    *(f"--add-exports=jdk.compiler/com.sun.tools.javac.{p}=ALL-UNNAMED" for p in ("api", "main", "util")),
 )
 # javac's system-error and abnormal exits (an OutOfMemoryError under the small
 # heap, a compiler crash): a fault of the server, not a verdict on the source.
@@ -226,6 +233,20 @@ def make_driver(class_name: str, stripped_source: str, target_name: str) -> tupl
     return driver_name, body
 
 
+def candidate_source(unit: SourceUnit, target_name: str) -> tuple[str, str | None]:
+    """The source file written for a candidate and the class to run (None: nothing runnable)."""
+    source = unit.source_text
+    if not source.endswith("\n"):
+        source += "\n"
+    if unit.contains_main:
+        return source, unit.public_class_name
+    driver = make_driver(unit.public_class_name, strip_comments_and_strings(unit.source_text), target_name)
+    if driver is None:
+        return source, None
+    main_class, driver_body = driver
+    return source + "\n" + driver_body, main_class
+
+
 def _write_log(path: Path, argv: list[str], result: ExecutionResult) -> None:
     status = f"exit: {result.exit_code}" + (" (timed out)" if result.timed_out else "")
     path.write_text(
@@ -252,6 +273,7 @@ def _execute(argv: list[str], cwd: Path, timeout: float) -> ExecutionResult:
         proc = subprocess.Popen(
             argv,
             cwd=cwd,
+            stdin=subprocess.DEVNULL,  # a harness that reads System.in sees its end at once
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -414,8 +436,10 @@ class CompilerPool:
     ) -> ExecutionResult | None:
         """Compile workdir/source_name like javac run in workdir; None leaves it to a cold javac."""
         home = os.path.abspath(workdir)
-        # javac resolves the default "." and relative entries against its working directory.
-        entries = [os.path.join(home, p) for p in classpath] or [home]
+        # javac resolves relative entries against its working directory. No entries
+        # means javac's default ".", which the server stands in for with its own empty
+        # directory, so every compile without dependencies shares one javac context.
+        entries = [os.path.join(home, p) for p in classpath]
         request = _request_line(home, os.pathsep.join(entries), source_name)
         server = None if request is None else self._take(java, timeout)
         if server is None:
@@ -464,19 +488,7 @@ class Sandbox:
         """Write, compile, and run one candidate; persist logs and the outcome."""
         workdir.mkdir(parents=True, exist_ok=True)
         classpath = classpath or []
-        source = unit.source_text
-        if not source.endswith("\n"):
-            source += "\n"
-        main_class = unit.public_class_name
-        if not unit.contains_main:
-            stripped = strip_comments_and_strings(unit.source_text)
-            driver = make_driver(unit.public_class_name, stripped, target_name)
-            if driver is None:
-                main_class = None
-            else:
-                main_class, driver_body = driver
-                source += "\n" + driver_body
-
+        source, main_class = candidate_source(unit, target_name)
         source_path = workdir / f"{unit.public_class_name}.java"
         source_path.write_text(source, encoding="utf-8")
 
@@ -493,7 +505,7 @@ class Sandbox:
                 )
             else:
                 run_cp = os.pathsep.join(["."] + [str(p) for p in classpath])
-                run_argv = [self.toolchain.java, NO_PERF_DATA, "-ea", "-cp", run_cp, main_class]
+                run_argv = [self.toolchain.java, *CANDIDATE_JVM_FLAGS, "-cp", run_cp, main_class]
                 run_result = _execute(run_argv, workdir, self.run_timeout)
                 _write_log(workdir / "run.log", run_argv, run_result)
 

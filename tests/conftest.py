@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from apisynth.prompting import load_templates
+from apisynth.sandbox import ToolchainError, find_toolchain
 from apisynth.tasks import parse_task_file
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,6 +31,14 @@ def templates():
 @pytest.fixture()
 def ellipse_task():
     return parse_task_file(ROOT / "tasks" / "sample" / "ellipse-area.json")
+
+
+@pytest.fixture(scope="session")
+def jdk():
+    try:
+        return find_toolchain()
+    except ToolchainError:
+        pytest.skip("needs a JDK")
 
 
 @pytest.fixture()

@@ -24,8 +24,6 @@ from apisynth.sandbox import (
     CompilerPool,
     OutcomeKind,
     Sandbox,
-    ToolchainError,
-    find_toolchain,
 )
 from helpers import java_response
 
@@ -42,14 +40,6 @@ USES_HELPER = """public class UsesHelper {
     }
 }
 """
-
-
-@pytest.fixture(scope="module")
-def jdk():
-    try:
-        return find_toolchain()
-    except ToolchainError:
-        pytest.skip("needs a JDK")
 
 
 @pytest.fixture()
@@ -103,30 +93,89 @@ def helper_jar(jdk, tmp_path_factory):
     return jar
 
 
-def test_warm_compiles_match_cold_javac(jdk, pool, helper_jar, java_fixture_dir, tmp_path):
+def unit_of(source: str) -> SourceUnit:
+    """A candidate whose public class is the first one declared and whose target is always there."""
+    name = re.search(r"public class (\w+)", source).group(1)
+    return SourceUnit(source, name, True, "void main(" in source)
+
+
+# Each runs after what it names, through the same javac context, and must read as from a cold javac.
+CONTEXT_CASES = [
+    # A package unit, then a reference to its package: "package p does not exist" as from javac.
+    "package p;\npublic class X { public static int v = 1; }\n",
+    "public class UsesP { int f() { return p.X.v; } }\n",
+    # A helper class defined, then used without a definition.
+    "public class Defines { int f() { return Helper.h(); } }\nclass Helper { static int h() { return 1; } }\n",
+    "public class UsesHelper { int f() { return Helper.h(); } }\n",
+    # More than 100 errors, twice: javac shows 100 and counts the rest of each compile.
+    "public class Many {\n" + "".join(f'    int f{i}() {{ return "s{i}"; }}\n' for i in range(150)) + "}\n",
+    "public class More {\n" + "".join(f'    int f{i}() {{ return "s{i}"; }}\n' for i in range(120)) + "}\n",
+    # A compressed diagnostic, then one that is not: only the first ends with the note.
+    'public class Compressed {\n    static void f(int x) {}\n    void g() { f("s"); }\n}\n',
+    "public class Plain { int f() { return missing; } }\n",
+    # Unchecked and deprecation notes.
+    "import java.util.*;\npublic class Notes {\n"
+    "    int g() { List l = new ArrayList(); l.add(1); return new java.util.Date().getYear(); }\n}\n",
+]
+# Deep enough to overflow the compiler's stack: a fault of the server, compiled again cold.
+DEEP_NESTING = "public class Deep { int x = " + "(" * 3000 + "1" + ")" * 3000 + "; }\n"
+
+
+def test_warm_compiles_match_cold_javac(jdk, pool, helper_jar, java_fixture_dir, tmp_path, monkeypatch):
+    """One server compiles every case in turn, each as a cold javac does, byte for byte."""
+    started = record_servers(monkeypatch)
     warm, cold = Sandbox(jdk, compilers=pool), Sandbox(jdk)
-    cases = [
+    fixtures = [
         (fixture_unit(java_fixture_dir, name, target, params), target, ordinals, None)
         for name, target, params, ordinals in FIXTURES
     ]
-    for method in ("twice", "thrice"):  # passes; then "cannot find symbol" in the jar's class
-        unit = SourceUnit(USES_HELPER % method, "UsesHelper", False, True)
-        cases.append((unit, "twice", (1,), [helper_jar]))
+    # Compiles with the jar (passes; "cannot find symbol" in the jar's class) between ones without.
+    with_jar = [
+        (SourceUnit(USES_HELPER % method, "UsesHelper", False, True), "twice", (1,), [helper_jar])
+        for method in ("twice", "thrice")
+    ]
+    cases = [fixtures[0], with_jar[0], fixtures[1], with_jar[1], *fixtures[2:]]
+    # Without the jar, its package does not exist.
+    cases.append((SourceUnit(USES_HELPER % "twice", "UsesHelper", False, True), "twice", (1,), None))
     # A package declaration: cold javac leaves Sol.class next to the source, so does the server.
     packaged = 'package foo;\npublic class Sol { public static void main(String[] a) { System.out.println("All test cases passed."); } }\n'
     cases.append((SourceUnit(packaged, "Sol", False, True), "f", (1,), None))
+    cases += [(unit_of(source), "f", (1,), None) for source in CONTEXT_CASES]
+    cases.append((with_jar[0][0], "twice", (1,), [helper_jar]))
 
-    for i, (unit, target, ordinals, classpath) in enumerate(cases):
+    def files(workdir):
+        """Every file the attempt left, the logs without their durations."""
+        return {
+            p.name: re.sub(rb"\(\d+\.\d\ds\)", b"", p.read_bytes()) if p.suffix == ".log" else p.read_bytes()
+            for p in workdir.iterdir()
+        }
+
+    def compare(i, unit, target, ordinals, classpath):
         got = warm.evaluate(unit, target, ordinals, tmp_path / "warm" / str(i), classpath)
         want = cold.evaluate(unit, target, ordinals, tmp_path / "cold" / str(i), classpath)
-        assert got == want
-        assert compile_log(tmp_path / "warm" / str(i)) == compile_log(tmp_path / "cold" / str(i))
-        assert sorted(p.name for p in (tmp_path / "warm" / str(i)).iterdir()) == sorted(
-            p.name for p in (tmp_path / "cold" / str(i)).iterdir()
-        )
-    kinds = [(tmp_path / "warm" / str(i) / "outcome.json").read_text() for i in range(len(cases))]
-    assert sum('"compile_error"' in k for k in kinds) == 2
+        assert got == want, unit.public_class_name
+        assert files(tmp_path / "warm" / str(i)) == files(tmp_path / "cold" / str(i)), unit.public_class_name
+
+    for i, case in enumerate(cases):
+        compare(i, *case)
     served_by(pool)  # every compile went through one server, which is idle again
+    # The crash ends the server, and the attempt is compiled cold: same verdict, though the
+    # stack trace javac prints for it may end at another frame from one run to the next.
+    deep = unit_of(DEEP_NESTING)
+    got = warm.evaluate(deep, "f", (1,), tmp_path / "warm" / "deep")
+    assert got == cold.evaluate(deep, "f", (1,), tmp_path / "cold" / "deep")
+    assert got.detail == "The system is out of resources."
+    assert compile_log(tmp_path / "warm" / "deep").startswith(f"$ {jdk.javac} Deep.java\nexit: 3 ")
+
+    logs = [compile_log(tmp_path / "warm" / str(i)) for i in range(len(cases))]
+    assert sum(" error" in log for log in logs) == 9
+    assert any("package p does not exist" in log for log in logs)
+    assert any("only showing the first 100 errors, of 150 total" in log for log in logs)
+    assert any("only showing the first 100 errors, of 120 total" in log for log in logs)
+    assert sum("Some messages have been simplified" in log for log in logs) == 1
+    assert any("uses unchecked or unsafe operations" in log and "deprecated API" in log for log in logs)
+    assert len(started) == 1 and started[0].proc.returncode is not None
+    assert pool._idle == []
 
 
 def test_server_killed_between_compiles(jdk, pool, java_fixture_dir, tmp_path):

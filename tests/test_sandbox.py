@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import stat
 import time
 
@@ -9,8 +10,8 @@ import pytest
 from apisynth.extractor import SourceUnit
 from apisynth.records import from_json_dict, to_json_dict
 from apisynth.sandbox import (
+    CANDIDATE_JVM_FLAGS,
     NO_ENTRY_POINT_DIAGNOSTIC,
-    NO_PERF_DATA,
     AttemptOutcome,
     CompilerPool,
     ExecutionResult,
@@ -367,4 +368,40 @@ def test_fake_java_cannot_host_a_compile_server(fake_sandbox, tmp_path):
     compile_log = (tmp_path / "a2" / "compile.log").read_text(encoding="utf-8")
     run_log = (tmp_path / "a2" / "run.log").read_text(encoding="utf-8")
     assert compile_log.startswith(f"$ {fake_sandbox.toolchain.javac} Solution.java\n")
-    assert run_log.startswith(f"$ {fake_sandbox.toolchain.java} {NO_PERF_DATA} -ea -cp . Solution\n")
+    assert run_log.startswith(f"$ {fake_sandbox.toolchain.java} {' '.join(CANDIDATE_JVM_FLAGS)} -cp . Solution\n")
+
+
+def test_candidate_reading_stdin_sees_its_end(jdk, tmp_path):
+    """The candidate JVM gets no stdin of ours: a harness that reads System.in ends at once."""
+    source = (
+        "public class Solution { public static void main(String[] a) {\n"
+        "    java.util.Scanner in = new java.util.Scanner(System.in);\n"
+        "    System.out.println(in.hasNextLine() ? \"Test case #1 failed\" : \"All test cases passed.\");\n"
+        "} }\n"
+    )
+    # This process's stdin is a pipe that never ends, as under a harness that holds it open.
+    reader, writer = os.pipe()
+    saved = os.dup(0)
+    os.dup2(reader, 0)
+    try:
+        start = time.monotonic()
+        outcome = Sandbox(jdk, run_timeout=20.0).evaluate(unit(source), "f", (1,), tmp_path / "a1")
+        elapsed = time.monotonic() - start
+    finally:
+        os.dup2(saved, 0)
+        for fd in (saved, reader, writer):
+            os.close(fd)
+    assert outcome.kind is OutcomeKind.PASS
+    assert elapsed < 10.0
+
+
+def test_candidate_heap_is_bounded(jdk, tmp_path):
+    source = (
+        "public class Solution { public static void main(String[] a) {\n"
+        "    long[] big = new long[40_000_000];\n"
+        "    System.out.println(big.length > 0 ? \"All test cases passed.\" : \"\");\n"
+        "} }\n"
+    )
+    outcome = Sandbox(jdk).evaluate(unit(source), "f", (1,), tmp_path / "a1")
+    assert outcome.kind is OutcomeKind.RUNTIME_ERROR
+    assert "OutOfMemoryError" in outcome.detail
