@@ -4,16 +4,17 @@
 Usage, from the root of a checkout:
 
     python3 scripts/compile_probe.py --compiles 1035 --seed 21
-    python3 scripts/compile_probe.py --heap "-Xmn8m -Xms16m -Xmx32m"
+    python3 scripts/compile_probe.py --compiles 400 --deps some.jar
 
 The candidates are what the repair-loop workload's model replies compile to
 (perfbench/generate.py, compile errors included), written as the sandbox
 writes them, each into a fresh directory, and sent round after round to one
-server started with ``sandbox.COMPILE_SERVER_FLAGS`` plus a GC log. ``--heap``
-replaces the heap flags (-Xmn, -Xms, -Xmx, -XX:SurvivorRatio) to compare
-layouts. The report is one JSON object: young and full GCs and their total
-pause from the GC log, the server's CPU seconds and peak RSS from wait4, and
-the p50/p90 of the compile round trip.
+server (``sandbox._CompileServer``) started with ``sandbox.COMPILE_SERVER_FLAGS``
+plus a GC log. With ``--deps``, every other compile has the jar as its
+dependency classpath, so the server changes javac context at every compile.
+The report is one JSON object: young and full GCs and their total pause from
+the GC log, the server's CPU seconds and peak RSS from getrusage of the
+reaped server, and the p50/p90 of the compile round trip.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import argparse
 import json
 import os
 import re
+import resource
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -33,10 +34,9 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "perfbench")]
 
 import generate  # noqa: E402
+from apisynth import sandbox  # noqa: E402
 from apisynth.extractor import ExtractionError, extract_source_unit  # noqa: E402
-from apisynth.sandbox import COMPILE_SERVER, COMPILE_SERVER_FLAGS, candidate_source, find_toolchain  # noqa: E402
 
-HEAP_FLAG = re.compile(r"-Xm[ns]\d|-Xmx\d|-XX:SurvivorRatio=")
 PAUSE = re.compile(r"Pause (Young|Full).* (\d+\.\d+)ms$")
 
 
@@ -50,37 +50,40 @@ def candidates(seed: int, count: int) -> list[tuple[str, str]]:
                 unit = extract_source_unit(reply, fam.method, len(fam.params))
             except ExtractionError:
                 continue
-            found.append((f"{unit.public_class_name}.java", candidate_source(unit, fam.method)[0]))
+            found.append((f"{unit.public_class_name}.java", sandbox.candidate_source(unit, fam.method)[0]))
             if len(found) == count:
                 return found
     return found
 
 
-def probe(flags: list[str], sources: list[tuple[str, str]], compiles: int, work: Path) -> dict:
-    java = find_toolchain().java
+def probe(sources: list[tuple[str, str]], compiles: int, deps: str, work: Path) -> dict:
     gc_log = work / "gc.log"
-    server = subprocess.Popen(
-        [java, *flags, f"-Xlog:gc:file={gc_log}", str(COMPILE_SERVER)],
-        cwd=tempfile.mkdtemp(dir=work), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-    )
-    if server.stdout.readline() != b"ready\n":
+    flags = sandbox.COMPILE_SERVER_FLAGS
+    sandbox.COMPILE_SERVER_FLAGS = (*flags, f"-Xlog:gc:file={gc_log}")
+    try:
+        server = sandbox._CompileServer(sandbox.find_toolchain().java)
+    finally:
+        sandbox.COMPILE_SERVER_FLAGS = flags
+    if not server.ready(60):
+        server.stop(kill=True)
         raise SystemExit("the compile server did not start")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     times, exits = [], {}
     for i in range(compiles):
         name, source = sources[i % len(sources)]
         workdir = work / f"c{i}"
         workdir.mkdir()
         (workdir / name).write_text(source, encoding="utf-8")
+        request = sandbox._request_line(str(workdir), deps if i % 2 else "", name)
         start = time.perf_counter()
-        server.stdin.write(f"{workdir}\t\t{name}\n".encode())
-        server.stdin.flush()
-        exit_code, n_out, n_err = map(int, server.stdout.readline().split())
-        server.stdout.read(n_out + n_err)
+        reply = server.compile(request, 60)
         times.append(time.perf_counter() - start)
-        exits[exit_code] = exits.get(exit_code, 0) + 1
-    server.stdin.close()
-    _, _, usage = os.wait4(server.pid, 0)
-    server.returncode = 0  # reaped above
+        if reply is None:
+            server.stop(kill=True)
+            raise SystemExit(f"compile {i} got no reply")
+        exits[reply[0]] = exits.get(reply[0], 0) + 1
+    server.stop()
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     pauses = {"Young": [], "Full": []}
     for line in gc_log.read_text(encoding="utf-8").splitlines():
         match = PAUSE.search(line)
@@ -88,11 +91,11 @@ def probe(flags: list[str], sources: list[tuple[str, str]], compiles: int, work:
             pauses[match.group(1)].append(float(match.group(2)) / 1000)
     times.sort()
     return {
-        "heap": " ".join(f for f in flags if HEAP_FLAG.match(f)),
         "compiles": compiles,
+        "deps": deps,
         "exits": {str(k): v for k, v in sorted(exits.items())},
-        "cpu_s": round(usage.ru_utime + usage.ru_stime, 2),
-        "rss_mb": round(usage.ru_maxrss / 1024, 1),
+        "cpu_s": round(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime, 2),
+        "rss_mb": round(after.ru_maxrss / 1024, 1),
         "full": len(pauses["Full"]),
         "young": len(pauses["Young"]),
         "pause_s": round(sum(pauses["Young"]) + sum(pauses["Full"]), 2),
@@ -106,13 +109,11 @@ def main() -> int:
     parser.add_argument("--compiles", type=int, default=1035, help="compiles in all (default 1035)")
     parser.add_argument("--candidates", type=int, default=69, help="distinct candidates cycled (default 69)")
     parser.add_argument("--seed", type=int, default=21, help="generator seed (default 21)")
-    parser.add_argument("--heap", help="heap flags to use instead of the server's, space-separated")
+    parser.add_argument("--deps", default="", help="a jar every other compile has as its classpath")
     args = parser.parse_args()
-    flags = list(COMPILE_SERVER_FLAGS)
-    if args.heap is not None:
-        flags = [f for f in flags if not HEAP_FLAG.match(f)] + args.heap.split()
+    deps = os.path.abspath(args.deps) if args.deps else ""
     with tempfile.TemporaryDirectory(prefix="compile-probe-") as work:
-        result = probe(flags, candidates(args.seed, args.candidates), args.compiles, Path(work))
+        result = probe(candidates(args.seed, args.candidates), args.compiles, deps, Path(work))
     print(json.dumps(result))
     return 0
 

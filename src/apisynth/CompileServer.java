@@ -43,14 +43,15 @@ import javax.tools.ToolProvider;
  *
  * <p>Compiles with the same classpath reuse one javac context ({@link JavacTaskPool}, as
  * JShell does), so the JDK's own classes are read and completed once, not per compile, and one
- * file manager keeps each dependency jar open. What a context carries from one compile to the
- * next is undone here: the log's suppressed counts and compressed-output flag are reset, and
- * after a unit that declares a package every context is dropped, since the package's symbol
- * would outlive its classes and change how a later reference to it is reported.
+ * file manager keeps each dependency jar open. Only one context is kept: a compile with another
+ * classpath than the last builds a fresh one in its place. What a context carries from one
+ * compile to the next is undone here: the log's suppressed counts and compressed-output flag
+ * are reset, and after a unit that declares a package the context is dropped, since the
+ * package's symbol would outlive its classes and change how a later reference to it is reported.
  */
 public class CompileServer {
-    /** Contexts kept at once, one per dependency classpath in use. */
-    private static final int CONTEXTS = 2;
+    /** Contexts kept at once; the heap is sized for one symbol table. */
+    private static final int CONTEXTS = 1;
 
     public static void main(String[] args) throws IOException {
         javax.tools.JavaCompiler javac = ToolProvider.getSystemJavaCompiler();

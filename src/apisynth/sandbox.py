@@ -9,6 +9,7 @@ import re
 import shutil
 import signal
 import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -34,19 +35,23 @@ CANDIDATE_JVM_FLAGS = (NO_PERF_DATA, "-Xmx256m", "-Xss1m", "-ea")
 COMPILE_SERVER = Path(__file__).with_name("CompileServer.java")
 # Measured on JDK 17: a compile server peaks at about 300 MB with the JVM's
 # defaults and at about 89 MB with these after a thousand compiles; one cold
-# javac peaks at about 84 MB. The server reuses one javac context per
-# dependency classpath (see CompileServer.java), so a compile allocates about
-# 10 times less than a fresh context's 8 MB, and a 6 MB young generation holds
-# several. The old generation starts at 14 MB, above the 10 to 11 MB the heap
-# holds after a young GC over a thousand compiles, so a warm server runs no
-# full GC, and may grow to 26 MB for a second context or a large --deps jar.
-# Over 1035 compiles of benchmark candidates: 0 full GCs, server CPU 30 -> 9 s
-# and peak RSS 90 -> 89 MB against fresh contexts with -Xmn14m -Xms24m -Xmx36m
-# (scripts/compile_probe.py). The
-# --add-exports open the javac internals the server uses. The JVM prints its
-# own warnings (such as a heap flag it adjusts) to stdout by default, where
-# they would precede "ready" on the reply channel; the -Xlog pair sends them
-# to stderr instead.
+# javac peaks at about 84 MB. The server reuses one javac context while the
+# dependency classpath stays the same (see CompileServer.java), so a compile
+# allocates about 10 times less than a fresh context's 8 MB, and a 6 MB young
+# generation holds several. The old generation starts at 14 MB, above the 10
+# to 11 MB the heap holds after a young GC over a thousand compiles, so a warm
+# server runs no full GC. Over 1035 compiles of benchmark candidates: 0 full
+# GCs, server CPU 30 -> 9 s and peak RSS 90 -> 89 MB against fresh contexts
+# with -Xmn14m -Xms24m -Xmx36m (scripts/compile_probe.py). A compile whose
+# classpath differs from the last one's builds a fresh context, whose garbage
+# this young generation cannot hold. Over 400 compiles with a 3.4 MB jar of
+# 1694 classes (compile_probe.py --deps): 91 full GCs, peak RSS 98 MB and p50
+# 36 ms when the classpath changes at every compile, against 108 MB and 33 ms
+# with fresh contexts and the old heap; no full GC and 89 MB when every
+# compile has the jar. No compile ran out of heap. The --add-exports open the
+# javac internals the server uses. The JVM prints its own warnings (such as a
+# heap flag it adjusts) to stdout by default, where they would precede "ready"
+# on the reply channel; the -Xlog pair sends them to stderr instead.
 COMPILE_SERVER_FLAGS = (
     "-XX:+UseSerialGC", "-Xmn6m", "-Xms20m", "-Xmx32m",
     "-XX:TieredStopAtLevel=1", "-XX:ReservedCodeCacheSize=16m", "-Xss512k", "-XX:CICompilerCount=1",
@@ -390,8 +395,10 @@ class CompilerPool:
     A compile takes an idle server or starts a new one, so the pool grows to
     the number of compiles that run at once. A server that dies, answers out
     of form or exits with a javac fault code is dropped and the compile is
-    left to a cold javac. close() reaps every server, so their CPU time and
-    peak memory count among this process's waited-for children.
+    left to a cold javac; when a server cannot start at all, every later
+    compile is, after one warning on stderr. close() reaps every server, so
+    their CPU time and peak memory count among this process's waited-for
+    children.
     """
 
     def __init__(self) -> None:
@@ -416,15 +423,23 @@ class CompilerPool:
             try:
                 server = _CompileServer(java)
             except OSError:
-                self._unusable = True
+                self._give_up(java)
                 return None
             self._live.add(server)
         if server.ready(timeout):
             return server
-        with self._lock:
-            self._unusable = self._unusable or not server.expired
+        if not server.expired:
+            with self._lock:
+                self._give_up(java)
         self._drop(server)
         return None
+
+    def _give_up(self, java: str) -> None:
+        """Compile cold from now on, saying so once; the caller holds the lock."""
+        if not self._unusable:
+            self._unusable = True
+            print(f"warning: {java} cannot host a compile server; every compile runs a cold javac",
+                  file=sys.stderr)
 
     def _drop(self, server: _CompileServer) -> None:
         with self._lock:

@@ -356,7 +356,7 @@ def test_classpath_passed_to_both_phases(fake_sandbox, tmp_path):
     assert str(jar) in (workdir / "run.log").read_text(encoding="utf-8")
 
 
-def test_fake_java_cannot_host_a_compile_server(fake_sandbox, tmp_path):
+def test_fake_java_cannot_host_a_compile_server(fake_sandbox, tmp_path, capsys):
     """The fake java answers the server's start with test output: every compile goes cold."""
     source = "public class Solution { public static void main(String[] a) {} }"
     with CompilerPool() as pool:
@@ -365,6 +365,10 @@ def test_fake_java_cannot_host_a_compile_server(fake_sandbox, tmp_path):
             outcome = pooled.evaluate(unit(source), "f", (1,), tmp_path / attempt)
             assert outcome.kind is OutcomeKind.PASS
         assert pool._unusable and not pool._live
+    # Said once, not per compile.
+    assert capsys.readouterr().err == (
+        f"warning: {fake_sandbox.toolchain.java} cannot host a compile server; every compile runs a cold javac\n"
+    )
     compile_log = (tmp_path / "a2" / "compile.log").read_text(encoding="utf-8")
     run_log = (tmp_path / "a2" / "run.log").read_text(encoding="utf-8")
     assert compile_log.startswith(f"$ {fake_sandbox.toolchain.javac} Solution.java\n")
@@ -396,12 +400,16 @@ def test_candidate_reading_stdin_sees_its_end(jdk, tmp_path):
 
 
 def test_candidate_heap_is_bounded(jdk, tmp_path):
+    """The candidate JVM's heap is capped at 256 MB, whatever the host's memory."""
     source = (
         "public class Solution { public static void main(String[] a) {\n"
-        "    long[] big = new long[40_000_000];\n"
-        "    System.out.println(big.length > 0 ? \"All test cases passed.\" : \"\");\n"
+        "    long max = Runtime.getRuntime().maxMemory();\n"
+        "    System.out.println(max <= 256L << 20 ? \"All test cases passed.\" : \"Test case #1 failed: \" + max);\n"
         "} }\n"
     )
-    outcome = Sandbox(jdk).evaluate(unit(source), "f", (1,), tmp_path / "a1")
+    assert Sandbox(jdk).evaluate(unit(source), "f", (1,), tmp_path / "a1").kind is OutcomeKind.PASS
+    # A candidate that allocates past the cap ends as a runtime error naming it.
+    hog = source.replace("long max = Runtime.getRuntime().maxMemory();", "long max = new long[40_000_000].length;")
+    outcome = Sandbox(jdk).evaluate(unit(hog), "f", (1,), tmp_path / "a2")
     assert outcome.kind is OutcomeKind.RUNTIME_ERROR
     assert "OutOfMemoryError" in outcome.detail
