@@ -22,7 +22,7 @@ from .prompting import (
     render_conversation_text,
 )
 from .refine import FinalStatus, RunRecord, make_sandbox, synthesize
-from .sandbox import CompilerPool, OutcomeKind, ToolchainError
+from .sandbox import CompilerPool, OutcomeKind, ParkedPool, ToolchainError
 from .tasks import (
     TaskParseError,
     TaskValidationError,
@@ -156,9 +156,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     transcript = TranscriptWriter(run_dir / "transcript.jsonl")
     backend = make_backend(backend_config, transcript, _path(args, "mock_script"))
     # The command, not the sandbox (make_sandbox's result may be a wrapper),
-    # owns the compile servers and reaps them before it returns.
-    with CompilerPool() as compilers:
-        sandbox = make_sandbox(compilers=compilers, **timeouts)
+    # owns the compile servers and parked JVMs and reaps them before it returns.
+    with CompilerPool() as compilers, ParkedPool(compilers) as parked:
+        sandbox = make_sandbox(compilers=compilers, parked=parked, **timeouts)
         record = synthesize(
             task,
             backend,
@@ -194,8 +194,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     transcript = TranscriptWriter(run_dir / "transcript.jsonl")
     backend = make_backend(backend_config, transcript, _path(args, "mock_script"))
-    with CompilerPool() as compilers:
-        sandbox = make_sandbox(compilers=compilers, **timeouts)
+    with CompilerPool() as compilers, ParkedPool(compilers) as parked:
+        sandbox = make_sandbox(compilers=compilers, parked=parked, **timeouts)
         records = run_suite(
             suite,
             backend,

@@ -6,6 +6,7 @@ import contextlib
 import locale
 import os
 import re
+import selectors
 import shutil
 import signal
 import subprocess
@@ -58,9 +59,21 @@ COMPILE_SERVER_FLAGS = (
     NO_PERF_DATA, "-XX:MaxMetaspaceSize=64m", "-Xlog:disable", "-Xlog:all=warning:stderr",
     *(f"--add-exports=jdk.compiler/com.sun.tools.javac.{p}=ALL-UNNAMED" for p in ("api", "main", "util")),
 )
-# javac's system-error and abnormal exits (an OutOfMemoryError under the small
-# heap, a compiler crash): a fault of the server, not a verdict on the source.
+# javac's system-error and abnormal exits (an OutOfMemoryError, a compiler
+# crash): a fault of the environment, not a verdict on the source. A server
+# that gives one is dropped and the compile is retried cold; a cold javac that
+# gives one ends the task as failed_environment.
 JAVAC_FAULT_EXITS = (3, 4)
+# Parked candidate JVMs run this launcher (see ParkedPool). The marker is the
+# byte it writes to stdout before any of the candidate's code runs.
+LAUNCHER = Path(__file__).with_name("SynthesisLauncher.java")
+LAUNCHER_CLASS = LAUNCHER.stem + ".class"
+LAUNCH_MARKER = b"\x06"
+# A cold javac that compiles the launcher, when no compile server can: C1 and
+# the serial collector take its CPU from about 1.6 to 1.0 s on JDK 17.
+LAUNCHER_JAVAC_FLAGS = ("-J" + NO_PERF_DATA, "-J-XX:TieredStopAtLevel=1", "-J-XX:+UseSerialGC")
+# Bytes kept of each stream a child writes; the rest is read and dropped.
+OUTPUT_LIMIT = 1 << 20
 _REPLY_HEADER = re.compile(rb"(\d+) (\d+) (\d+)\n")
 
 
@@ -82,6 +95,7 @@ class ExecutionResult:
     stderr: str
     duration_seconds: float
     timed_out: bool = False
+    dropped: tuple[int, int] = (0, 0)  # bytes of stdout and stderr read past OUTPUT_LIMIT
 
 
 @dataclass(frozen=True)
@@ -254,11 +268,15 @@ def candidate_source(unit: SourceUnit, target_name: str) -> tuple[str, str | Non
 
 def _write_log(path: Path, argv: list[str], result: ExecutionResult) -> None:
     status = f"exit: {result.exit_code}" + (" (timed out)" if result.timed_out else "")
+    stdout, stderr = (
+        text + (f"\n[truncated: {dropped} more bytes not kept]" if dropped else "")
+        for text, dropped in zip((result.stdout, result.stderr), result.dropped)
+    )
     path.write_text(
         "$ " + " ".join(argv) + "\n"
         + status + f"  ({result.duration_seconds:.2f}s)\n"
-        + "--- stdout ---\n" + result.stdout
-        + "\n--- stderr ---\n" + result.stderr + "\n",
+        + "--- stdout ---\n" + stdout
+        + "\n--- stderr ---\n" + stderr + "\n",
         encoding="utf-8",
     )
 
@@ -272,6 +290,66 @@ def _kill_group(proc: subprocess.Popen) -> None:
         proc.kill()
 
 
+class _Capture:
+    """One child stream: its first ``limit`` bytes kept, the rest only counted."""
+
+    def __init__(self, limit: int) -> None:
+        self.kept = bytearray()
+        self.limit = limit
+        self.dropped = 0
+
+    def add(self, chunk: bytes) -> None:
+        room = self.limit - len(self.kept)
+        self.kept += chunk[:room]
+        self.dropped += max(len(chunk) - room, 0)
+
+
+def _collect(proc: subprocess.Popen, timeout: float, stdout_head: int = 0):
+    """proc's (stdout, stderr, timed out): both read to their end and proc reaped.
+
+    The process group is killed once timeout passes. At most OUTPUT_LIMIT
+    bytes of each stream are kept, beyond stdout_head bytes that precede
+    the child's own output on stdout.
+    """
+    deadline = time.monotonic() + timeout
+    out, err = _Capture(stdout_head + OUTPUT_LIMIT), _Capture(OUTPUT_LIMIT)
+    timed_out = False
+    with selectors.DefaultSelector() as selector:
+        selector.register(proc.stdout, selectors.EVENT_READ, out)
+        selector.register(proc.stderr, selectors.EVENT_READ, err)
+        while selector.get_map():
+            if not timed_out and time.monotonic() >= deadline:
+                # Kill the whole process group: javac/java may have forked.
+                timed_out = True
+                _kill_group(proc)
+            for key, _ in selector.select(None if timed_out else deadline - time.monotonic()):
+                chunk = os.read(key.fd, 1 << 16)
+                if chunk:
+                    key.data.add(chunk)
+                else:
+                    selector.unregister(key.fileobj)
+    try:
+        proc.wait(timeout=None if timed_out else max(deadline - time.monotonic(), 0))
+    except subprocess.TimeoutExpired:
+        timed_out = True
+        _kill_group(proc)
+        proc.wait()
+    proc.stdout.close()
+    proc.stderr.close()
+    return out, err, timed_out
+
+
+def _result(out: _Capture, err: _Capture, exit_code: int, start: float, timed_out: bool) -> ExecutionResult:
+    return ExecutionResult(
+        exit_code=exit_code,
+        stdout=_decode(out.kept),
+        stderr=_decode(err.kept),
+        duration_seconds=time.monotonic() - start,
+        timed_out=timed_out,
+        dropped=(out.dropped, err.dropped),
+    )
+
+
 def _execute(argv: list[str], cwd: Path, timeout: float) -> ExecutionResult:
     start = time.monotonic()
     try:
@@ -281,27 +359,12 @@ def _execute(argv: list[str], cwd: Path, timeout: float) -> ExecutionResult:
             stdin=subprocess.DEVNULL,  # a harness that reads System.in sees its end at once
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            text=True,
-            errors="replace",  # a candidate may print any bytes
             start_new_session=True,
         )
     except OSError as exc:
         raise ToolchainError(f"cannot start {argv[0]}: {exc.strerror or exc}") from exc
-    try:
-        stdout, stderr = proc.communicate(timeout=timeout)
-        timed_out = False
-    except subprocess.TimeoutExpired:
-        # Kill the whole process group: javac/java may have forked.
-        _kill_group(proc)
-        stdout, stderr = proc.communicate()
-        timed_out = True
-    return ExecutionResult(
-        exit_code=proc.returncode if proc.returncode is not None else -1,
-        stdout=stdout or "",
-        stderr=stderr or "",
-        duration_seconds=time.monotonic() - start,
-        timed_out=timed_out,
-    )
+    out, err, timed_out = _collect(proc, timeout)
+    return _result(out, err, proc.returncode, start, timed_out)
 
 
 def _decode(data: bytes) -> str:
@@ -483,14 +546,201 @@ class CompilerPool:
             server.stop()
 
 
+class _Spare:
+    """One parked candidate JVM: booted in its own directory, it waits for the class to run."""
+
+    def __init__(self, java: str, launcher: Path, classpath: tuple[str, ...]) -> None:
+        self.classpath = classpath
+        self.copied = {LAUNCHER_CLASS}
+        self.start = 0.0
+        self.home = Path(tempfile.mkdtemp(prefix="apisynth-spare-"))
+        try:
+            shutil.copyfile(launcher, self.home / LAUNCHER_CLASS)
+            self.proc = subprocess.Popen(
+                [java, *CANDIDATE_JVM_FLAGS, "-cp", os.pathsep.join((".", *classpath)), LAUNCHER.stem],
+                cwd=self.home,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                start_new_session=True,
+            )
+        except OSError:
+            shutil.rmtree(self.home, ignore_errors=True)
+            raise
+
+    def hand_off(self, workdir: Path, main_class: str) -> None:
+        """Copy in workdir's class files and name the class to run; its timeout counts from here."""
+        for path in workdir.glob("*.class"):
+            shutil.copyfile(path, self.home / path.name)
+            self.copied.add(path.name)
+        self.start = time.monotonic()
+        try:
+            self.proc.stdin.write(main_class.encode("ascii") + b"\n")
+            self.proc.stdin.close()
+        except OSError:  # it died while parked
+            _kill_group(self.proc)
+
+    def finish(self, workdir: Path, timeout: float) -> ExecutionResult | None:
+        """The run's result, or None when the launcher refused the class.
+
+        Files the candidate wrote are moved into workdir.
+        """
+        remaining = self.start + timeout - time.monotonic()
+        out, err, timed_out = _collect(self.proc, remaining, len(LAUNCH_MARKER))
+        if not out.kept.startswith(LAUNCH_MARKER):
+            return None
+        del out.kept[: len(LAUNCH_MARKER)]
+        result = _result(out, err, self.proc.returncode, self.start, timed_out)
+        for entry in os.scandir(self.home):
+            if entry.name not in self.copied:
+                shutil.move(entry.path, workdir / entry.name)
+        return result
+
+    def stop(self) -> None:
+        """Kill the spare if it still runs, reap it and remove its directory."""
+        _kill_group(self.proc)
+        for stream in (self.proc.stdin, self.proc.stdout, self.proc.stderr):
+            with contextlib.suppress(OSError):
+                stream.close()
+        self.proc.wait()
+        shutil.rmtree(self.home, ignore_errors=True)
+
+
+class ParkedPool:
+    """Candidate JVMs booted ahead of their run, each waiting in its own directory.
+
+    A run takes an idle spare booted with its dependency classpath, hands it
+    the candidate and at once starts that spare's replacement, which boots
+    while the candidate runs and the rest of the next attempt goes on. A
+    spare runs one candidate and exits; none is reused. Idle spares are kept
+    for at most as many runs as have gone on at once, the oldest stopped
+    first. The first run compiles the launcher class, through a warm server
+    of ``compilers`` when there is one (tens of milliseconds, against about
+    a second of CPU for a cold javac), and goes to a cold java, as does a
+    run whose spare refuses its class. close() kills and reaps every idle
+    spare, so their CPU time and peak memory count among this process's
+    waited-for children.
+    """
+
+    def __init__(self, compilers: CompilerPool | None = None) -> None:
+        self._compilers = compilers
+        self._lock = threading.Lock()
+        self._idle: list[_Spare] = []
+        self._running = 0
+        self._peak = 1  # the most runs that have gone on at once
+        self._closed = False
+        self._unusable = False  # the launcher cannot be compiled or a spare cannot start
+        self._building = False
+        self._launcher: Path | None = None
+        self._launcher_dir: Path | None = None
+
+    def __enter__(self) -> ParkedPool:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def run(
+        self, toolchain: Toolchain, workdir: Path, classpath: list[Path], main_class: str, timeout: float
+    ) -> ExecutionResult | None:
+        """Run main_class as ``java -cp .:classpath`` in workdir would; None leaves it to a cold java."""
+        if (
+            not main_class.isascii()
+            or not all(os.path.isabs(p) for p in classpath)
+            or (workdir / LAUNCHER_CLASS).exists()
+        ):
+            return None
+        key = tuple(str(p) for p in classpath)
+        with self._lock:
+            self._running += 1
+            self._peak = max(self._peak, self._running)
+        spare = None
+        try:
+            spare = self._take(toolchain, key)
+            if spare is not None:
+                spare.hand_off(workdir, main_class)
+            self._park(toolchain.java, key)  # the next run's spare boots while this one runs
+            return None if spare is None else spare.finish(workdir, timeout)
+        finally:
+            if spare is not None:
+                spare.stop()
+            with self._lock:
+                self._running -= 1
+
+    def _take(self, toolchain: Toolchain, key: tuple[str, ...]) -> _Spare | None:
+        """An idle spare for key, if there is one; the first call compiles the launcher."""
+        with self._lock:
+            if self._closed or self._unusable or self._building:
+                return None
+            if self._launcher is not None:
+                spare = next((s for s in self._idle if s.classpath == key), None)
+                if spare is not None:
+                    self._idle.remove(spare)
+                return spare
+            self._building = True
+        self._build_launcher(toolchain)
+        return None
+
+    def _build_launcher(self, toolchain: Toolchain) -> None:
+        home = Path(tempfile.mkdtemp(prefix="apisynth-launcher-"))
+        shutil.copyfile(LAUNCHER, home / LAUNCHER.name)
+        result = None
+        if self._compilers is not None:
+            result = self._compilers.compile(toolchain.java, home, [], LAUNCHER.name, 120.0)
+        if result is None:
+            try:
+                result = _execute([toolchain.javac, *LAUNCHER_JAVAC_FLAGS, LAUNCHER.name], home, 120.0)
+            except ToolchainError:
+                pass
+        with self._lock:
+            self._launcher_dir, self._building = home, False
+            if result is not None and result.exit_code == 0 and (home / LAUNCHER_CLASS).is_file():
+                self._launcher = home / LAUNCHER_CLASS
+                return
+            self._unusable = True
+        print(f"warning: {toolchain.javac} cannot compile {LAUNCHER.name}; every run starts a cold java",
+              file=sys.stderr)
+
+    def _park(self, java: str, key: tuple[str, ...]) -> None:
+        """Start a spare for key; stop the oldest idle ones beyond the most runs seen at once."""
+        if self._closed or self._unusable or self._launcher is None:
+            return
+        try:
+            spare = _Spare(java, self._launcher, key)
+        except OSError:
+            with self._lock:
+                self._unusable = True
+            return
+        with self._lock:
+            if self._closed:
+                stale = [spare]
+            else:
+                self._idle.append(spare)
+                stale = self._idle[: -self._peak]
+                del self._idle[: -self._peak]
+        for old in stale:
+            old.stop()
+
+    def close(self) -> None:
+        """Stop taking runs; kill and reap every idle spare."""
+        with self._lock:
+            self._closed = True
+            spares, self._idle = self._idle, []
+        for spare in spares:
+            spare.stop()
+        if self._launcher_dir is not None:
+            shutil.rmtree(self._launcher_dir, ignore_errors=True)
+
+
 @dataclass
 class Sandbox:
-    """Compiles and runs candidates; compiles go through ``compilers`` when given."""
+    """Compiles and runs candidates; through ``compilers`` and ``parked`` when given."""
 
     toolchain: Toolchain
     compile_timeout: float = 60.0
     run_timeout: float = 30.0
     compilers: CompilerPool | None = None
+    parked: ParkedPool | None = None
 
     def evaluate(
         self,
@@ -510,7 +760,6 @@ class Sandbox:
         javac_args = ["-cp", os.pathsep.join(str(p) for p in classpath)] if classpath else []
         javac_args.append(source_path.name)
         compile_result = self._compile(workdir, classpath, javac_args)
-        _write_log(workdir / "compile.log", [self.toolchain.javac, *javac_args], compile_result)
 
         run_result = None
         if compile_result.exit_code == 0 and not compile_result.timed_out:
@@ -521,7 +770,10 @@ class Sandbox:
             else:
                 run_cp = os.pathsep.join(["."] + [str(p) for p in classpath])
                 run_argv = [self.toolchain.java, *CANDIDATE_JVM_FLAGS, "-cp", run_cp, main_class]
-                run_result = _execute(run_argv, workdir, self.run_timeout)
+                if self.parked is not None:
+                    run_result = self.parked.run(self.toolchain, workdir, classpath, main_class, self.run_timeout)
+                if run_result is None:
+                    run_result = _execute(run_argv, workdir, self.run_timeout)
                 _write_log(workdir / "run.log", run_argv, run_result)
 
         outcome = classify(compile_result, run_result, all_ordinals, unit.contains_target_method)
@@ -529,13 +781,21 @@ class Sandbox:
         return outcome
 
     def _compile(self, workdir: Path, classpath: list[Path], javac_args: list[str]) -> ExecutionResult:
-        """Through a warm compiler JVM when there is one; else, or on its fault, a cold javac."""
+        """Through a warm compiler JVM when there is one; else, or on its fault, a cold javac.
+
+        Writes compile.log. A cold javac's fault exit raises ToolchainError.
+        """
+        result = None
         if self.compilers is not None:
             result = self.compilers.compile(
                 self.toolchain.java, workdir, classpath, javac_args[-1], self.compile_timeout
             )
-            if result is not None:
-                return result
-        argv = [self.toolchain.javac, "-J" + NO_PERF_DATA, *javac_args]
-        return _execute(argv, workdir, self.compile_timeout)
+        if result is None:
+            argv = [self.toolchain.javac, "-J" + NO_PERF_DATA, *javac_args]
+            result = _execute(argv, workdir, self.compile_timeout)
+        _write_log(workdir / "compile.log", [self.toolchain.javac, *javac_args], result)
+        if result.exit_code in JAVAC_FAULT_EXITS:
+            detail = _first_diagnostic_line(result.stderr, result.stdout)
+            raise ToolchainError(f"javac exited {result.exit_code}: {detail}")
+        return result
 

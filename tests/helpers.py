@@ -6,7 +6,7 @@ import threading
 from pathlib import Path
 
 from apisynth.refine import AttemptRecord, FinalStatus, RunRecord
-from apisynth.sandbox import AttemptOutcome, OutcomeKind
+from apisynth.sandbox import AttemptOutcome, OutcomeKind, ParkedPool
 from apisynth.tasks import SynthesisTask
 
 
@@ -158,3 +158,26 @@ def serialize_task(task: SynthesisTask) -> dict:
     if task.notes is not None:
         data["notes"] = task.notes
     return data
+
+
+class EagerParkedPool(ParkedPool):
+    """A ParkedPool whose runs never go cold for want of a spare: one is started and handed the run at once.
+
+    ``parked`` lists, per run asked of the pool, whether a spare ran it.
+    """
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.parked: list[bool] = []
+
+    def _take(self, toolchain, key):
+        spare = super()._take(toolchain, key)
+        if spare is None:
+            self._park(toolchain.java, key)
+            spare = super()._take(toolchain, key)
+        return spare
+
+    def run(self, *args):
+        result = super().run(*args)
+        self.parked.append(result is not None)
+        return result

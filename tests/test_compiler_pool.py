@@ -24,8 +24,9 @@ from apisynth.sandbox import (
     CompilerPool,
     OutcomeKind,
     Sandbox,
+    ToolchainError,
 )
-from helpers import java_response
+from helpers import EagerParkedPool, java_response
 
 FIXTURES = [
     ("PalindromeChecker.java", "isPalindrome", 1, (1, 2, 3, 4, 5, 6)),
@@ -159,13 +160,15 @@ def test_warm_compiles_match_cold_javac(jdk, pool, helper_jar, java_fixture_dir,
     for i, case in enumerate(cases):
         compare(i, *case)
     served_by(pool)  # every compile went through one server, which is idle again
-    # The crash ends the server, and the attempt is compiled cold: same verdict, though the
-    # stack trace javac prints for it may end at another frame from one run to the next.
+    # The crash ends the server, and the attempt is compiled cold. javac's fault exit there is an
+    # environment fault, not a verdict, on either side; the stack trace javac prints for it may end
+    # at another frame from one run to the next.
     deep = unit_of(DEEP_NESTING)
-    got = warm.evaluate(deep, "f", (1,), tmp_path / "warm" / "deep")
-    assert got == cold.evaluate(deep, "f", (1,), tmp_path / "cold" / "deep")
-    assert got.detail == "The system is out of resources."
-    assert compile_log(tmp_path / "warm" / "deep").startswith(f"$ {jdk.javac} Deep.java\nexit: 3 ")
+    for sandbox, side in ((warm, "warm"), (cold, "cold")):
+        with pytest.raises(ToolchainError, match=r"^javac exited 3: The system is out of resources\.$"):
+            sandbox.evaluate(deep, "f", (1,), tmp_path / side / "deep")
+        assert compile_log(tmp_path / side / "deep").startswith(f"$ {jdk.javac} Deep.java\nexit: 3 ")
+        assert not (tmp_path / side / "deep" / "outcome.json").exists()
 
     logs = [compile_log(tmp_path / "warm" / str(i)) for i in range(len(cases))]
     assert sum(" error" in log for log in logs) == 9
@@ -286,8 +289,28 @@ def test_concurrent_compiles_share_the_pool(jdk, java_fixture_dir, tmp_path, mon
     assert all(server.proc.returncode is not None for server in started)
 
 
+def record_spares(monkeypatch) -> tuple[list, list]:
+    """Every parked pool and every spare started from now on; each pool builds its launcher first."""
+    pools, spares = [], []
+
+    class Recorded(sandbox_module._Spare):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spares.append(self)
+
+    class Pool(EagerParkedPool):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pools.append(self)
+
+    monkeypatch.setattr(sandbox_module, "_Spare", Recorded)
+    monkeypatch.setattr(cli, "ParkedPool", Pool)
+    return pools, spares
+
+
 def test_bench_reaps_every_server(jdk, repo_root, tmp_path, monkeypatch, capsys):
     started = record_servers(monkeypatch)
+    pools, spares = record_spares(monkeypatch)
     suite = tmp_path / "suite"
     suite.mkdir()
     for name in ("get-range", "collections-swap"):
@@ -304,11 +327,25 @@ def test_bench_reaps_every_server(jdk, repo_root, tmp_path, monkeypatch, capsys)
         json.dumps({task: [java_response(method + "\n" + main)] for task, method in replies.items()}),
         encoding="utf-8",
     )
-    rc = cli.main(["bench", str(suite), "--backend", "mock", "--mock-script", str(script),
-                   "--out", str(tmp_path / "runs"), "--run-id", "r1", "--workers", "2"])
+    argv = ["bench", str(suite), "--backend", "mock", "--mock-script", str(script),
+            "--out", str(tmp_path / "runs"), "--run-id", "r1", "--workers", "2"]
+    rc = cli.main(argv)
     assert "| Total | 2 | 2 (100.0%) | 2 (100.0%)" in capsys.readouterr().out
     assert rc == 0
     assert started
     for server in started:
         assert server.proc.returncode is not None
         assert not os.path.exists(server.home)
+    assert True in pools[0].parked
+    assert len(spares) >= 2  # one ran a candidate, its replacement was left idle
+    for spare in spares:
+        assert spare.proc.returncode is not None
+        assert not spare.home.exists()
+    assert not pools[0]._launcher_dir.exists()
+
+    # Resuming over finished records starts no JVM: no compile server, no launcher build, no spare.
+    started.clear()
+    spares.clear()
+    assert cli.main([*argv, "--resume"]) == 0
+    assert started == [] and spares == []
+    assert len(pools) == 2 and pools[1]._launcher_dir is None

@@ -8,7 +8,9 @@ import time
 import pytest
 
 from apisynth.extractor import SourceUnit
+from apisynth.llm import MockBackend
 from apisynth.records import from_json_dict, to_json_dict
+from apisynth.refine import FinalStatus, synthesize
 from apisynth.sandbox import (
     CANDIDATE_JVM_FLAGS,
     NO_ENTRY_POINT_DIAGNOSTIC,
@@ -26,6 +28,7 @@ from apisynth.sandbox import (
     make_driver,
     normalize_diagnostic,
 )
+from helpers import EagerParkedPool, java_response
 
 ORDINALS = (1, 2, 3)
 
@@ -193,6 +196,9 @@ if "JAVAC_SLEEP" in src:
 if "COMPILE_FAIL" in src:
     sys.stderr.write(sys.argv[-1] + ":3: error: ';' expected\\n")
     sys.exit(1)
+if "JAVAC_CRASH" in src:
+    sys.stderr.write("An exception has occurred in the compiler (17.0.15). Please file a bug.\\n")
+    sys.exit(4)
 sys.exit(0)
 """
 
@@ -261,6 +267,22 @@ def test_evaluate_compile_error_skips_run(fake_sandbox, tmp_path):
     assert outcome.kind is OutcomeKind.COMPILE_ERROR
     assert not (workdir / "run.log").exists()
     assert "';' expected" in outcome.detail
+
+
+def test_javac_fault_exit_is_an_environment_fault(fake_sandbox, ellipse_task, templates, tmp_path):
+    """A cold javac's crash is no verdict on the candidate: the task ends failed_environment."""
+    source = "public class Solution { /* JAVAC_CRASH */ }"
+    with pytest.raises(ToolchainError, match=r"^javac exited 4: An exception has occurred in the compiler"):
+        fake_sandbox.evaluate(unit(source), "f", (1,), tmp_path / "a1")
+    assert "exit: 4 " in (tmp_path / "a1" / "compile.log").read_text(encoding="utf-8")
+    assert not (tmp_path / "a1" / "outcome.json").exists()
+
+    body = "    /* JAVAC_CRASH */ double ellipseArea(java.awt.geom.Ellipse2D e) { return 0; }"
+    backend = MockBackend(script=[java_response(body)])
+    record = synthesize(ellipse_task, backend, templates, fake_sandbox, tmp_path / "task")
+    assert record.final_status is FinalStatus.FAILED_ENVIRONMENT
+    assert record.error.startswith("javac exited 4: ")
+    assert record.attempts == ()
 
 
 def test_evaluate_runtime_error(fake_sandbox, tmp_path):
@@ -376,7 +398,7 @@ def test_fake_java_cannot_host_a_compile_server(fake_sandbox, tmp_path, capsys):
 
 
 def test_candidate_reading_stdin_sees_its_end(jdk, tmp_path):
-    """The candidate JVM gets no stdin of ours: a harness that reads System.in ends at once."""
+    """The candidate JVM gets no stdin of ours: a harness that reads System.in ends at once, cold or parked."""
     source = (
         "public class Solution { public static void main(String[] a) {\n"
         "    java.util.Scanner in = new java.util.Scanner(System.in);\n"
@@ -388,28 +410,35 @@ def test_candidate_reading_stdin_sees_its_end(jdk, tmp_path):
     saved = os.dup(0)
     os.dup2(reader, 0)
     try:
-        start = time.monotonic()
-        outcome = Sandbox(jdk, run_timeout=20.0).evaluate(unit(source), "f", (1,), tmp_path / "a1")
-        elapsed = time.monotonic() - start
+        with EagerParkedPool() as parked:
+            for side, sandbox in (("cold", Sandbox(jdk, run_timeout=20.0)),
+                                  ("parked", Sandbox(jdk, run_timeout=20.0, parked=parked))):
+                start = time.monotonic()
+                outcome = sandbox.evaluate(unit(source), "f", (1,), tmp_path / side)
+                elapsed = time.monotonic() - start
+                assert outcome.kind is OutcomeKind.PASS, side
+                assert elapsed < 10.0, side
     finally:
         os.dup2(saved, 0)
         for fd in (saved, reader, writer):
             os.close(fd)
-    assert outcome.kind is OutcomeKind.PASS
-    assert elapsed < 10.0
+    assert parked.parked == [True]
 
 
 def test_candidate_heap_is_bounded(jdk, tmp_path):
-    """The candidate JVM's heap is capped at 256 MB, whatever the host's memory."""
+    """The candidate JVM's heap is capped at 256 MB, whatever the host's memory, cold or parked."""
     source = (
         "public class Solution { public static void main(String[] a) {\n"
         "    long max = Runtime.getRuntime().maxMemory();\n"
         "    System.out.println(max <= 256L << 20 ? \"All test cases passed.\" : \"Test case #1 failed: \" + max);\n"
         "} }\n"
     )
-    assert Sandbox(jdk).evaluate(unit(source), "f", (1,), tmp_path / "a1").kind is OutcomeKind.PASS
     # A candidate that allocates past the cap ends as a runtime error naming it.
     hog = source.replace("long max = Runtime.getRuntime().maxMemory();", "long max = new long[40_000_000].length;")
-    outcome = Sandbox(jdk).evaluate(unit(hog), "f", (1,), tmp_path / "a2")
-    assert outcome.kind is OutcomeKind.RUNTIME_ERROR
-    assert "OutOfMemoryError" in outcome.detail
+    with EagerParkedPool() as parked:
+        for side, sandbox in (("cold", Sandbox(jdk)), ("parked", Sandbox(jdk, parked=parked))):
+            assert sandbox.evaluate(unit(source), "f", (1,), tmp_path / side / "a1").kind is OutcomeKind.PASS
+            outcome = sandbox.evaluate(unit(hog), "f", (1,), tmp_path / side / "a2")
+            assert outcome.kind is OutcomeKind.RUNTIME_ERROR, side
+            assert "OutOfMemoryError" in outcome.detail, side
+    assert parked.parked == [True, True]
