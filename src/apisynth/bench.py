@@ -140,6 +140,8 @@ def load_baseline(path: Path) -> Baseline:
     return baseline
 
 
+DEFAULT_WORKERS = 4
+
 # The paper's four measures: SuiteMetrics field, report key, markdown header.
 # A row holds each count under its key and the percentage under "<key>_pct".
 MEASURES = (
@@ -249,7 +251,7 @@ def run_suite(
     run_dir: Path,
     deps_dir: Path | None = None,
     max_followups: int = DEFAULT_MAX_FOLLOWUPS,
-    workers: int = 4,
+    workers: int = DEFAULT_WORKERS,
     resume: bool = False,
 ) -> list[RunRecord]:
     """Run every task, bounded-parallel; returns records in task id order.

@@ -69,11 +69,12 @@ JAVAC_FAULT_EXITS = (3, 4)
 LAUNCHER = Path(__file__).with_name("SynthesisLauncher.java")
 LAUNCHER_CLASS = LAUNCHER.stem + ".class"
 LAUNCH_MARKER = b"\x06"
-# A cold javac that compiles the launcher, when no compile server can: C1 and
-# the serial collector take its CPU from about 1.6 to 1.0 s on JDK 17.
-LAUNCHER_JAVAC_FLAGS = ("-J" + NO_PERF_DATA, "-J-XX:TieredStopAtLevel=1", "-J-XX:+UseSerialGC")
-# Bytes kept of each stream a child writes; the rest is read and dropped.
+# Bytes kept of each stream a child writes; the rest is read and dropped, but
+# searched for the markers classify reads, so a verdict never depends on it.
 OUTPUT_LIMIT = 1 << 20
+_MARKER_RE = re.compile(FAIL_MARKER_RE.pattern.encode("ascii") + b"|" + re.escape(SUCCESS_MARKER.encode("ascii")))
+_MARKER_REACH = 64  # bytes carried from one read to the next, so a marker split between reads is found
+_MARKERS_KEPT = 1000  # distinct markers kept from the dropped bytes of one stream
 _REPLY_HEADER = re.compile(rb"(\d+) (\d+) (\d+)\n")
 
 
@@ -95,7 +96,6 @@ class ExecutionResult:
     stderr: str
     duration_seconds: float
     timed_out: bool = False
-    dropped: tuple[int, int] = (0, 0)  # bytes of stdout and stderr read past OUTPUT_LIMIT
 
 
 @dataclass(frozen=True)
@@ -268,15 +268,11 @@ def candidate_source(unit: SourceUnit, target_name: str) -> tuple[str, str | Non
 
 def _write_log(path: Path, argv: list[str], result: ExecutionResult) -> None:
     status = f"exit: {result.exit_code}" + (" (timed out)" if result.timed_out else "")
-    stdout, stderr = (
-        text + (f"\n[truncated: {dropped} more bytes not kept]" if dropped else "")
-        for text, dropped in zip((result.stdout, result.stderr), result.dropped)
-    )
     path.write_text(
         "$ " + " ".join(argv) + "\n"
         + status + f"  ({result.duration_seconds:.2f}s)\n"
-        + "--- stdout ---\n" + stdout
-        + "\n--- stderr ---\n" + stderr + "\n",
+        + "--- stdout ---\n" + result.stdout
+        + "\n--- stderr ---\n" + result.stderr + "\n",
         encoding="utf-8",
     )
 
@@ -291,25 +287,47 @@ def _kill_group(proc: subprocess.Popen) -> None:
 
 
 class _Capture:
-    """One child stream: its first ``limit`` bytes kept, the rest only counted."""
+    """One child stream: its first ``limit`` bytes kept; of the rest, the count and the markers in it."""
 
     def __init__(self, limit: int) -> None:
         self.kept = bytearray()
         self.limit = limit
         self.dropped = 0
+        self.markers: dict[bytes, None] = {}  # distinct, in the order first seen
+        self._carry = b""
 
     def add(self, chunk: bytes) -> None:
-        room = self.limit - len(self.kept)
+        room = max(self.limit - len(self.kept), 0)
         self.kept += chunk[:room]
-        self.dropped += max(len(chunk) - room, 0)
+        rest = chunk[room:]
+        if not rest:
+            return
+        if not self.dropped:  # a marker may begin in the kept bytes
+            self._carry = bytes(self.kept[-_MARKER_REACH:])
+        window = self._carry + rest
+        for match in _MARKER_RE.finditer(window):
+            # One that ends inside the carry was found in the read before, or is kept.
+            if match.end() > len(self._carry) and len(self.markers) < _MARKERS_KEPT:
+                self.markers[match.group()] = None
+        self._carry = window[-_MARKER_REACH:]
+        self.dropped += len(rest)
+
+    def text(self) -> str:
+        """The kept bytes decoded; when bytes were dropped, a note and the markers among them."""
+        text = _decode(self.kept)
+        if self.dropped:
+            text += f"\n[truncated: {self.dropped} more bytes not kept"
+            text += "; markers among them:]" if self.markers else "]"
+            text += "".join("\n" + marker.decode("ascii") for marker in self.markers)
+        return text
 
 
 def _collect(proc: subprocess.Popen, timeout: float, stdout_head: int = 0):
     """proc's (stdout, stderr, timed out): both read to their end and proc reaped.
 
     The process group is killed once timeout passes. At most OUTPUT_LIMIT
-    bytes of each stream are kept, beyond stdout_head bytes that precede
-    the child's own output on stdout.
+    bytes of each stream are kept (see _Capture), beyond stdout_head bytes
+    that precede the child's own output on stdout.
     """
     deadline = time.monotonic() + timeout
     out, err = _Capture(stdout_head + OUTPUT_LIMIT), _Capture(OUTPUT_LIMIT)
@@ -342,11 +360,10 @@ def _collect(proc: subprocess.Popen, timeout: float, stdout_head: int = 0):
 def _result(out: _Capture, err: _Capture, exit_code: int, start: float, timed_out: bool) -> ExecutionResult:
     return ExecutionResult(
         exit_code=exit_code,
-        stdout=_decode(out.kept),
-        stderr=_decode(err.kept),
+        stdout=out.text(),
+        stderr=err.text(),
         duration_seconds=time.monotonic() - start,
         timed_out=timed_out,
-        dropped=(out.dropped, err.dropped),
     )
 
 
@@ -546,6 +563,14 @@ class CompilerPool:
             server.stop()
 
 
+def usable_cores() -> int:
+    """How many cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
 class _Spare:
     """One parked candidate JVM: booted in its own directory, it waits for the class to run."""
 
@@ -619,11 +644,13 @@ class ParkedPool:
     a second of CPU for a cold javac), and goes to a cold java, as does a
     run whose spare refuses its class. close() kills and reaps every idle
     spare, so their CPU time and peak memory count among this process's
-    waited-for children.
+    waited-for children. A pool built with ``enabled=False`` starts nothing
+    and leaves every run to a cold java.
     """
 
-    def __init__(self, compilers: CompilerPool | None = None) -> None:
+    def __init__(self, compilers: CompilerPool | None = None, enabled: bool = True) -> None:
         self._compilers = compilers
+        self._enabled = enabled
         self._lock = threading.Lock()
         self._idle: list[_Spare] = []
         self._running = 0
@@ -645,7 +672,8 @@ class ParkedPool:
     ) -> ExecutionResult | None:
         """Run main_class as ``java -cp .:classpath`` in workdir would; None leaves it to a cold java."""
         if (
-            not main_class.isascii()
+            not self._enabled
+            or not main_class.isascii()
             or not all(os.path.isabs(p) for p in classpath)
             or (workdir / LAUNCHER_CLASS).exists()
         ):
@@ -689,7 +717,7 @@ class ParkedPool:
             result = self._compilers.compile(toolchain.java, home, [], LAUNCHER.name, 120.0)
         if result is None:
             try:
-                result = _execute([toolchain.javac, *LAUNCHER_JAVAC_FLAGS, LAUNCHER.name], home, 120.0)
+                result = _execute([toolchain.javac, "-J" + NO_PERF_DATA, LAUNCHER.name], home, 120.0)
             except ToolchainError:
                 pass
         with self._lock:

@@ -166,8 +166,8 @@ class EagerParkedPool(ParkedPool):
     ``parked`` lists, per run asked of the pool, whether a spare ran it.
     """
 
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.parked: list[bool] = []
 
     def _take(self, toolchain, key):

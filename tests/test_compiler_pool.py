@@ -299,8 +299,8 @@ def record_spares(monkeypatch) -> tuple[list, list]:
             spares.append(self)
 
     class Pool(EagerParkedPool):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             pools.append(self)
 
     monkeypatch.setattr(sandbox_module, "_Spare", Recorded)
@@ -311,6 +311,7 @@ def record_spares(monkeypatch) -> tuple[list, list]:
 def test_bench_reaps_every_server(jdk, repo_root, tmp_path, monkeypatch, capsys):
     started = record_servers(monkeypatch)
     pools, spares = record_spares(monkeypatch)
+    monkeypatch.setattr(cli, "usable_cores", lambda: 3)  # a core left idle by the 2 workers
     suite = tmp_path / "suite"
     suite.mkdir()
     for name in ("get-range", "collections-swap"):
@@ -349,3 +350,9 @@ def test_bench_reaps_every_server(jdk, repo_root, tmp_path, monkeypatch, capsys)
     assert cli.main([*argv, "--resume"]) == 0
     assert started == [] and spares == []
     assert len(pools) == 2 and pools[1]._launcher_dir is None
+
+    # With a worker on every core, no spare is parked and every run starts a cold java.
+    monkeypatch.setattr(cli, "usable_cores", lambda: 2)
+    assert cli.main([*argv[:-3], "r2", "--workers", "2"]) == 0
+    assert started and spares == []
+    assert len(pools) == 3 and pools[2].parked == [False, False] and pools[2]._launcher_dir is None

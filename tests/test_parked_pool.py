@@ -166,6 +166,43 @@ def test_output_beyond_the_limit_is_dropped_and_marked(jdk, pools, tmp_path, mon
     assert parked.parked == [True]
 
 
+def test_markers_in_dropped_output_are_kept():
+    """A marker past the limit is found whole, also when it straddles the limit or a read."""
+    capture = sandbox_module._Capture(10)
+    for chunk in (b"xxxxxxTest", b" case #3 failed; Test ca", b"se #12 fai", b"led", b"; Test case #3 failed",
+                  b" ... All test cases passed."):
+        capture.add(chunk)
+    assert capture.kept == b"xxxxxxTest"
+    assert capture.text() == (
+        "xxxxxxTest\n[truncated: 85 more bytes not kept; markers among them:]\n"
+        "Test case #3 failed\nTest case #12 failed\nAll test cases passed."
+    )
+
+
+def test_verdicts_do_not_depend_on_the_output_limit(jdk, pools, tmp_path, monkeypatch):
+    """A pass marker printed after the limit still passes; a failure marker dropped still fails its test case."""
+    compilers, parked = pools
+    noise = 'for (int i = 0; i < 200; i++) System.out.print("debug ");'
+    cases = {
+        "LoudPass": (f"public class LoudPass {{ public static void main(String[] a) {{\n    {noise}\n"
+                     '    System.out.println("All test cases passed.");\n} }\n', "pass"),
+        "LoudFail": (f"public class LoudFail {{ public static void main(String[] a) {{\n    {noise}\n"
+                     '    System.err.println("Test case #2 failed");\n    System.err.println("x".repeat(50));\n'
+                     '    System.out.println("All test cases passed.");\n} }\n', "failing_tests:2"),
+    }
+    cold = Sandbox(jdk, compilers=compilers)
+    unlimited = {name: cold.evaluate(unit_of(source), "f", (1, 2), tmp_path / "whole" / name)
+                 for name, (source, _) in cases.items()}
+    assert {name: o.fingerprint for name, o in unlimited.items()} == {name: want for name, (_, want) in cases.items()}
+
+    monkeypatch.setattr(sandbox_module, "OUTPUT_LIMIT", 10)
+    for side, sandbox in (("parked", Sandbox(jdk, compilers=compilers, parked=parked)), ("cold", cold)):
+        for name, (source, _) in cases.items():
+            assert sandbox.evaluate(unit_of(source), "f", (1, 2), tmp_path / side / name) == unlimited[name], side
+            assert "more bytes not kept; markers among them:]" in (tmp_path / side / name / "run.log").read_text()
+    assert parked.parked == [True, True]
+
+
 def parked_spare(pool: ParkedPool, jdk) -> ParkedPool:
     """The pool, with its launcher built and one spare parked for no dependencies."""
     assert pool._take(jdk, ()) is None  # compiles the launcher
