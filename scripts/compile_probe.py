@@ -24,7 +24,6 @@ import json
 import os
 import re
 import resource
-import statistics
 import sys
 import tempfile
 import time
@@ -34,6 +33,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "perfbench")]
 
 import generate  # noqa: E402
+from workloads import percentile  # noqa: E402
 from apisynth import sandbox  # noqa: E402
 from apisynth.extractor import ExtractionError, extract_source_unit  # noqa: E402
 
@@ -65,7 +65,7 @@ def probe(sources: list[tuple[str, str]], compiles: int, deps: str, work: Path) 
     finally:
         sandbox.COMPILE_SERVER_FLAGS = flags
     if not server.ready(60):
-        server.stop(kill=True)
+        server.stop()
         raise SystemExit("the compile server did not start")
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     times, exits = [], {}
@@ -79,7 +79,7 @@ def probe(sources: list[tuple[str, str]], compiles: int, deps: str, work: Path) 
         reply = server.compile(request, 60)
         times.append(time.perf_counter() - start)
         if reply is None:
-            server.stop(kill=True)
+            server.stop()
             raise SystemExit(f"compile {i} got no reply")
         exits[reply[0]] = exits.get(reply[0], 0) + 1
     server.stop()
@@ -89,7 +89,6 @@ def probe(sources: list[tuple[str, str]], compiles: int, deps: str, work: Path) 
         match = PAUSE.search(line)
         if match:
             pauses[match.group(1)].append(float(match.group(2)) / 1000)
-    times.sort()
     return {
         "compiles": compiles,
         "deps": deps,
@@ -99,8 +98,8 @@ def probe(sources: list[tuple[str, str]], compiles: int, deps: str, work: Path) 
         "full": len(pauses["Full"]),
         "young": len(pauses["Young"]),
         "pause_s": round(sum(pauses["Young"]) + sum(pauses["Full"]), 2),
-        "p50_ms": round(statistics.median(times) * 1000, 1),
-        "p90_ms": round(times[int(0.9 * (len(times) - 1))] * 1000, 1),
+        "p50_ms": round(percentile(times, 50) * 1000, 1),
+        "p90_ms": round(percentile(times, 90) * 1000, 1),
     }
 
 

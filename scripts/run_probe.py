@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import resource
-import statistics
 import sys
 import tempfile
 import time
@@ -32,6 +31,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "perfbench")]
 
 import generate  # noqa: E402
+from workloads import percentile  # noqa: E402
 from apisynth import sandbox  # noqa: E402
 from apisynth.extractor import ExtractionError, extract_source_unit  # noqa: E402
 
@@ -70,11 +70,10 @@ def children_cpu() -> float:
 
 
 def summary(times: list[float], cpu_s: float, **extra) -> dict:
-    times = sorted(times)
     return {
         "runs": len(times),
-        "p50_ms": round(statistics.median(times) * 1000, 1),
-        "p90_ms": round(times[int(0.9 * (len(times) - 1))] * 1000, 1),
+        "p50_ms": round(percentile(times, 50) * 1000, 1),
+        "p90_ms": round(percentile(times, 90) * 1000, 1),
         "cpu_s": round(cpu_s, 2),
         **extra,
     }

@@ -7,6 +7,7 @@ upper-cased), else the default of the library call it is passed to.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -129,15 +130,20 @@ def _print_record(record: RunRecord) -> None:
         print(line)
 
 
-def parked_pool(compilers: CompilerPool, workers: int) -> ParkedPool:
-    """Parked JVMs for a command, used only while its workers leave a core idle.
+@contextlib.contextmanager
+def warm_sandbox(workers: int, **timeouts):
+    """make_sandbox's sandbox with the command's compile servers and parked JVMs, reaped on exit.
 
-    A spare boots on a core that no worker is busy on. With a worker for
-    every core, it boots in competition with the other workers and is often
-    still booting when it is taken: on 2 cores, 2 workers ran their slowest
-    tenth of tasks 22% slower with spares than with a cold java per run.
+    The command, not the sandbox (make_sandbox's result may be a wrapper),
+    owns the JVMs. It parks only while its workers leave a core idle: a
+    spare boots on a core that no worker is busy on. With a worker for every
+    core, it boots in competition with the other workers and is often still
+    booting when it is taken: on 2 cores, 2 workers ran their slowest tenth
+    of tasks 22% slower with spares than with a cold java per run.
     """
-    return ParkedPool(compilers, enabled=workers < usable_cores())
+    with CompilerPool() as compilers, contextlib.ExitStack() as stack:
+        parked = stack.enter_context(ParkedPool(compilers)) if workers < usable_cores() else None
+        yield make_sandbox(compilers=compilers, parked=parked, **timeouts)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -166,10 +172,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     transcript = TranscriptWriter(run_dir / "transcript.jsonl")
     backend = make_backend(backend_config, transcript, _path(args, "mock_script"))
-    # The command, not the sandbox (make_sandbox's result may be a wrapper),
-    # owns the compile servers and parked JVMs and reaps them before it returns.
-    with CompilerPool() as compilers, parked_pool(compilers, workers=1) as parked:
-        sandbox = make_sandbox(compilers=compilers, parked=parked, **timeouts)
+    with warm_sandbox(workers=1, **timeouts) as sandbox:
         record = synthesize(
             task,
             backend,
@@ -205,8 +208,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     transcript = TranscriptWriter(run_dir / "transcript.jsonl")
     backend = make_backend(backend_config, transcript, _path(args, "mock_script"))
-    with CompilerPool() as compilers, parked_pool(compilers, workers or DEFAULT_WORKERS) as parked:
-        sandbox = make_sandbox(compilers=compilers, parked=parked, **timeouts)
+    with warm_sandbox(workers or DEFAULT_WORKERS, **timeouts) as sandbox:
         records = run_suite(
             suite,
             backend,

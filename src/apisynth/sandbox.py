@@ -62,8 +62,11 @@ COMPILE_SERVER_FLAGS = (
 # javac's system-error and abnormal exits (an OutOfMemoryError, a compiler
 # crash): a fault of the environment, not a verdict on the source. A server
 # that gives one is dropped and the compile is retried cold; a cold javac that
-# gives one ends the task as failed_environment.
+# gives one ends the task as failed_environment. The exception is a system
+# error from javac overflowing its own stack: a source nested a few thousand
+# levels deep causes it every time, so it is a compile error like any other.
 JAVAC_FAULT_EXITS = (3, 4)
+JAVAC_STACK_OVERFLOW = "java.lang.StackOverflowError"
 # Parked candidate JVMs run this launcher (see ParkedPool). The marker is the
 # byte it writes to stdout before any of the candidate's code runs.
 LAUNCHER = Path(__file__).with_name("SynthesisLauncher.java")
@@ -400,24 +403,44 @@ def _request_line(*fields: str) -> bytes | None:
         return None
 
 
-class _CompileServer:
-    """One compiler JVM running CompileServer.java; it serves one compile at a time."""
+class _Child:
+    """A JVM started in a temporary directory and a process group of its own, its stdin and stdout piped."""
 
-    def __init__(self, java: str) -> None:
-        self.home = tempfile.mkdtemp(prefix="apisynth-compiler-")
-        self.expired = False
+    def __init__(self, argv: list[str], prefix: str, stderr=subprocess.PIPE, files: tuple[Path, ...] = ()) -> None:
+        self.home = Path(tempfile.mkdtemp(prefix=prefix))
         try:
+            for path in files:
+                shutil.copyfile(path, self.home / path.name)
             self.proc = subprocess.Popen(
-                [java, *COMPILE_SERVER_FLAGS, str(COMPILE_SERVER)],
+                argv,
                 cwd=self.home,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
+                stderr=stderr,
                 start_new_session=True,
             )
         except OSError:
             shutil.rmtree(self.home, ignore_errors=True)
             raise
+
+    def stop(self) -> None:
+        """Kill the JVM if it still runs, reap it and remove its directory; safe to call twice."""
+        _kill_group(self.proc)
+        for stream in (self.proc.stdin, self.proc.stdout, self.proc.stderr):
+            if stream is not None:
+                with contextlib.suppress(OSError, ValueError):
+                    stream.close()
+        self.proc.wait()
+        shutil.rmtree(self.home, ignore_errors=True)
+
+
+class _CompileServer(_Child):
+    """One compiler JVM running CompileServer.java; it serves one compile at a time."""
+
+    def __init__(self, java: str) -> None:
+        argv = [java, *COMPILE_SERVER_FLAGS, str(COMPILE_SERVER)]
+        super().__init__(argv, "apisynth-compiler-", stderr=subprocess.DEVNULL)
+        self.expired = False
 
     def _expire(self) -> None:
         self.expired = True
@@ -454,45 +477,68 @@ class _CompileServer:
 
         return self._bounded(timeout, exchange)
 
-    def stop(self, kill: bool = False) -> None:
-        """End the server (at once when kill) and reap it; safe to call twice."""
-        if kill:
-            _kill_group(self.proc)
-        with contextlib.suppress(OSError, ValueError):
-            self.proc.stdin.close()
-        try:
-            self.proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            _kill_group(self.proc)
-            self.proc.wait()
-        self.proc.stdout.close()
-        shutil.rmtree(self.home, ignore_errors=True)
+
+class _Pool:
+    """Warm JVMs of one kind, kept idle between uses: the base of CompilerPool and ParkedPool.
+
+    When this JDK cannot provide them, the pool says so once on stderr and
+    leaves every later use to a cold JVM. close() stops taking work and
+    reaps every idle JVM, and stops one handed back after it, so their CPU
+    time and peak memory count among this process's waited-for children.
+    """
+
+    _cold = ""  # what every use does once the pool is unusable
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: list = []
+        self._closed = False
+        self._unusable = False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _give_up(self, reason: str) -> None:
+        """Go cold from now on, saying why once."""
+        with self._lock:
+            first, self._unusable = not self._unusable, True
+        if first:
+            print(f"warning: {reason}; {self._cold}", file=sys.stderr)
+
+    def _keep(self, child: _Child, most: int | None = None) -> None:
+        """Make child idle, stopping the oldest idle ones beyond most; stop it if the pool is closed."""
+        with self._lock:
+            if self._closed:
+                stale = [child]
+            else:
+                self._idle.append(child)
+                stale = self._idle[:-most] if most else []
+                del self._idle[: len(stale)]
+        for old in stale:
+            old.stop()
+
+    def close(self) -> None:
+        """Stop taking work; kill and reap every idle JVM."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for child in idle:
+            child.stop()
 
 
-class CompilerPool:
+class CompilerPool(_Pool):
     """Warm compiler JVMs for a sandbox, started on first use.
 
     A compile takes an idle server or starts a new one, so the pool grows to
     the number of compiles that run at once. A server that dies, answers out
     of form or exits with a javac fault code is dropped and the compile is
-    left to a cold javac; when a server cannot start at all, every later
-    compile is, after one warning on stderr. close() reaps every server, so
-    their CPU time and peak memory count among this process's waited-for
-    children.
+    left to a cold javac; so is every compile once a server cannot start.
     """
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._idle: list[_CompileServer] = []
-        self._live: set[_CompileServer] = set()
-        self._closed = False
-        self._unusable = False  # a server failed to start: this JVM cannot host one
-
-    def __enter__(self) -> CompilerPool:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    _cold = "every compile runs a cold javac"
 
     def _take(self, java: str, timeout: float) -> _CompileServer | None:
         with self._lock:
@@ -500,31 +546,17 @@ class CompilerPool:
                 return None
             if self._idle:
                 return self._idle.pop()
-            try:
-                server = _CompileServer(java)
-            except OSError:
-                self._give_up(java)
-                return None
-            self._live.add(server)
+        try:
+            server = _CompileServer(java)
+        except OSError:
+            self._give_up(f"{java} cannot host a compile server")
+            return None
         if server.ready(timeout):
             return server
         if not server.expired:
-            with self._lock:
-                self._give_up(java)
-        self._drop(server)
+            self._give_up(f"{java} cannot host a compile server")
+        server.stop()
         return None
-
-    def _give_up(self, java: str) -> None:
-        """Compile cold from now on, saying so once; the caller holds the lock."""
-        if not self._unusable:
-            self._unusable = True
-            print(f"warning: {java} cannot host a compile server; every compile runs a cold javac",
-                  file=sys.stderr)
-
-    def _drop(self, server: _CompileServer) -> None:
-        with self._lock:
-            self._live.discard(server)
-        server.stop(kill=True)
 
     def compile(
         self, java: str, workdir: Path, classpath: list[Path], source_name: str, timeout: float
@@ -543,24 +575,36 @@ class CompilerPool:
         reply = server.compile(request, timeout)
         duration = time.monotonic() - start
         if server.expired:
-            self._drop(server)
+            server.stop()
             return ExecutionResult(-signal.SIGKILL, "", "", duration, timed_out=True)
         if reply is None or reply[0] in JAVAC_FAULT_EXITS:
-            self._drop(server)
+            server.stop()
             return None
-        with self._lock:
-            self._idle.append(server)
+        self._keep(server)
         exit_code, stdout, stderr = reply
         return ExecutionResult(exit_code, _decode(stdout), _decode(stderr), duration)
 
-    def close(self) -> None:
-        """Stop taking compiles; let every server exit and reap it."""
-        with self._lock:
-            self._closed = True
-            servers, self._idle = list(self._live), []
-            self._live.clear()
-        for server in servers:
-            server.stop()
+
+def _javac(
+    toolchain: Toolchain,
+    compilers: CompilerPool | None,
+    workdir: Path,
+    classpath: list[Path],
+    source_name: str,
+    timeout: float,
+) -> tuple[list[str], ExecutionResult]:
+    """The javac command that compiles workdir/source_name, and its result as if run in workdir.
+
+    Through a warm server of compilers when there is one; else, or on the
+    server's fault, a cold javac.
+    """
+    argv = [toolchain.javac, *(["-cp", os.pathsep.join(map(str, classpath))] if classpath else []), source_name]
+    result = None
+    if compilers is not None:
+        result = compilers.compile(toolchain.java, workdir, classpath, source_name, timeout)
+    if result is None:
+        result = _execute([argv[0], "-J" + NO_PERF_DATA, *argv[1:]], workdir, timeout)
+    return argv, result
 
 
 def usable_cores() -> int:
@@ -571,27 +615,15 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-class _Spare:
+class _Spare(_Child):
     """One parked candidate JVM: booted in its own directory, it waits for the class to run."""
 
     def __init__(self, java: str, launcher: Path, classpath: tuple[str, ...]) -> None:
+        argv = [java, *CANDIDATE_JVM_FLAGS, "-cp", os.pathsep.join((".", *classpath)), LAUNCHER.stem]
+        super().__init__(argv, "apisynth-spare-", files=(launcher,))
         self.classpath = classpath
         self.copied = {LAUNCHER_CLASS}
         self.start = 0.0
-        self.home = Path(tempfile.mkdtemp(prefix="apisynth-spare-"))
-        try:
-            shutil.copyfile(launcher, self.home / LAUNCHER_CLASS)
-            self.proc = subprocess.Popen(
-                [java, *CANDIDATE_JVM_FLAGS, "-cp", os.pathsep.join((".", *classpath)), LAUNCHER.stem],
-                cwd=self.home,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                start_new_session=True,
-            )
-        except OSError:
-            shutil.rmtree(self.home, ignore_errors=True)
-            raise
 
     def hand_off(self, workdir: Path, main_class: str) -> None:
         """Copy in workdir's class files and name the class to run; its timeout counts from here."""
@@ -621,17 +653,8 @@ class _Spare:
                 shutil.move(entry.path, workdir / entry.name)
         return result
 
-    def stop(self) -> None:
-        """Kill the spare if it still runs, reap it and remove its directory."""
-        _kill_group(self.proc)
-        for stream in (self.proc.stdin, self.proc.stdout, self.proc.stderr):
-            with contextlib.suppress(OSError):
-                stream.close()
-        self.proc.wait()
-        shutil.rmtree(self.home, ignore_errors=True)
 
-
-class ParkedPool:
+class ParkedPool(_Pool):
     """Candidate JVMs booted ahead of their run, each waiting in its own directory.
 
     A run takes an idle spare booted with its dependency classpath, hands it
@@ -642,38 +665,27 @@ class ParkedPool:
     first. The first run compiles the launcher class, through a warm server
     of ``compilers`` when there is one (tens of milliseconds, against about
     a second of CPU for a cold javac), and goes to a cold java, as does a
-    run whose spare refuses its class. close() kills and reaps every idle
-    spare, so their CPU time and peak memory count among this process's
-    waited-for children. A pool built with ``enabled=False`` starts nothing
-    and leaves every run to a cold java.
+    run whose spare refuses its class. close() also removes the launcher's
+    directory.
     """
 
-    def __init__(self, compilers: CompilerPool | None = None, enabled: bool = True) -> None:
+    _cold = "every run starts a cold java"
+
+    def __init__(self, compilers: CompilerPool | None = None) -> None:
+        super().__init__()
         self._compilers = compilers
-        self._enabled = enabled
-        self._lock = threading.Lock()
-        self._idle: list[_Spare] = []
         self._running = 0
         self._peak = 1  # the most runs that have gone on at once
-        self._closed = False
-        self._unusable = False  # the launcher cannot be compiled or a spare cannot start
         self._building = False
         self._launcher: Path | None = None
         self._launcher_dir: Path | None = None
-
-    def __enter__(self) -> ParkedPool:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def run(
         self, toolchain: Toolchain, workdir: Path, classpath: list[Path], main_class: str, timeout: float
     ) -> ExecutionResult | None:
         """Run main_class as ``java -cp .:classpath`` in workdir would; None leaves it to a cold java."""
         if (
-            not self._enabled
-            or not main_class.isascii()
+            not main_class.isascii()
             or not all(os.path.isabs(p) for p in classpath)
             or (workdir / LAUNCHER_CLASS).exists()
         ):
@@ -710,24 +722,19 @@ class ParkedPool:
         return None
 
     def _build_launcher(self, toolchain: Toolchain) -> None:
-        home = Path(tempfile.mkdtemp(prefix="apisynth-launcher-"))
+        self._launcher_dir = home = Path(tempfile.mkdtemp(prefix="apisynth-launcher-"))
         shutil.copyfile(LAUNCHER, home / LAUNCHER.name)
-        result = None
-        if self._compilers is not None:
-            result = self._compilers.compile(toolchain.java, home, [], LAUNCHER.name, 120.0)
-        if result is None:
-            try:
-                result = _execute([toolchain.javac, "-J" + NO_PERF_DATA, LAUNCHER.name], home, 120.0)
-            except ToolchainError:
-                pass
+        try:
+            _, result = _javac(toolchain, self._compilers, home, [], LAUNCHER.name, 120.0)
+            built = result.exit_code == 0 and (home / LAUNCHER_CLASS).is_file()
+        except ToolchainError:
+            built = False
+        if not built:
+            self._give_up(f"{toolchain.javac} cannot compile {LAUNCHER.name}")
         with self._lock:
-            self._launcher_dir, self._building = home, False
-            if result is not None and result.exit_code == 0 and (home / LAUNCHER_CLASS).is_file():
+            if built:
                 self._launcher = home / LAUNCHER_CLASS
-                return
-            self._unusable = True
-        print(f"warning: {toolchain.javac} cannot compile {LAUNCHER.name}; every run starts a cold java",
-              file=sys.stderr)
+            self._building = False
 
     def _park(self, java: str, key: tuple[str, ...]) -> None:
         """Start a spare for key; stop the oldest idle ones beyond the most runs seen at once."""
@@ -736,26 +743,13 @@ class ParkedPool:
         try:
             spare = _Spare(java, self._launcher, key)
         except OSError:
-            with self._lock:
-                self._unusable = True
+            self._give_up(f"{java} cannot start a parked JVM")
             return
-        with self._lock:
-            if self._closed:
-                stale = [spare]
-            else:
-                self._idle.append(spare)
-                stale = self._idle[: -self._peak]
-                del self._idle[: -self._peak]
-        for old in stale:
-            old.stop()
+        self._keep(spare, most=self._peak)
 
     def close(self) -> None:
-        """Stop taking runs; kill and reap every idle spare."""
-        with self._lock:
-            self._closed = True
-            spares, self._idle = self._idle, []
-        for spare in spares:
-            spare.stop()
+        """Stop taking runs; kill and reap every idle spare and remove the launcher."""
+        super().close()
         if self._launcher_dir is not None:
             shutil.rmtree(self._launcher_dir, ignore_errors=True)
 
@@ -785,9 +779,7 @@ class Sandbox:
         source_path = workdir / f"{unit.public_class_name}.java"
         source_path.write_text(source, encoding="utf-8")
 
-        javac_args = ["-cp", os.pathsep.join(str(p) for p in classpath)] if classpath else []
-        javac_args.append(source_path.name)
-        compile_result = self._compile(workdir, classpath, javac_args)
+        compile_result = self._compile(workdir, classpath, source_path.name)
 
         run_result = None
         if compile_result.exit_code == 0 and not compile_result.timed_out:
@@ -808,22 +800,13 @@ class Sandbox:
         save_json(outcome, workdir / "outcome.json")
         return outcome
 
-    def _compile(self, workdir: Path, classpath: list[Path], javac_args: list[str]) -> ExecutionResult:
-        """Through a warm compiler JVM when there is one; else, or on its fault, a cold javac.
-
-        Writes compile.log. A cold javac's fault exit raises ToolchainError.
-        """
-        result = None
-        if self.compilers is not None:
-            result = self.compilers.compile(
-                self.toolchain.java, workdir, classpath, javac_args[-1], self.compile_timeout
-            )
-        if result is None:
-            argv = [self.toolchain.javac, "-J" + NO_PERF_DATA, *javac_args]
-            result = _execute(argv, workdir, self.compile_timeout)
-        _write_log(workdir / "compile.log", [self.toolchain.javac, *javac_args], result)
-        if result.exit_code in JAVAC_FAULT_EXITS:
+    def _compile(self, workdir: Path, classpath: list[Path], source_name: str) -> ExecutionResult:
+        """Compile through _javac and write compile.log; a cold javac's fault exit raises ToolchainError."""
+        timeout = self.compile_timeout
+        argv, result = _javac(self.toolchain, self.compilers, workdir, classpath, source_name, timeout)
+        _write_log(workdir / "compile.log", argv, result)
+        caused_by_source = result.exit_code == 3 and JAVAC_STACK_OVERFLOW in result.stderr
+        if result.exit_code in JAVAC_FAULT_EXITS and not caused_by_source:
             detail = _first_diagnostic_line(result.stderr, result.stdout)
             raise ToolchainError(f"javac exited {result.exit_code}: {detail}")
         return result
-

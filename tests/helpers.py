@@ -5,6 +5,7 @@ from __future__ import annotations
 import threading
 from pathlib import Path
 
+from apisynth import sandbox as sandbox_module
 from apisynth.refine import AttemptRecord, FinalStatus, RunRecord
 from apisynth.sandbox import AttemptOutcome, OutcomeKind, ParkedPool
 from apisynth.tasks import SynthesisTask
@@ -181,3 +182,16 @@ class EagerParkedPool(ParkedPool):
         result = super().run(*args)
         self.parked.append(result is not None)
         return result
+
+
+def record_servers(monkeypatch) -> list:
+    """Every compile server started from now on, in start order."""
+    started = []
+
+    class Recorded(sandbox_module._CompileServer):
+        def __init__(self, java):
+            super().__init__(java)
+            started.append(self)
+
+    monkeypatch.setattr(sandbox_module, "_CompileServer", Recorded)
+    return started

@@ -21,12 +21,12 @@ from apisynth import sandbox as sandbox_module
 from apisynth.extractor import SourceUnit, extract_source_unit
 from apisynth.sandbox import (
     TIMEOUT_DIAGNOSTIC,
+    AttemptOutcome,
     CompilerPool,
     OutcomeKind,
     Sandbox,
-    ToolchainError,
 )
-from helpers import EagerParkedPool, java_response
+from helpers import EagerParkedPool, java_response, record_servers
 
 FIXTURES = [
     ("PalindromeChecker.java", "isPalindrome", 1, (1, 2, 3, 4, 5, 6)),
@@ -64,19 +64,6 @@ def served_by(pool: CompilerPool) -> int:
     """The pid of the pool's one idle server."""
     (server,) = pool._idle
     return server.proc.pid
-
-
-def record_servers(monkeypatch) -> list:
-    """Every compile server started from now on, in start order."""
-    started = []
-
-    class Recorded(sandbox_module._CompileServer):
-        def __init__(self, java):
-            super().__init__(java)
-            started.append(self)
-
-    monkeypatch.setattr(sandbox_module, "_CompileServer", Recorded)
-    return started
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +105,8 @@ CONTEXT_CASES = [
     "import java.util.*;\npublic class Notes {\n"
     "    int g() { List l = new ArrayList(); l.add(1); return new java.util.Date().getYear(); }\n}\n",
 ]
-# Deep enough to overflow the compiler's stack: a fault of the server, compiled again cold.
+# Deep enough to overflow the compiler's stack: a fault of the server, compiled again cold, and a
+# compile error from a cold javac.
 DEEP_NESTING = "public class Deep { int x = " + "(" * 3000 + "1" + ")" * 3000 + "; }\n"
 
 
@@ -160,15 +148,16 @@ def test_warm_compiles_match_cold_javac(jdk, pool, helper_jar, java_fixture_dir,
     for i, case in enumerate(cases):
         compare(i, *case)
     served_by(pool)  # every compile went through one server, which is idle again
-    # The crash ends the server, and the attempt is compiled cold. javac's fault exit there is an
-    # environment fault, not a verdict, on either side; the stack trace javac prints for it may end
-    # at another frame from one run to the next.
+    # The crash ends the server, and the attempt is compiled cold. There javac overflows its own
+    # stack on the source and exits 3, which is a compile error, not an environment fault, on
+    # either side; the stack trace javac prints for it may end at another frame from one run to the next.
     deep = unit_of(DEEP_NESTING)
     for sandbox, side in ((warm, "warm"), (cold, "cold")):
-        with pytest.raises(ToolchainError, match=r"^javac exited 3: The system is out of resources\.$"):
-            sandbox.evaluate(deep, "f", (1,), tmp_path / side / "deep")
+        outcome = sandbox.evaluate(deep, "f", (1,), tmp_path / side / "deep")
+        assert outcome == AttemptOutcome.of(OutcomeKind.COMPILE_ERROR, "The system is out of resources.")
         assert compile_log(tmp_path / side / "deep").startswith(f"$ {jdk.javac} Deep.java\nexit: 3 ")
-        assert not (tmp_path / side / "deep" / "outcome.json").exists()
+        assert "\njava.lang.StackOverflowError\n" in compile_log(tmp_path / side / "deep")
+        assert (tmp_path / side / "deep" / "outcome.json").exists()
 
     logs = [compile_log(tmp_path / "warm" / str(i)) for i in range(len(cases))]
     assert sum(" error" in log for log in logs) == 9
@@ -351,8 +340,8 @@ def test_bench_reaps_every_server(jdk, repo_root, tmp_path, monkeypatch, capsys)
     assert started == [] and spares == []
     assert len(pools) == 2 and pools[1]._launcher_dir is None
 
-    # With a worker on every core, no spare is parked and every run starts a cold java.
+    # With a worker on every core, no parked pool is built and every run starts a cold java.
     monkeypatch.setattr(cli, "usable_cores", lambda: 2)
     assert cli.main([*argv[:-3], "r2", "--workers", "2"]) == 0
     assert started and spares == []
-    assert len(pools) == 3 and pools[2].parked == [False, False] and pools[2]._launcher_dir is None
+    assert len(pools) == 2

@@ -251,3 +251,40 @@ def test_launcher_compiles_through_a_warm_server(jdk, monkeypatch):
     with CompilerPool() as compilers, ParkedPool(compilers) as parked:
         assert parked._take(jdk, ()) is None
         assert parked._launcher.is_file()
+
+
+def test_a_launcher_that_does_not_compile_leaves_every_run_cold(jdk, tmp_path, monkeypatch, capsys):
+    """One warning, no spare started, and every run as from a cold sandbox."""
+    broken = tmp_path / "launcher" / sandbox_module.LAUNCHER.name
+    broken.parent.mkdir()
+    broken.write_text("public class SynthesisLauncher { not java }\n", encoding="utf-8")
+    monkeypatch.setattr(sandbox_module, "LAUNCHER", broken)
+    spares = []
+    monkeypatch.setattr(sandbox_module, "_Spare", lambda *args: spares.append(args))
+    cases = [unit_of(source) for source in SAME_CASES[:3]]
+    with CompilerPool() as compilers, EagerParkedPool(compilers) as parked:
+        warm, cold = Sandbox(jdk, compilers=compilers, parked=parked), Sandbox(jdk, compilers=compilers)
+        for i, unit in enumerate(cases * 2):
+            got = warm.evaluate(unit, "f", (1,), tmp_path / "parked" / str(i))
+            assert got == cold.evaluate(unit, "f", (1,), tmp_path / "cold" / str(i)), unit.public_class_name
+            assert files(tmp_path / "parked" / str(i)) == files(tmp_path / "cold" / str(i)), unit.public_class_name
+    assert parked.parked == [False] * len(cases) * 2
+    assert spares == []
+    assert capsys.readouterr().err == (
+        f"warning: {jdk.javac} cannot compile {broken.name}; every run starts a cold java\n"
+    )
+    assert not parked._launcher_dir.exists()
+
+
+def test_a_spare_that_cannot_start_leaves_every_run_cold(jdk, pools, tmp_path, monkeypatch, capsys):
+    """It warns once, as a launcher that does not compile does."""
+    def cannot_start(*args):
+        raise OSError("cannot start")
+
+    monkeypatch.setattr(sandbox_module, "_Spare", cannot_start)
+    compilers, parked = pools
+    sandbox = Sandbox(jdk, compilers=compilers, parked=parked)
+    for i in range(2):
+        assert sandbox.evaluate(unit_of(SAME_CASES[1]), "f", (1,), tmp_path / str(i)).kind is OutcomeKind.RUNTIME_ERROR
+    assert parked.parked == [False, False]
+    assert capsys.readouterr().err == f"warning: {jdk.java} cannot start a parked JVM; every run starts a cold java\n"

@@ -28,7 +28,7 @@ from apisynth.sandbox import (
     make_driver,
     normalize_diagnostic,
 )
-from helpers import EagerParkedPool, java_response
+from helpers import EagerParkedPool, java_response, record_servers
 
 ORDINALS = (1, 2, 3)
 
@@ -199,6 +199,11 @@ if "COMPILE_FAIL" in src:
 if "JAVAC_CRASH" in src:
     sys.stderr.write("An exception has occurred in the compiler (17.0.15). Please file a bug.\\n")
     sys.exit(4)
+for error in ("StackOverflowError", "OutOfMemoryError") if "JAVAC_SYSERR" in src else ():
+    if error in src:
+        sys.stderr.write("The system is out of resources.\\nConsult the following stack trace for details.\\n")
+        sys.stderr.write("java.lang." + error + "\\n\\tat jdk.compiler/com.sun.tools.javac.Main.main(Main.java:43)\\n")
+        sys.exit(3)
 sys.exit(0)
 """
 
@@ -283,6 +288,21 @@ def test_javac_fault_exit_is_an_environment_fault(fake_sandbox, ellipse_task, te
     assert record.final_status is FinalStatus.FAILED_ENVIRONMENT
     assert record.error.startswith("javac exited 4: ")
     assert record.attempts == ()
+
+
+def test_javac_exit_3_is_a_verdict_only_on_its_own_stack_overflow(fake_sandbox, tmp_path):
+    """A stack overflow in javac comes from the source; any other system error is the environment's."""
+    deep = fake_sandbox.evaluate(unit("public class Solution { /* JAVAC_SYSERR StackOverflowError */ }"),
+                                 "f", (1,), tmp_path / "a1")
+    assert deep == AttemptOutcome.of(OutcomeKind.COMPILE_ERROR, "The system is out of resources.")
+    assert (tmp_path / "a1" / "outcome.json").exists()
+    assert not (tmp_path / "a1" / "run.log").exists()
+
+    with pytest.raises(ToolchainError, match=r"^javac exited 3: The system is out of resources\.$"):
+        fake_sandbox.evaluate(unit("public class Solution { /* JAVAC_SYSERR OutOfMemoryError */ }"),
+                              "f", (1,), tmp_path / "a2")
+    assert "exit: 3 " in (tmp_path / "a2" / "compile.log").read_text(encoding="utf-8")
+    assert not (tmp_path / "a2" / "outcome.json").exists()
 
 
 def test_evaluate_runtime_error(fake_sandbox, tmp_path):
@@ -378,15 +398,19 @@ def test_classpath_passed_to_both_phases(fake_sandbox, tmp_path):
     assert str(jar) in (workdir / "run.log").read_text(encoding="utf-8")
 
 
-def test_fake_java_cannot_host_a_compile_server(fake_sandbox, tmp_path, capsys):
+def test_fake_java_cannot_host_a_compile_server(fake_sandbox, tmp_path, capsys, monkeypatch):
     """The fake java answers the server's start with test output: every compile goes cold."""
+    started = record_servers(monkeypatch)
     source = "public class Solution { public static void main(String[] a) {} }"
     with CompilerPool() as pool:
         pooled = Sandbox(toolchain=fake_sandbox.toolchain, compile_timeout=5.0, compilers=pool)
         for attempt in ("a1", "a2"):
             outcome = pooled.evaluate(unit(source), "f", (1,), tmp_path / attempt)
             assert outcome.kind is OutcomeKind.PASS
-        assert pool._unusable and not pool._live
+        assert pool._unusable and not pool._idle
+        # The one server tried is already reaped and its directory removed.
+        (server,) = started
+        assert server.proc.returncode is not None and not server.home.exists()
     # Said once, not per compile.
     assert capsys.readouterr().err == (
         f"warning: {fake_sandbox.toolchain.java} cannot host a compile server; every compile runs a cold javac\n"
