@@ -39,8 +39,11 @@ class SuiteMetrics:
     passed_without: int
     compiled_with: int
     passed_with: int
-    environment_failures: int = 0
     environment_failure_ids: tuple[str, ...] = ()
+
+    @property
+    def environment_failures(self) -> int:
+        return len(self.environment_failure_ids)
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,6 @@ def _metrics(name: str, records: Sequence[RunRecord]) -> SuiteMetrics:
         passed_without=passed_without,
         compiled_with=compiled_with,
         passed_with=passed_with,
-        environment_failures=len(env_ids),
         environment_failure_ids=tuple(sorted(env_ids)),
     )
     _check_invariants(metrics)

@@ -7,7 +7,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -192,48 +192,19 @@ def _written(entry: TranscriptEntry) -> tuple[Message, ...]:
     return entry.exchange.request_messages + (Message("assistant", entry.exchange.response_text),)
 
 
-def _continuation(line: TranscriptLine, tail: TranscriptEntry | None) -> TranscriptLine:
-    """A line of the replaced layout, whose request is whole, as a delta on the task's tail."""
-    if tail is None or not tail.exchange.response_text:
-        return line
-    written = _written(tail)
-    request = line.new_messages
-    if len(request) <= len(written) or request[: len(written)] != written:
-        return line
-    return replace(
-        line,
-        conversation=tail.conversation,
-        turn=tail.turn + 1,
-        new_messages=request[len(written) :],
-    )
-
-
 def read_transcript(path: Path) -> list[TranscriptEntry]:
     """Every exchange of a transcript in file order, each with its whole request.
 
-    Lines of the replaced layout, whose ``request_messages`` held the whole
-    request, are read too; each joins its task's latest conversation by the
-    rule the writer applies. A line that continues an unknown conversation,
-    or that does not decode, raises ValueError naming its line number.
+    A line that continues an unknown conversation, or that does not decode,
+    raises ValueError naming its line number. A line of the older layout,
+    which has no ``conversation``, does not decode.
     """
     entries: list[TranscriptEntry] = []
     tails: dict[tuple[str, int], TranscriptEntry] = {}
-    latest: dict[str, int] = {}
     with Path(path).open(encoding="utf-8") as fh:
         for number, text in enumerate(fh, 1):
             try:
-                data = json.loads(text)
-                replaced = isinstance(data, dict) and "conversation" not in data
-                if replaced:
-                    data = {
-                        **data,
-                        "conversation": number,
-                        "turn": 0,
-                        "new_messages": data.get("request_messages"),
-                    }
-                line = from_json_dict(TranscriptLine, data)
-                if replaced:
-                    line = _continuation(line, tails.get((line.task_id, latest.get(line.task_id))))
+                line = from_json_dict(TranscriptLine, json.loads(text))
                 key = (line.task_id, line.conversation)
                 tail = tails.get(key)
                 if tail is None and line.turn:
@@ -254,7 +225,6 @@ def read_transcript(path: Path) -> list[TranscriptEntry]:
                 line.task_id, line.conversation, line.turn, line.model, line.timestamp, exchange
             )
             tails[key] = entry
-            latest[line.task_id] = line.conversation
             entries.append(entry)
     return entries
 

@@ -37,14 +37,23 @@ class AttemptRecord:
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One task's run as record.json stores it; the follow-up count and the
+    first-attempt pass are read off the attempts, not stored."""
+
     task_id: str
     task_suite: str
     final_status: FinalStatus
-    followups_used: int
-    solved_without_followups: bool
     wall_time_seconds: float
     error: str | None = None
     attempts: tuple[AttemptRecord, ...] = ()
+
+    @property
+    def followups_used(self) -> int:
+        return sum(1 for a in self.attempts if a.followup_sent is not None)
+
+    @property
+    def solved_without_followups(self) -> bool:
+        return bool(self.attempts) and self.attempts[0].outcome.kind is OutcomeKind.PASS
 
 
 class SandboxLike(Protocol):
@@ -77,9 +86,7 @@ def environment_record(task: SynthesisTask, reason: str) -> RunRecord:
         task_id=task.id,
         task_suite=task.suite,
         attempts=(),
-        followups_used=0,
         final_status=FinalStatus.FAILED_ENVIRONMENT,
-        solved_without_followups=False,
         wall_time_seconds=0.0,
         error=reason,
     )
@@ -112,7 +119,6 @@ def synthesize(
     ordinals = tuple(t.ordinal for t in task.test_cases)
     param_count = len(task.signature.parameters)
     attempts: list[AttemptRecord] = []
-    followups_used = 0
     final_status: FinalStatus | None = None
     error: str | None = None
 
@@ -138,7 +144,7 @@ def synthesize(
                 final_status = FinalStatus.SOLVED
             elif outcome.fingerprint == previous:
                 final_status = FinalStatus.FAILED_SAME_ERROR
-            elif followups_used >= max_followups:
+            elif len(attempts) >= max_followups:  # each earlier attempt sent a follow-up
                 final_status = FinalStatus.FAILED_BUDGET
             if final_status is not None and outcome.extraction_failed:
                 final_status = FinalStatus.FAILED_EXTRACTION
@@ -149,7 +155,6 @@ def synthesize(
                     Message("assistant", exchange.response_text),
                     Message("user", followup),
                 ]
-                followups_used += 1
     except (BackendError, ToolchainError) as exc:
         final_status = FinalStatus.FAILED_ENVIRONMENT
         error = str(exc)
@@ -158,10 +163,7 @@ def synthesize(
         task_id=task.id,
         task_suite=task.suite,
         attempts=tuple(attempts),
-        followups_used=followups_used,
         final_status=final_status,
-        solved_without_followups=bool(attempts)
-        and attempts[0].outcome.kind is OutcomeKind.PASS,
         wall_time_seconds=time.monotonic() - start,
         error=error,
     )

@@ -119,6 +119,9 @@ def structural_violations(task: SynthesisTask) -> list[str]:
     violations = []
     if not is_path_segment(task.id):
         violations.append(f"task id {task.id!r} is not a single path segment")
+    for dep in task.dependencies:
+        if not is_path_segment(dep):
+            violations.append(f"dependency id {dep!r} is not a single path segment")
     if not _IDENTIFIER_RE.match(task.signature.name):
         violations.append(f"method name {task.signature.name!r} is not a valid identifier")
     names = [p.name for p in task.signature.parameters]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 import threading
 from pathlib import Path
 
@@ -9,6 +11,18 @@ from apisynth import sandbox as sandbox_module
 from apisynth.refine import AttemptRecord, FinalStatus, RunRecord
 from apisynth.sandbox import AttemptOutcome, OutcomeKind, ParkedPool
 from apisynth.tasks import SynthesisTask
+
+
+def load_script(repo_root, name):
+    """A script under scripts/, imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, repo_root / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def ok() -> AttemptOutcome:
@@ -60,43 +74,46 @@ def simple_response(method_line: str = "double ellipseArea(Ellipse2D e) { return
     return java_response(f"    {method_line}\n    void testAll() {{ }}")
 
 
-def _record(task_id, suite, attempts, followups, status) -> RunRecord:
+def _record(task_id, suite, attempts, status) -> RunRecord:
+    """Every attempt but the last sent a follow-up, as the loop does."""
+    last = len(attempts) - 1
     return RunRecord(
         task_id=task_id,
         task_suite=suite,
-        attempts=tuple(AttemptRecord(i + 1, o) for i, o in enumerate(attempts)),
-        followups_used=followups,
+        attempts=tuple(
+            AttemptRecord(i + 1, o, followup_sent=None if i == last else f"follow-up {i + 1}")
+            for i, o in enumerate(attempts)
+        ),
         final_status=status,
-        solved_without_followups=bool(attempts) and attempts[0].kind is OutcomeKind.PASS,
         wall_time_seconds=0.1,
     )
 
 
 def immediate_pass(task_id: str, suite: str) -> RunRecord:
-    return _record(task_id, suite, [ok()], 0, FinalStatus.SOLVED)
+    return _record(task_id, suite, [ok()], FinalStatus.SOLVED)
 
 
 def solved_later(task_id: str, suite: str) -> RunRecord:
-    return _record(task_id, suite, [failing(1), ok()], 1, FinalStatus.SOLVED)
+    return _record(task_id, suite, [failing(1), ok()], FinalStatus.SOLVED)
 
 
 def compile_then_pass(task_id: str, suite: str) -> RunRecord:
-    return _record(task_id, suite, [compile_error(), ok()], 1, FinalStatus.SOLVED)
+    return _record(task_id, suite, [compile_error(), ok()], FinalStatus.SOLVED)
 
 
 def compiled_never_solved(task_id: str, suite: str) -> RunRecord:
-    return _record(task_id, suite, [failing(1), failing(1)], 1, FinalStatus.FAILED_SAME_ERROR)
+    return _record(task_id, suite, [failing(1), failing(1)], FinalStatus.FAILED_SAME_ERROR)
 
 
 def compiled_late_never_solved(task_id: str, suite: str) -> RunRecord:
     """First attempt does not compile; later ones run but never pass."""
     return _record(
-        task_id, suite, [compile_error(), failing(1), failing(1)], 2, FinalStatus.FAILED_SAME_ERROR
+        task_id, suite, [compile_error(), failing(1), failing(1)], FinalStatus.FAILED_SAME_ERROR
     )
 
 
 def never_compiled(task_id: str, suite: str) -> RunRecord:
-    return _record(task_id, suite, [compile_error(), compile_error()], 1, FinalStatus.FAILED_SAME_ERROR)
+    return _record(task_id, suite, [compile_error(), compile_error()], FinalStatus.FAILED_SAME_ERROR)
 
 
 def env_failed(task_id: str, suite: str, reason: str = "backend unreachable") -> RunRecord:
@@ -104,9 +121,7 @@ def env_failed(task_id: str, suite: str, reason: str = "backend unreachable") ->
         task_id=task_id,
         task_suite=suite,
         attempts=(),
-        followups_used=0,
         final_status=FinalStatus.FAILED_ENVIRONMENT,
-        solved_without_followups=False,
         wall_time_seconds=0.0,
         error=reason,
     )

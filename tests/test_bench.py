@@ -127,11 +127,7 @@ def test_markdown_omits_environment_line_when_clean():
 
 def test_impossible_counts_rejected():
     # claims a solve although no attempt ever ran
-    broken = dataclasses.replace(
-        env_failed("bad", "s"),
-        final_status=FinalStatus.SOLVED,
-        solved_without_followups=True,
-    )
+    broken = dataclasses.replace(env_failed("bad", "s"), final_status=FinalStatus.SOLVED)
     with pytest.raises(MetricsError):
         aggregate([broken])
 
@@ -473,7 +469,7 @@ def test_resume_reruns_a_truncated_record(repo_root, tmp_path):
     path.write_text(path.read_text(encoding="utf-8")[:40], encoding="utf-8")
     mistyped_path = tmp_path / mistyped.id / "record.json"
     data = json.loads(mistyped_path.read_text(encoding="utf-8"))
-    mistyped_path.write_text(json.dumps({**data, "followups_used": "x"}), encoding="utf-8")
+    mistyped_path.write_text(json.dumps({**data, "wall_time_seconds": "x"}), encoding="utf-8")
 
     targets = [SAMPLE_TARGETS[task.id] for task in (truncated, mistyped)]
     backend = MockBackend(

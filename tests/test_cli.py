@@ -6,7 +6,9 @@ import os
 import pytest
 
 import apisynth.cli as cli
+from apisynth import sandbox as sandbox_module
 from apisynth.llm import read_transcript
+from apisynth.refine import load_record
 from helpers import StubSandbox, compile_error, failing, java_response, ok, runtime_error
 
 
@@ -593,6 +595,42 @@ def test_bench_resume_reuses_records(sample_suite, tmp_path, monkeypatch, capsys
     second_out = capsys.readouterr().out
     assert second_rc == 1
     assert json.loads(second_out) == json.loads(first_out)
+
+
+def test_bench_resume_reads_records_that_store_derived_counts(
+    sample_suite, tmp_path, monkeypatch, capsys
+):
+    """Records in the older layout, which also stored followups_used and
+    solved_without_followups, resume without a model call or a JVM."""
+    sandbox = all_pass_sandbox()
+    sandbox.by_target["GetRange"] = [failing(1), failing(1)]
+    sandbox.by_target["ellipseArea"] = [compile_error(), ok()]
+    stub_sandbox_factory(monkeypatch, sandbox)
+    assert cli.main(bench_args(sample_suite, tmp_path, bench_script(tmp_path, per_task=2))) == 1
+    capsys.readouterr()
+    run_dir = tmp_path / "runs" / "r1"
+    names = ("report.md", "report.csv", "report.json")
+    reports = {name: (run_dir / name).read_bytes() for name in names}
+    for name in reports:
+        (run_dir / name).unlink()
+    for path in run_dir.glob("*/record.json"):
+        record = load_record(path)
+        stored = {}
+        for key, value in json.loads(path.read_text(encoding="utf-8")).items():
+            stored[key] = value
+            if key == "final_status":
+                stored["followups_used"] = record.followups_used
+                stored["solved_without_followups"] = record.solved_without_followups
+        path.write_text(json.dumps(stored, indent=2) + "\n", encoding="utf-8")
+    assert '"followups_used": 1' in (run_dir / "get-range" / "record.json").read_text(encoding="utf-8")
+
+    started = []
+    monkeypatch.setattr(sandbox_module.subprocess, "Popen", lambda *a, **k: started.append(a))
+    stub_sandbox_factory(monkeypatch, StubSandbox())
+    empty = write_script(tmp_path / "empty.json", {})
+    assert cli.main(bench_args(sample_suite, tmp_path, empty, "--resume")) == 1
+    assert started == []
+    assert {name: (run_dir / name).read_bytes() for name in reports} == reports
 
 
 def test_bench_resume_appends_a_new_conversation(sample_suite, tmp_path, monkeypatch, capsys):

@@ -2,28 +2,16 @@
 
 from __future__ import annotations
 
-import importlib.util
 import io
 import json
-import sys
 
 import pytest
 
 from apisynth.bench import RENDERERS, aggregate, load_baseline
 from apisynth.refine import load_record
+from helpers import load_script
 
 SUFFIXES = {"markdown": "md", "csv": "csv", "json": "json"}
-
-
-def load_script(repo_root, name):
-    spec = importlib.util.spec_from_file_location(name, repo_root / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
 
 
 @pytest.fixture(scope="module")

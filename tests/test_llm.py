@@ -25,6 +25,7 @@ from apisynth.llm import (
 )
 from apisynth.prompting import Message
 from apisynth.records import to_json_dict
+from helpers import load_script
 
 
 def conversation(text: str = "implement it") -> list[Message]:
@@ -173,29 +174,17 @@ def test_transcript_ids_stay_unique_across_writers(tmp_path):
     assert [(e.conversation, e.turn) for e in entries] == [(1, 0), (2, 0), (3, 0), (3, 1)]
 
 
-def test_transcript_reads_the_replaced_layout(tmp_path):
-    """Lines that held the whole request, followed by lines a resumed run appended."""
+def test_transcript_refuses_the_older_layout(tmp_path, repo_root, capsys):
+    """A line that held the whole request, with no conversation id, does not decode."""
     path = tmp_path / "transcript.jsonl"
-    old = [
-        ("a", exchange("q")),
-        ("a", exchange("q", "reply", "follow-up")),
-        ("b", exchange("q", reply="")),
-        ("a", exchange("q")),
-    ]
-    with path.open("w", encoding="utf-8") as fh:
-        for task_id, ex in old:
-            line = {"timestamp": "t", "task_id": task_id, "model": "m", **to_json_dict(ex)}
-            fh.write(json.dumps(line) + "\n")
-    TranscriptWriter(path).append("b", "m", exchange("q"))
-    entries = read_transcript(path)
-    assert [(e.task_id, e.conversation, e.turn) for e in entries] == [
-        ("a", 1, 0),
-        ("a", 1, 1),
-        ("b", 3, 0),
-        ("a", 4, 0),
-        ("b", 5, 0),
-    ]
-    assert [e.exchange for e in entries] == [ex for _, ex in old] + [exchange("q")]
+    line = {"timestamp": "t", "task_id": "a", "model": "m", **to_json_dict(exchange("q"))}
+    path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    message = f"{path}: line 1: conversation: missing required field"
+    with pytest.raises(ValueError) as excinfo:
+        read_transcript(path)
+    assert str(excinfo.value) == message
+    assert load_script(repo_root, "show_transcript").main([str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_transcript_reader_rejects_an_unknown_conversation(tmp_path):

@@ -1,17 +1,25 @@
-"""The program names the benchmark rebinds while it traces a run.
+"""The program names and record fields the benchmark relies on.
 
 perfbench/spans.py swaps module attributes of ``refine``, ``bench`` and
 ``cli`` for timing wrappers, and perfbench/workloads.py swaps the CLI's two
 factories. Its ``patched`` fails on a name that is gone, so a refactor that
 drops one of them breaks the benchmark; this test makes it fail the test suite too.
+
+perfbench/workloads.py also reads loaded records and copies them with
+``dataclasses.replace``. A field it reads that became a property would make
+``replace`` fail or drop the value from record.json, so those stay fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
 from apisynth import cli
+from apisynth.refine import AttemptRecord, FinalStatus, RunRecord, load_record, save_record
+from apisynth.sandbox import AttemptOutcome
+from helpers import failing, ok
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -32,3 +40,35 @@ def test_every_rebound_name_exists():
         for module, attr, new in replacements:
             assert getattr(module, attr) is new
     assert [getattr(module, attr) for module, attr, _ in replacements] == before
+
+
+def field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_record_attributes_the_benchmark_reads_are_stored(tmp_path):
+    stored = {"task_id", "task_suite", "final_status", "error", "wall_time_seconds", "attempts"}
+    assert stored <= field_names(RunRecord)
+    assert {"index", "outcome"} <= field_names(AttemptRecord)
+    assert {"kind", "failing_ordinals"} <= field_names(AttemptOutcome)
+
+    record = RunRecord(
+        task_id="template",
+        task_suite="s",
+        final_status=FinalStatus.SOLVED,
+        wall_time_seconds=0.25,
+        attempts=(AttemptRecord(1, failing(2, 3), followup_sent="fix"), AttemptRecord(2, ok())),
+    )
+    # The resume-report workload fans one template record out under new ids.
+    copy = dataclasses.replace(record, task_id="copy", task_suite="t")
+    save_record(copy, tmp_path / "record.json")
+    loaded = load_record(tmp_path / "record.json")
+    assert loaded == copy
+    assert (loaded.task_id, loaded.task_suite) == ("copy", "t")
+    assert (loaded.final_status, loaded.error, loaded.wall_time_seconds) == (
+        FinalStatus.SOLVED,
+        None,
+        0.25,
+    )
+    attempts = [(a.index, a.outcome.kind.value, sorted(a.outcome.failing_ordinals)) for a in loaded.attempts]
+    assert attempts == [(1, "failing_tests", [2, 3]), (2, "pass", [])]

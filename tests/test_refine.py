@@ -238,8 +238,13 @@ def test_stored_record_layout_is_stable(tmp_path):
     assert record.attempts[0].outcome.failing_ordinals == frozenset({3, 4})
     assert record.attempts[0].followup_sent == "fix 3 and 4"
     assert record.final_status is FinalStatus.SOLVED
+    assert record.followups_used == 1
+    assert not record.solved_without_followups
+    # Saving drops the two derived keys and keeps every other byte.
     save_record(record, tmp_path / "again" / "record.json")
-    assert (tmp_path / "again" / "record.json").read_text(encoding="utf-8") == STORED_RECORD
+    assert (tmp_path / "again" / "record.json").read_text(encoding="utf-8") == STORED_RECORD.replace(
+        '  "followups_used": 1,\n  "solved_without_followups": false,\n', ""
+    )
     assert [p.name for p in (tmp_path / "again").iterdir()] == ["record.json"]
 
 

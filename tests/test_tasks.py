@@ -211,6 +211,27 @@ def test_validate_task_names_unresolved_dependency(tmp_path):
     assert validate_task(task, tmp_path) == []
 
 
+@pytest.mark.parametrize("dep", ["/etc/hosts", "../outside", "..", ".", "", "a/b", "a\0b"])
+def test_dependency_id_must_be_one_path_segment(tmp_path, dep):
+    task = make_task(dependencies=(dep,))
+    assert structural_violations(task) == [f"dependency id {dep!r} is not a single path segment"]
+    (tmp_path / "demo.json").write_text(json.dumps(serialize_task(task)))
+    with pytest.raises(TaskValidationError, match="dependency id .* is not a single path segment"):
+        load_suite(tmp_path)
+
+
+def test_dependency_id_that_leaves_the_deps_dir_is_refused(tmp_path):
+    """An absolute id, or one with "..", would resolve outside --deps; both are refused."""
+    deps = tmp_path / "deps"
+    deps.mkdir()
+    outside = tmp_path / "outside.jar"
+    outside.write_bytes(b"")
+    for dep in (str(outside), "../outside"):
+        assert resolve_dependency(dep, deps).resolve() == outside.resolve()  # what the rule guards against
+        task = make_task(dependencies=(dep,))
+        assert validate_task(task, deps) == [f"dependency id {dep!r} is not a single path segment"]
+
+
 def test_load_suite_orders_tasks_lexicographically(tmp_path):
     for task_id in ["zeta", "alpha", "midl"]:
         task = make_task(id=task_id)
