@@ -18,7 +18,6 @@ from apisynth.bench import aggregate, render_markdown, run_suite, write_reports
 from apisynth.extractor import SourceUnit
 from apisynth.llm import MockBackend, TranscriptWriter
 from apisynth.prompting import load_templates
-from apisynth.records import save_json
 from apisynth.sandbox import AttemptOutcome, OutcomeKind
 from apisynth.tasks import load_suite
 
@@ -38,9 +37,7 @@ class ScriptedSandbox:
         (workdir / f"{unit.public_class_name}.java").write_text(unit.source_text, encoding="utf-8")
         with self._lock:
             queue = self.outcomes[target_name]
-            result = queue.pop(0) if len(queue) > 1 else queue[0]
-        save_json(result, workdir / "outcome.json")
-        return result
+            return queue.pop(0) if len(queue) > 1 else queue[0]
 
 
 def java_reply(class_name: str, body: str) -> str:
@@ -48,7 +45,7 @@ def java_reply(class_name: str, body: str) -> str:
 
 
 def main(run_dir: Path = RUN_DIR) -> int:
-    suite = load_suite(REPO / "tasks" / "sample")
+    tasks = load_suite(REPO / "tasks" / "sample")
 
     # One canned reply per expected model call; keyed by task id.
     script = {
@@ -72,19 +69,19 @@ def main(run_dir: Path = RUN_DIR) -> int:
     # the same runtime error twice, showing the same-error cutoff.
     sandbox = ScriptedSandbox(
         {
-            "swap": [AttemptOutcome.of(OutcomeKind.PASS)],
-            "ellipseArea": [AttemptOutcome.of(OutcomeKind.PASS)],
+            "swap": [AttemptOutcome(OutcomeKind.PASS)],
+            "ellipseArea": [AttemptOutcome(OutcomeKind.PASS)],
             "getOffsetForLine": [
-                AttemptOutcome.of(OutcomeKind.RUNTIME_ERROR, "Exception in thread \"main\" java.lang.StringIndexOutOfBoundsException"),
-                AttemptOutcome.of(OutcomeKind.RUNTIME_ERROR, "Exception in thread \"main\" java.lang.StringIndexOutOfBoundsException"),
+                AttemptOutcome(OutcomeKind.RUNTIME_ERROR, detail="Exception in thread \"main\" java.lang.StringIndexOutOfBoundsException"),
+                AttemptOutcome(OutcomeKind.RUNTIME_ERROR, detail="Exception in thread \"main\" java.lang.StringIndexOutOfBoundsException"),
             ],
             "GetRange": [
-                AttemptOutcome.of(OutcomeKind.FAILING_TESTS, ordinals=frozenset({3, 4, 5})),
-                AttemptOutcome.of(OutcomeKind.PASS),
+                AttemptOutcome(OutcomeKind.FAILING_TESTS, failing_ordinals=frozenset({3, 4, 5})),
+                AttemptOutcome(OutcomeKind.PASS),
             ],
             "isPalindrome": [
-                AttemptOutcome.of(OutcomeKind.COMPILE_ERROR, "error: ';' expected"),
-                AttemptOutcome.of(OutcomeKind.PASS),
+                AttemptOutcome(OutcomeKind.COMPILE_ERROR, detail="error: ';' expected"),
+                AttemptOutcome(OutcomeKind.PASS),
             ],
         }
     )
@@ -93,7 +90,7 @@ def main(run_dir: Path = RUN_DIR) -> int:
         shutil.rmtree(run_dir)
     backend = MockBackend(script=script, transcript=TranscriptWriter(run_dir / "transcript.jsonl"))
     records = run_suite(
-        suite,
+        tasks,
         backend,
         load_templates(),
         sandbox,

@@ -24,7 +24,7 @@ from .refine import (
     synthesize,
 )
 from .sandbox import OutcomeKind
-from .tasks import BenchmarkSuite, resolve_dependencies
+from .tasks import SynthesisTask, resolve_dependencies
 
 
 class MetricsError(Exception):
@@ -246,7 +246,7 @@ def write_reports(
 
 
 def run_suite(
-    suite: BenchmarkSuite,
+    tasks: Sequence[SynthesisTask],
     backend: ChatBackend,
     templates: PromptTemplateSet,
     sandbox: SandboxLike,
@@ -264,7 +264,7 @@ def run_suite(
     """
     records: dict[str, RunRecord] = {}
     pending = []
-    for task in suite.tasks:
+    for task in tasks:
         if resume:
             try:
                 existing = load_record(run_dir / task.id / "record.json")
@@ -291,4 +291,4 @@ def run_suite(
                 record = future.result()
                 records[record.task_id] = record
 
-    return [records[task.id] for task in suite.tasks]
+    return [records[task.id] for task in tasks]

@@ -196,7 +196,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     max_followups = _at_least(args, "max_followups", 0)
     timeouts = _timeouts(args)
     run_dir = _run_dir(args, args.resume)
-    suite = load_suite(Path(args.suite))
+    tasks = load_suite(Path(args.suite))
     templates = load_templates(_path(args, "prompts"))
     baseline_path = _path(args, "baseline")
     baseline = load_baseline(baseline_path) if baseline_path else None
@@ -210,7 +210,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     backend = make_backend(backend_config, transcript, _path(args, "mock_script"))
     with warm_sandbox(workers or DEFAULT_WORKERS, **timeouts) as sandbox:
         records = run_suite(
-            suite,
+            tasks,
             backend,
             templates,
             sandbox,

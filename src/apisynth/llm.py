@@ -18,6 +18,8 @@ from .prompting import Message, PromptError
 from .records import from_json_dict, to_json_dict
 
 RETRYABLE_STATUS = (429, 500, 502, 503, 504)
+REQUEST_TIMEOUT = 120.0  # seconds per HTTP request
+TRANSPORT_RETRIES = 2  # further tries after a transport error or a retryable status
 # The longest wait a Retry-After header gets; a larger value is taken as this.
 RETRY_AFTER_CAP = 60.0
 
@@ -45,18 +47,12 @@ class BackendConfig:
     temperature: float = 0.7
     endpoint_url: str = "https://api.openai.com/v1"
     credential_source: str = "OPENAI_API_KEY"
-    request_timeout: float = 120.0
-    max_retries_transport: int = 2
 
     def __post_init__(self) -> None:
         if self.kind not in ("http", "mock"):
             raise ConfigError(f"backend kind must be 'http' or 'mock', got {self.kind!r}")
         if not 0.0 <= self.temperature <= 2.0:
             raise ConfigError(f"temperature must be within [0, 2], got {self.temperature}")
-        if self.request_timeout <= 0:
-            raise ConfigError("request timeout must be positive")
-        if self.max_retries_transport < 0:
-            raise ConfigError("transport retry count must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -295,7 +291,7 @@ class HttpBackend:
         }
         headers = {"Authorization": f"Bearer {self._api_key}"}
 
-        attempts = self.config.max_retries_transport + 1
+        attempts = TRANSPORT_RETRIES + 1
         last_error: Exception | None = None
         wait: float | None = None  # what the last reply asked for
         for attempt in range(attempts):
@@ -304,9 +300,7 @@ class HttpBackend:
                 wait = None
             start = time.monotonic()
             try:
-                response = self._session.post(
-                    url, json=body, headers=headers, timeout=self.config.request_timeout
-                )
+                response = self._session.post(url, json=body, headers=headers, timeout=REQUEST_TIMEOUT)
             except requests.RequestException as exc:
                 last_error = exc
                 continue

@@ -129,7 +129,7 @@ def synthesize(
             try:
                 unit = extract_source_unit(exchange.response_text, task.signature.name, param_count)
             except ExtractionError as exc:
-                outcome = AttemptOutcome.of(OutcomeKind.COMPILE_ERROR, str(exc), extraction_failed=True)
+                outcome = AttemptOutcome(OutcomeKind.COMPILE_ERROR, detail=str(exc), extraction_failed=True)
             else:
                 outcome = sandbox.evaluate(
                     unit,

@@ -19,7 +19,6 @@ from enum import Enum
 from pathlib import Path
 
 from .extractor import SourceUnit, strip_comments_and_strings
-from .records import save_json
 
 FAIL_MARKER_RE = re.compile(r"Test case #(\d+) failed")
 SUCCESS_MARKER = "All test cases passed."
@@ -104,22 +103,19 @@ class ExecutionResult:
 @dataclass(frozen=True)
 class AttemptOutcome:
     kind: OutcomeKind
-    fingerprint: str
     failing_ordinals: frozenset[int] = frozenset()
     detail: str = ""
     extraction_failed: bool = False
 
-    @classmethod
-    def of(
-        cls,
-        kind: OutcomeKind,
-        detail: str = "",
-        ordinals: frozenset[int] = frozenset(),
-        extraction_failed: bool = False,
-    ) -> AttemptOutcome:
-        """The outcome with the fingerprint its fields imply; a stored one keeps its own."""
-        fingerprint = fingerprint_of(kind, detail, ordinals, extraction_failed)
-        return cls(kind, fingerprint, ordinals, detail, extraction_failed)
+    @property
+    def fingerprint(self) -> str:
+        """What the same-error stop compares; derived from the fields, never stored."""
+        if self.kind is OutcomeKind.PASS:
+            return "pass"
+        if self.kind is OutcomeKind.FAILING_TESTS:
+            return "failing_tests:" + ",".join(str(o) for o in sorted(self.failing_ordinals))
+        source = "extraction:" if self.extraction_failed else ""
+        return f"{self.kind.value}:{source}{normalize_diagnostic(self.detail)}"
 
 
 def _first_diagnostic_line(stderr: str, stdout: str) -> str:
@@ -148,17 +144,6 @@ def _parse_failing_ordinals(*texts: str) -> frozenset[int]:
     return frozenset(found)
 
 
-def fingerprint_of(
-    kind: OutcomeKind, detail: str, ordinals: frozenset[int], extraction_failed: bool = False
-) -> str:
-    if kind is OutcomeKind.PASS:
-        return "pass"
-    if kind is OutcomeKind.FAILING_TESTS:
-        return "failing_tests:" + ",".join(str(o) for o in sorted(ordinals))
-    source = "extraction:" if extraction_failed else ""
-    return f"{kind.value}:{source}{normalize_diagnostic(detail)}"
-
-
 def classify(
     compile_result: ExecutionResult,
     run_result: ExecutionResult | None,
@@ -174,23 +159,23 @@ def classify(
     every test case, since the harness gave no verdict on the target.
     """
     if compile_result.timed_out:
-        return AttemptOutcome.of(OutcomeKind.COMPILE_ERROR, TIMEOUT_DIAGNOSTIC)
+        return AttemptOutcome(OutcomeKind.COMPILE_ERROR, detail=TIMEOUT_DIAGNOSTIC)
     if compile_result.exit_code != 0:
         detail = _first_diagnostic_line(compile_result.stderr, compile_result.stdout)
-        return AttemptOutcome.of(OutcomeKind.COMPILE_ERROR, detail or "compilation failed")
+        return AttemptOutcome(OutcomeKind.COMPILE_ERROR, detail=detail or "compilation failed")
     if run_result is None:
-        return AttemptOutcome.of(OutcomeKind.RUNTIME_ERROR, NO_ENTRY_POINT_DIAGNOSTIC)
+        return AttemptOutcome(OutcomeKind.RUNTIME_ERROR, detail=NO_ENTRY_POINT_DIAGNOSTIC)
     if run_result.timed_out:
-        return AttemptOutcome.of(OutcomeKind.RUNTIME_ERROR, TIMEOUT_DIAGNOSTIC)
+        return AttemptOutcome(OutcomeKind.RUNTIME_ERROR, detail=TIMEOUT_DIAGNOSTIC)
     failing = _parse_failing_ordinals(run_result.stdout, run_result.stderr)
     if failing:
-        return AttemptOutcome.of(OutcomeKind.FAILING_TESTS, ordinals=failing)
+        return AttemptOutcome(OutcomeKind.FAILING_TESTS, failing_ordinals=failing)
     if run_result.exit_code != 0:
         detail = _first_diagnostic_line(run_result.stderr, run_result.stdout)
-        return AttemptOutcome.of(OutcomeKind.RUNTIME_ERROR, detail or "nonzero exit")
+        return AttemptOutcome(OutcomeKind.RUNTIME_ERROR, detail=detail or "nonzero exit")
     if declares_target and SUCCESS_MARKER in run_result.stdout:
-        return AttemptOutcome.of(OutcomeKind.PASS)
-    return AttemptOutcome.of(OutcomeKind.FAILING_TESTS, ordinals=frozenset(all_ordinals))
+        return AttemptOutcome(OutcomeKind.PASS)
+    return AttemptOutcome(OutcomeKind.FAILING_TESTS, failing_ordinals=frozenset(all_ordinals))
 
 
 @dataclass(frozen=True)
@@ -772,7 +757,7 @@ class Sandbox:
         workdir: Path,
         classpath: list[Path] | None = None,
     ) -> AttemptOutcome:
-        """Write, compile, and run one candidate; persist logs and the outcome."""
+        """Write, compile, and run one candidate; persist its logs."""
         workdir.mkdir(parents=True, exist_ok=True)
         classpath = classpath or []
         source, main_class = candidate_source(unit, target_name)
@@ -796,9 +781,7 @@ class Sandbox:
                     run_result = _execute(run_argv, workdir, self.run_timeout)
                 _write_log(workdir / "run.log", run_argv, run_result)
 
-        outcome = classify(compile_result, run_result, all_ordinals, unit.contains_target_method)
-        save_json(outcome, workdir / "outcome.json")
-        return outcome
+        return classify(compile_result, run_result, all_ordinals, unit.contains_target_method)
 
     def _compile(self, workdir: Path, classpath: list[Path], source_name: str) -> ExecutionResult:
         """Compile through _javac and write compile.log; a cold javac's fault exit raises ToolchainError."""

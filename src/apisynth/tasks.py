@@ -72,12 +72,6 @@ class SynthesisTask:
     notes: str | None = None
 
 
-@dataclass(frozen=True)
-class BenchmarkSuite:
-    name: str
-    tasks: tuple[SynthesisTask, ...]
-
-
 def parse_task_dict(data, ctx: str) -> SynthesisTask:
     """Decode a task file's JSON; ctx (the file) leads every error message."""
     try:
@@ -196,15 +190,13 @@ def task_files(path: Path) -> list[Path]:
     return files
 
 
-def load_suite(path: Path) -> BenchmarkSuite:
-    """Load a suite from a directory of task files or a single task file.
+def load_suite(path: Path) -> tuple[SynthesisTask, ...]:
+    """Load the tasks of a directory of task files or of a single task file.
 
     Tasks are returned in lexicographic id order. Structural invariant
     violations and duplicate ids fail the load.
     """
-    path = Path(path)
     files = task_files(path)
-    default_name = path.name if path.is_dir() else path.stem
     tasks = [parse_task_file(f) for f in files]
     for task, origin in zip(tasks, files):
         violations = structural_violations(task)
@@ -217,7 +209,4 @@ def load_suite(path: Path) -> BenchmarkSuite:
                 f"duplicate task id '{task.id}' in {origin} (first seen in {seen[task.id]})"
             )
         seen[task.id] = origin
-    tasks.sort(key=lambda t: t.id)
-    suite_names = {t.suite for t in tasks}
-    name = suite_names.pop() if len(suite_names) == 1 else default_name
-    return BenchmarkSuite(name=name, tasks=tuple(tasks))
+    return tuple(sorted(tasks, key=lambda t: t.id))

@@ -26,19 +26,19 @@ def load_script(repo_root, name):
 
 
 def ok() -> AttemptOutcome:
-    return AttemptOutcome.of(OutcomeKind.PASS)
+    return AttemptOutcome(OutcomeKind.PASS)
 
 
 def compile_error(detail: str = "error: ';' expected") -> AttemptOutcome:
-    return AttemptOutcome.of(OutcomeKind.COMPILE_ERROR, detail)
+    return AttemptOutcome(OutcomeKind.COMPILE_ERROR, detail=detail)
 
 
 def runtime_error(detail: str = "Exception in thread \"main\" java.lang.IllegalStateException") -> AttemptOutcome:
-    return AttemptOutcome.of(OutcomeKind.RUNTIME_ERROR, detail)
+    return AttemptOutcome(OutcomeKind.RUNTIME_ERROR, detail=detail)
 
 
 def failing(*ordinals: int) -> AttemptOutcome:
-    return AttemptOutcome.of(OutcomeKind.FAILING_TESTS, ordinals=frozenset(ordinals))
+    return AttemptOutcome(OutcomeKind.FAILING_TESTS, failing_ordinals=frozenset(ordinals))
 
 
 class StubSandbox:

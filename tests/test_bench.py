@@ -24,7 +24,7 @@ from apisynth.bench import (
 from apisynth.llm import ConfigError, MockBackend, TranscriptWriter, read_transcript
 from apisynth.prompting import load_templates
 from apisynth.refine import FinalStatus, RunRecord, load_record
-from apisynth.tasks import BenchmarkSuite, load_suite
+from apisynth.tasks import load_suite
 from helpers import (
     StubSandbox,
     compile_error,
@@ -279,25 +279,25 @@ def passing_sandbox():
 
 
 def test_run_suite_returns_records_in_task_id_order(repo_root, tmp_path):
-    suite = load_suite(repo_root / "tasks" / "sample")
+    tasks = load_suite(repo_root / "tasks" / "sample")
     records = run_suite(
-        suite, scripted_backend(), load_templates(), passing_sandbox(), tmp_path, workers=3
+        tasks, scripted_backend(), load_templates(), passing_sandbox(), tmp_path, workers=3
     )
     assert [r.task_id for r in records] == sorted(SAMPLE_TARGETS)
     assert all(r.final_status is FinalStatus.SOLVED for r in records)
 
 
 def test_run_suite_writes_record_files(repo_root, tmp_path):
-    suite = load_suite(repo_root / "tasks" / "sample")
+    tasks = load_suite(repo_root / "tasks" / "sample")
     records = run_suite(
-        suite, scripted_backend(), load_templates(), passing_sandbox(), tmp_path, workers=2
+        tasks, scripted_backend(), load_templates(), passing_sandbox(), tmp_path, workers=2
     )
     for record in records:
         assert load_record(tmp_path / record.task_id / "record.json") == record
 
 
 def test_run_suite_mixed_outcomes(repo_root, tmp_path):
-    suite = load_suite(repo_root / "tasks" / "sample")
+    tasks = load_suite(repo_root / "tasks" / "sample")
     sandbox = StubSandbox(
         by_target={
             "swap": [ok()],
@@ -317,7 +317,7 @@ def test_run_suite_mixed_outcomes(repo_root, tmp_path):
     )
     records = {
         r.task_id: r
-        for r in run_suite(suite, backend, load_templates(), sandbox, tmp_path, workers=4)
+        for r in run_suite(tasks, backend, load_templates(), sandbox, tmp_path, workers=4)
     }
     assert records["collections-swap"].final_status is FinalStatus.SOLVED
     assert records["ellipse-area"].followups_used == 1
@@ -345,9 +345,7 @@ class RecordingBackend:
 def test_transcript_rebuilds_interleaved_conversations(repo_root, tmp_path):
     """Three workers, more than the cores, write turns of many tasks into one file."""
     sample = load_suite(repo_root / "tasks" / "sample")
-    tasks = tuple(
-        dataclasses.replace(task, id=f"{task.id}-{copy}") for copy in range(4) for task in sample.tasks
-    )
+    tasks = tuple(dataclasses.replace(task, id=f"{task.id}-{copy}") for copy in range(4) for task in sample)
     outcomes = {task.id: [compile_error(), runtime_error(), failing(1), ok()] for task in tasks}
 
     class PerTaskSandbox(StubSandbox):
@@ -366,7 +364,7 @@ def test_transcript_rebuilds_interleaved_conversations(repo_root, tmp_path):
     sys.setswitchinterval(1e-5)
     try:
         records = run_suite(
-            BenchmarkSuite(name="sample", tasks=tasks),
+            tasks,
             backend,
             load_templates(),
             PerTaskSandbox(),
@@ -393,14 +391,14 @@ def test_transcript_rebuilds_interleaved_conversations(repo_root, tmp_path):
 
 
 def test_unresolved_dependency_skips_backend(repo_root, tmp_path):
-    suite = load_suite(repo_root / "tasks" / "sample")
-    needy = dataclasses.replace(suite.tasks[0], dependencies=("demo-dep",))
-    suite = BenchmarkSuite(name=suite.name, tasks=(needy,) + suite.tasks[1:])
+    tasks = load_suite(repo_root / "tasks" / "sample")
+    needy = dataclasses.replace(tasks[0], dependencies=("demo-dep",))
+    tasks = (needy,) + tasks[1:]
     # no script entry for the needy task: a backend call would blow up the run
     backend = scripted_backend()
     backend.script.pop(needy.id)
     records = run_suite(
-        suite, backend, load_templates(), passing_sandbox(), tmp_path, deps_dir=tmp_path / "deps"
+        tasks, backend, load_templates(), passing_sandbox(), tmp_path, deps_dir=tmp_path / "deps"
     )
     by_id = {r.task_id: r for r in records}
     assert by_id[needy.id].final_status is FinalStatus.FAILED_ENVIRONMENT
@@ -410,14 +408,14 @@ def test_unresolved_dependency_skips_backend(repo_root, tmp_path):
 
 
 def test_resume_skips_finished_and_retries_environment(repo_root, tmp_path):
-    suite = load_suite(repo_root / "tasks" / "sample")
-    needy = dataclasses.replace(suite.tasks[0], dependencies=("demo-dep",))
-    suite = BenchmarkSuite(name=suite.name, tasks=(needy,) + suite.tasks[1:])
+    tasks = load_suite(repo_root / "tasks" / "sample")
+    needy = dataclasses.replace(tasks[0], dependencies=("demo-dep",))
+    tasks = (needy,) + tasks[1:]
 
     first_backend = scripted_backend()
     first_backend.script.pop(needy.id)
     run_suite(
-        suite,
+        tasks,
         first_backend,
         load_templates(),
         passing_sandbox(),
@@ -435,7 +433,7 @@ def test_resume_skips_finished_and_retries_environment(repo_root, tmp_path):
     )
     sandbox = StubSandbox(by_target={target: [ok()]})
     records = run_suite(
-        suite,
+        tasks,
         retry_backend,
         load_templates(),
         sandbox,
@@ -448,23 +446,22 @@ def test_resume_skips_finished_and_retries_environment(repo_root, tmp_path):
 
 
 def test_resume_with_nothing_pending_reads_from_disk(repo_root, tmp_path):
-    suite = load_suite(repo_root / "tasks" / "sample")
+    tasks = load_suite(repo_root / "tasks" / "sample")
     first = run_suite(
-        suite, scripted_backend(), load_templates(), passing_sandbox(), tmp_path, workers=2
+        tasks, scripted_backend(), load_templates(), passing_sandbox(), tmp_path, workers=2
     )
     # an exhausted backend proves nothing is re-asked
     second = run_suite(
-        suite, MockBackend(script={}), load_templates(), StubSandbox(), tmp_path, resume=True
+        tasks, MockBackend(script={}), load_templates(), StubSandbox(), tmp_path, resume=True
     )
     assert second == first
 
 
 def test_resume_reruns_a_truncated_record(repo_root, tmp_path):
     """A record cut short, or one with a field of the wrong type, is re-run."""
-    suite = load_suite(repo_root / "tasks" / "sample")
-    suite = BenchmarkSuite(name=suite.name, tasks=suite.tasks[:3])
-    run_suite(suite, scripted_backend(), load_templates(), passing_sandbox(), tmp_path)
-    truncated, mistyped, intact = suite.tasks
+    tasks = load_suite(repo_root / "tasks" / "sample")[:3]
+    run_suite(tasks, scripted_backend(), load_templates(), passing_sandbox(), tmp_path)
+    truncated, mistyped, intact = tasks
     path = tmp_path / truncated.id / "record.json"
     path.write_text(path.read_text(encoding="utf-8")[:40], encoding="utf-8")
     mistyped_path = tmp_path / mistyped.id / "record.json"
@@ -479,7 +476,7 @@ def test_resume_reruns_a_truncated_record(repo_root, tmp_path):
         }
     )
     sandbox = StubSandbox(by_target={target: [ok()] for target in targets})
-    records = run_suite(suite, backend, load_templates(), sandbox, tmp_path, resume=True, workers=1)
+    records = run_suite(tasks, backend, load_templates(), sandbox, tmp_path, resume=True, workers=1)
     assert [call[0] for call in sandbox.calls] == targets
     assert all(r.final_status is FinalStatus.SOLVED for r in records)
     assert load_record(path) == records[0]
@@ -488,8 +485,7 @@ def test_resume_reruns_a_truncated_record(repo_root, tmp_path):
 
 
 def test_resolved_dependency_lands_on_classpath(repo_root, tmp_path):
-    suite = load_suite(repo_root / "tasks" / "sample")
-    needy = dataclasses.replace(suite.tasks[0], dependencies=("demo-dep",))
+    needy = dataclasses.replace(load_suite(repo_root / "tasks" / "sample")[0], dependencies=("demo-dep",))
     deps = tmp_path / "deps"
     deps.mkdir()
     jar = deps / "demo-dep.jar"
@@ -505,7 +501,7 @@ def test_resolved_dependency_lands_on_classpath(repo_root, tmp_path):
     target = SAMPLE_TARGETS[needy.id]
     sandbox = CapturingSandbox(by_target={target: [ok()]})
     run_suite(
-        BenchmarkSuite(name="one", tasks=(needy,)),
+        (needy,),
         scripted_backend(),
         load_templates(),
         sandbox,

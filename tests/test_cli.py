@@ -600,8 +600,9 @@ def test_bench_resume_reuses_records(sample_suite, tmp_path, monkeypatch, capsys
 def test_bench_resume_reads_records_that_store_derived_counts(
     sample_suite, tmp_path, monkeypatch, capsys
 ):
-    """Records in the older layout, which also stored followups_used and
-    solved_without_followups, resume without a model call or a JVM."""
+    """Records in the older layout, which also stored followups_used,
+    solved_without_followups and each attempt's fingerprint, resume without a
+    model call or a JVM."""
     sandbox = all_pass_sandbox()
     sandbox.by_target["GetRange"] = [failing(1), failing(1)]
     sandbox.by_target["ellipseArea"] = [compile_error(), ok()]
@@ -621,8 +622,14 @@ def test_bench_resume_reads_records_that_store_derived_counts(
             if key == "final_status":
                 stored["followups_used"] = record.followups_used
                 stored["solved_without_followups"] = record.solved_without_followups
+        for attempt, loaded in zip(stored["attempts"], record.attempts):
+            outcome = attempt["outcome"]
+            attempt["outcome"] = {"kind": outcome.pop("kind"), "fingerprint": loaded.outcome.fingerprint}
+            attempt["outcome"].update(outcome)
         path.write_text(json.dumps(stored, indent=2) + "\n", encoding="utf-8")
-    assert '"followups_used": 1' in (run_dir / "get-range" / "record.json").read_text(encoding="utf-8")
+    older = (run_dir / "get-range" / "record.json").read_text(encoding="utf-8")
+    assert '"followups_used": 1' in older
+    assert '"kind": "failing_tests",\n        "fingerprint": "failing_tests:1",' in older
 
     started = []
     monkeypatch.setattr(sandbox_module.subprocess, "Popen", lambda *a, **k: started.append(a))

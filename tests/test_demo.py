@@ -40,13 +40,6 @@ def test_demo_final_statuses(demo_run):
     }
 
 
-def test_demo_outcomes_are_json(demo_run):
-    paths = sorted(demo_run.glob("*/attempt-*/outcome.json"))
-    assert len(paths) == 8
-    for path in paths:
-        assert json.loads(path.read_text(encoding="utf-8"))["kind"]
-
-
 @pytest.mark.parametrize("fmt", sorted(SUFFIXES))
 def test_demo_writes_golden_reports(demo_run, repo_root, fmt):
     golden = repo_root / "tests" / "data" / f"golden_report.{SUFFIXES[fmt]}"

@@ -39,10 +39,6 @@ def test_backend_config_validation():
         BackendConfig(kind="grpc")
     with pytest.raises(ConfigError):
         BackendConfig(temperature=2.5)
-    with pytest.raises(ConfigError):
-        BackendConfig(request_timeout=0)
-    with pytest.raises(ConfigError):
-        BackendConfig(max_retries_transport=-1)
 
 
 def test_mock_array_script_consumed_in_order():
@@ -271,7 +267,8 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture()
-def http_stub():
+def http_stub(monkeypatch):
+    monkeypatch.setattr(llm, "REQUEST_TIMEOUT", 5)  # a stuck stub fails the test in seconds
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     _Handler.responses = []
     _Handler.seen = []
@@ -297,7 +294,6 @@ def test_http_backend_round_trip(http_stub, monkeypatch, tmp_path):
         temperature=0.7,
         endpoint_url=f"http://127.0.0.1:{server.server_port}/v1",
         credential_source="DEMO_KEY",
-        request_timeout=5,
     )
     transcript = TranscriptWriter(tmp_path / "t.jsonl")
     backend = HttpBackend(config, transcript=transcript)
@@ -336,11 +332,10 @@ def test_http_backend_retries_transient_status(http_stub, monkeypatch):
     handler.responses.append((503, {"error": "busy"}))
     handler.responses.append((200, _completion_payload("after retry")))
     monkeypatch.setenv("DEMO_KEY", "k")
+    monkeypatch.setattr(llm, "TRANSPORT_RETRIES", 1)
     config = BackendConfig(
         endpoint_url=f"http://127.0.0.1:{server.server_port}/v1",
         credential_source="DEMO_KEY",
-        request_timeout=5,
-        max_retries_transport=1,
     )
     backend = HttpBackend(config)
     assert backend.complete(conversation(), "t").response_text == "after retry"
@@ -351,11 +346,10 @@ def test_http_backend_fails_fast_on_client_error(http_stub, monkeypatch):
     server, handler = http_stub
     handler.responses.append((401, {"error": "bad key"}))
     monkeypatch.setenv("DEMO_KEY", "k")
+    monkeypatch.setattr(llm, "TRANSPORT_RETRIES", 3)
     config = BackendConfig(
         endpoint_url=f"http://127.0.0.1:{server.server_port}/v1",
         credential_source="DEMO_KEY",
-        request_timeout=5,
-        max_retries_transport=3,
     )
     backend = HttpBackend(config)
     with pytest.raises(BackendError) as excinfo:
@@ -371,7 +365,6 @@ def test_http_backend_rejects_malformed_payload(http_stub, monkeypatch):
     config = BackendConfig(
         endpoint_url=f"http://127.0.0.1:{server.server_port}/v1",
         credential_source="DEMO_KEY",
-        request_timeout=5,
     )
     backend = HttpBackend(config)
     with pytest.raises(BackendError) as excinfo:
@@ -401,7 +394,8 @@ def test_http_backend_honours_retry_after(monkeypatch):
     monkeypatch.setenv("DEMO_KEY", "k")
     sleeps = []
     monkeypatch.setattr(llm.time, "sleep", sleeps.append)
-    backend = HttpBackend(BackendConfig(credential_source="DEMO_KEY", max_retries_transport=4))
+    monkeypatch.setattr(llm, "TRANSPORT_RETRIES", 4)
+    backend = HttpBackend(BackendConfig(credential_source="DEMO_KEY"))
     backend._local.session = session = _StubSession(
         (429, {"Retry-After": "7"}, {}),
         (503, {"Retry-After": "3600"}, {}),  # capped

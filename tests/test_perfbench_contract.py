@@ -8,20 +8,28 @@ drops one of them breaks the benchmark; this test makes it fail the test suite t
 perfbench/workloads.py also reads loaded records and copies them with
 ``dataclasses.replace``. A field it reads that became a property would make
 ``replace`` fail or drop the value from record.json, so those stay fields.
+
+perfbench/setup_probe.py times the start-up calls of ``bench`` in a fresh
+interpreter; running it here keeps the names and signatures it calls working.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from apisynth import cli
 from apisynth.refine import AttemptRecord, FinalStatus, RunRecord, load_record, save_record
-from apisynth.sandbox import AttemptOutcome
+from apisynth.sandbox import AttemptOutcome, ToolchainError, find_toolchain
 from helpers import failing, ok
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+REPO = Path(__file__).resolve().parent.parent
+SPANS = REPO / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -72,3 +80,22 @@ def test_record_attributes_the_benchmark_reads_are_stored(tmp_path):
     )
     attempts = [(a.index, a.outcome.kind.value, sorted(a.outcome.failing_ordinals)) for a in loaded.attempts]
     assert attempts == [(1, "failing_tests", [2, 3]), (2, "pass", [])]
+
+
+def test_setup_probe_runs(tmp_path):
+    try:
+        find_toolchain()
+    except ToolchainError as exc:
+        pytest.skip(str(exc))
+    script = tmp_path / "script.json"
+    script.write_text("{}", encoding="utf-8")
+    probe = subprocess.run(
+        [sys.executable, "perfbench/setup_probe.py", "src", "tasks/sample", str(script)],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert probe.returncode == 0, probe.stderr
+    measured, rescaled = map(float, probe.stdout.split())
+    assert measured > 0 and rescaled > 0

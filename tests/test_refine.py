@@ -240,11 +240,13 @@ def test_stored_record_layout_is_stable(tmp_path):
     assert record.final_status is FinalStatus.SOLVED
     assert record.followups_used == 1
     assert not record.solved_without_followups
-    # Saving drops the two derived keys and keeps every other byte.
+    assert [a.outcome.fingerprint for a in record.attempts] == ["failing_tests:3,4", "pass"]
+    # Saving drops the derived keys and keeps every other byte.
     save_record(record, tmp_path / "again" / "record.json")
-    assert (tmp_path / "again" / "record.json").read_text(encoding="utf-8") == STORED_RECORD.replace(
-        '  "followups_used": 1,\n  "solved_without_followups": false,\n', ""
-    )
+    expected = STORED_RECORD.replace('  "followups_used": 1,\n  "solved_without_followups": false,\n', "")
+    for fingerprint in ("failing_tests:3,4", "pass"):
+        expected = expected.replace(f'        "fingerprint": "{fingerprint}",\n', "")
+    assert (tmp_path / "again" / "record.json").read_text(encoding="utf-8") == expected
     assert [p.name for p in (tmp_path / "again").iterdir()] == ["record.json"]
 
 
@@ -260,4 +262,5 @@ def test_record_without_optional_keys_loads():
     attempt = from_json_dict(RunRecord, data).attempts[0]
     assert attempt.followup_sent is None
     assert attempt.outcome.failing_ordinals == frozenset()
-    assert attempt.outcome == AttemptOutcome(OutcomeKind.FAILING_TESTS, "failing_tests:3,4")
+    assert attempt.outcome == AttemptOutcome(OutcomeKind.FAILING_TESTS)
+    assert attempt.outcome.fingerprint == "failing_tests:"

@@ -24,7 +24,6 @@ from apisynth.sandbox import (
     classify,
     find_test_method,
     find_toolchain,
-    fingerprint_of,
     make_driver,
     normalize_diagnostic,
 )
@@ -119,20 +118,19 @@ def test_fingerprint_insensitive_to_paths_and_line_numbers():
 
 
 def test_fingerprint_distinguishes_messages():
-    a = fingerprint_of(OutcomeKind.RUNTIME_ERROR, "java.lang.IllegalStateException: x", frozenset())
-    b = fingerprint_of(OutcomeKind.RUNTIME_ERROR, "java.lang.NullPointerException: y", frozenset())
-    assert a != b
+    a = AttemptOutcome(OutcomeKind.RUNTIME_ERROR, detail="java.lang.IllegalStateException: x")
+    b = AttemptOutcome(OutcomeKind.RUNTIME_ERROR, detail="java.lang.NullPointerException: y")
+    assert a.fingerprint != b.fingerprint
 
 
 def test_fingerprint_failing_tests_is_ordinal_set():
-    a = fingerprint_of(OutcomeKind.FAILING_TESTS, "", frozenset({5, 2}))
-    assert a == "failing_tests:2,5"
+    a = AttemptOutcome(OutcomeKind.FAILING_TESTS, failing_ordinals=frozenset({5, 2}))
+    assert a.fingerprint == "failing_tests:2,5"
 
 
 def test_outcome_dict_round_trip():
     outcome = AttemptOutcome(
         kind=OutcomeKind.FAILING_TESTS,
-        fingerprint="failing_tests:1",
         failing_ordinals=frozenset({1}),
         detail="x",
     )
@@ -261,8 +259,7 @@ def test_evaluate_pass_writes_artifacts(fake_sandbox, tmp_path):
     assert (workdir / "Solution.java").read_text(encoding="utf-8").startswith("public class")
     assert (workdir / "compile.log").exists()
     assert (workdir / "run.log").exists()
-    saved = json.loads((workdir / "outcome.json").read_text(encoding="utf-8"))
-    assert saved["kind"] == "pass"
+    assert not (workdir / "outcome.json").exists()
 
 
 def test_evaluate_compile_error_skips_run(fake_sandbox, tmp_path):
@@ -294,8 +291,8 @@ def test_javac_exit_3_is_a_verdict_only_on_its_own_stack_overflow(fake_sandbox, 
     """A stack overflow in javac comes from the source; any other system error is the environment's."""
     deep = fake_sandbox.evaluate(unit("public class Solution { /* JAVAC_SYSERR StackOverflowError */ }"),
                                  "f", (1,), tmp_path / "a1")
-    assert deep == AttemptOutcome.of(OutcomeKind.COMPILE_ERROR, "The system is out of resources.")
-    assert (tmp_path / "a1" / "outcome.json").exists()
+    assert deep == AttemptOutcome(OutcomeKind.COMPILE_ERROR, detail="The system is out of resources.")
+    assert not (tmp_path / "a1" / "outcome.json").exists()
     assert not (tmp_path / "a1" / "run.log").exists()
 
     with pytest.raises(ToolchainError, match=r"^javac exited 3: The system is out of resources\.$"):

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from apisynth.tasks import (
-    BenchmarkSuite,
     MethodSignature,
     Parameter,
     SynthesisTask,
@@ -236,10 +235,10 @@ def test_load_suite_orders_tasks_lexicographically(tmp_path):
     for task_id in ["zeta", "alpha", "midl"]:
         task = make_task(id=task_id)
         (tmp_path / f"{task_id}.json").write_text(json.dumps(serialize_task(task)))
-    suite = load_suite(tmp_path)
-    assert [t.id for t in suite.tasks] == ["alpha", "midl", "zeta"]
+    tasks = load_suite(tmp_path)
+    assert [t.id for t in tasks] == ["alpha", "midl", "zeta"]
     again = load_suite(tmp_path)
-    assert again == suite
+    assert again == tasks
 
 
 def test_load_suite_rejects_duplicate_ids(tmp_path):
@@ -252,9 +251,9 @@ def test_load_suite_rejects_duplicate_ids(tmp_path):
 
 
 def test_load_suite_single_file(repo_root):
-    suite = load_suite(repo_root / "tasks" / "sample" / "get-range.json")
-    assert isinstance(suite, BenchmarkSuite)
-    assert [t.id for t in suite.tasks] == ["get-range"]
+    tasks = load_suite(repo_root / "tasks" / "sample" / "get-range.json")
+    assert isinstance(tasks, tuple)
+    assert [t.id for t in tasks] == ["get-range"]
 
 
 def test_load_suite_missing_path(tmp_path):
@@ -263,9 +262,9 @@ def test_load_suite_missing_path(tmp_path):
 
 
 def test_sample_suite_is_valid(repo_root):
-    suite = load_suite(repo_root / "tasks" / "sample")
-    assert len(suite.tasks) == 5
-    for task in suite.tasks:
+    tasks = load_suite(repo_root / "tasks" / "sample")
+    assert len(tasks) == 5
+    for task in tasks:
         assert validate_task(task) == []
 
 
