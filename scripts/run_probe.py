@@ -14,7 +14,11 @@ first, the time the rest of an attempt gives a spare to boot. The report is
 one JSON object with, per side, the p50/p90 of the run's wall time (a cold
 java from its start, a parked one from the hand-off) and the CPU seconds of
 all its reaped children: the parked side counts every spare it booted,
-including the one left idle at the end, but not the launcher's compile.
+including those left idle at the end, but not the launcher's compile. The
+parked side also gives the p10/p50 of a spare's age when it is handed its
+run (from the start of its boot). A spare boots in about 50 ms on a busy
+core, so the default gap hides a boot that is not done: ``--gap 0.03``
+is about the time an attempt takes with a mock model.
 """
 
 from __future__ import annotations
@@ -79,6 +83,20 @@ def summary(times: list[float], cpu_s: float, **extra) -> dict:
     }
 
 
+class AgedPool(sandbox.ParkedPool):
+    """A ParkedPool that records how long before each take the spare taken began to boot."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ages: list[float] = []
+
+    def _take(self, toolchain, key):
+        spare = super()._take(toolchain, key)
+        if spare is not None:
+            self.ages.append(time.monotonic() - spare.boot_start)
+        return spare
+
+
 def probe(candidates: list[tuple[Path, str]], rounds: int, gap: float, toolchain: sandbox.Toolchain) -> dict:
     runs = [c for _ in range(rounds) for c in candidates]
 
@@ -90,8 +108,8 @@ def probe(candidates: list[tuple[Path, str]], rounds: int, gap: float, toolchain
     cold_cpu = children_cpu() - before
 
     parked, refused = [], 0
-    with sandbox.ParkedPool() as pool:
-        # The first run compiles the launcher, goes cold and parks the first spare.
+    with AgedPool() as pool:
+        # The first run compiles the launcher, goes cold and parks the first spares.
         pool.run(toolchain, runs[0][0], [], runs[0][1], 30)
         before = children_cpu()
         for workdir, main_class in runs:
@@ -102,11 +120,12 @@ def probe(candidates: list[tuple[Path, str]], rounds: int, gap: float, toolchain
             else:
                 parked.append(result.duration_seconds)
     parked_cpu = children_cpu() - before
+    age = {f"spare_age_p{q}_ms": round(percentile(pool.ages, q) * 1000, 1) for q in (10, 50)} if pool.ages else {}
     return {
         "candidates": len(candidates),
         "gap_s": gap,
         "cold": summary(cold, cold_cpu),
-        "parked": summary(parked, parked_cpu, refused=refused),
+        "parked": summary(parked, parked_cpu, refused=refused, **age),
     }
 
 

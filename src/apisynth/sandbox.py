@@ -127,10 +127,15 @@ def _first_diagnostic_line(stderr: str, stdout: str) -> str:
 
 
 def normalize_diagnostic(line: str) -> str:
-    """Stabilize a diagnostic line across workdirs: drop paths and line numbers."""
+    """Stabilize a diagnostic line across workdirs and run paths: drop paths, line numbers and identity hashes.
+
+    A default toString such as ``java.lang.Object@251a69d7`` ends in an
+    identity hash, which a parked JVM numbers differently from a cold java.
+    """
     line = re.sub(r"^\S+\.java:\d+:\s*", "", line)
     line = re.sub(r"\S*/\S*", "<path>", line)
     line = re.sub(r"\S+\.java\b", "<path>", line)
+    line = re.sub(r"@[0-9a-f]{1,8}\b", "@<hash>", line)
     line = re.sub(r":\d+", ":<n>", line)
     line = re.sub(r"\bline \d+", "line <n>", line)
     return re.sub(r"\s+", " ", line).strip()
@@ -310,12 +315,26 @@ class _Capture:
         return text
 
 
-def _collect(proc: subprocess.Popen, timeout: float, stdout_head: int = 0):
-    """proc's (stdout, stderr, timed out): both read to their end and proc reaped.
+def _exited(pid: int, timeout: float) -> bool:
+    """Whether child pid exits within timeout; it is left unreaped either way."""
+    deadline = time.monotonic() + timeout
+    delay = 0.0005  # Popen.wait's polling steps
+    while os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return False
+        time.sleep(min(delay, remaining))
+        delay = min(delay * 2, 0.05)
+    return True
 
-    The process group is killed once timeout passes. At most OUTPUT_LIMIT
-    bytes of each stream are kept (see _Capture), beyond stdout_head bytes
-    that precede the child's own output on stdout.
+
+def _collect(proc: subprocess.Popen, timeout: float, stdout_head: int = 0):
+    """proc's (stdout, stderr, timed out): both read to their end, its process group killed and proc reaped.
+
+    The group is killed once timeout passes, and in any case once proc has
+    exited, so no process the child started outlives it. At most
+    OUTPUT_LIMIT bytes of each stream are kept (see _Capture), beyond
+    stdout_head bytes that precede the child's own output on stdout.
     """
     deadline = time.monotonic() + timeout
     out, err = _Capture(stdout_head + OUTPUT_LIMIT), _Capture(OUTPUT_LIMIT)
@@ -334,12 +353,11 @@ def _collect(proc: subprocess.Popen, timeout: float, stdout_head: int = 0):
                     key.data.add(chunk)
                 else:
                     selector.unregister(key.fileobj)
-    try:
-        proc.wait(timeout=None if timed_out else max(deadline - time.monotonic(), 0))
-    except subprocess.TimeoutExpired:
+    if not timed_out and not _exited(proc.pid, deadline - time.monotonic()):
         timed_out = True
-        _kill_group(proc)
-        proc.wait()
+    # Until proc is reaped its pid, and so its group's id, cannot be reused.
+    _kill_group(proc)
+    proc.wait()
     proc.stdout.close()
     proc.stderr.close()
     return out, err, timed_out
@@ -608,7 +626,8 @@ class _Spare(_Child):
         super().__init__(argv, "apisynth-spare-", files=(launcher,))
         self.classpath = classpath
         self.copied = {LAUNCHER_CLASS}
-        self.start = 0.0
+        self.boot_start = time.monotonic()
+        self.start = 0.0  # the hand-off, from which its run is timed
 
     def hand_off(self, workdir: Path, main_class: str) -> None:
         """Copy in workdir's class files and name the class to run; its timeout counts from here."""
@@ -643,15 +662,18 @@ class ParkedPool(_Pool):
     """Candidate JVMs booted ahead of their run, each waiting in its own directory.
 
     A run takes an idle spare booted with its dependency classpath, hands it
-    the candidate and at once starts that spare's replacement, which boots
-    while the candidate runs and the rest of the next attempt goes on. A
-    spare runs one candidate and exits; none is reused. Idle spares are kept
-    for at most as many runs as have gone on at once, the oldest stopped
-    first. The first run compiles the launcher class, through a warm server
-    of ``compilers`` when there is one (tens of milliseconds, against about
-    a second of CPU for a cold javac), and goes to a cold java, as does a
-    run whose spare refuses its class. close() also removes the launcher's
-    directory.
+    the candidate and at once tops that classpath up to one idle spare more
+    than the most runs that have gone on at once; beyond that many, the
+    oldest idle spares of any classpath are stopped. So a run starts one
+    replacement, and the spare it takes was started two runs earlier. A
+    boot (about 45-50 ms on a busy core) outlasts the rest of an attempt
+    whose model answers at once (35-45 ms), so a spare started by the run
+    just before would often still be booting. A spare runs one candidate
+    and exits; none is reused. The first run compiles the launcher class,
+    through a warm server of ``compilers`` when there is one (tens of
+    milliseconds, against about a second of CPU for a cold javac), and goes
+    to a cold java, as does a run whose spare refuses its class. close()
+    also removes the launcher's directory.
     """
 
     _cold = "every run starts a cold java"
@@ -722,15 +744,19 @@ class ParkedPool(_Pool):
             self._building = False
 
     def _park(self, java: str, key: tuple[str, ...]) -> None:
-        """Start a spare for key; stop the oldest idle ones beyond the most runs seen at once."""
-        if self._closed or self._unusable or self._launcher is None:
-            return
-        try:
-            spare = _Spare(java, self._launcher, key)
-        except OSError:
-            self._give_up(f"{java} cannot start a parked JVM")
-            return
-        self._keep(spare, most=self._peak)
+        """Top key up to one idle spare more than the most runs seen at once; stop the oldest idle ones beyond that."""
+        most = self._peak + 1
+        with self._lock:
+            missing = most - sum(spare.classpath == key for spare in self._idle)
+        for _ in range(missing):
+            if self._closed or self._unusable or self._launcher is None:
+                return
+            try:
+                spare = _Spare(java, self._launcher, key)
+            except OSError:
+                self._give_up(f"{java} cannot start a parked JVM")
+                return
+            self._keep(spare, most=most)
 
     def close(self) -> None:
         """Stop taking runs; kill and reap every idle spare and remove the launcher."""

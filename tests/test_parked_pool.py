@@ -5,9 +5,13 @@ These need a real JDK and are skipped without one.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
+import shutil
+import signal
 import time
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +151,62 @@ def test_parked_run_timeout_kills_the_group(jdk, pools, tmp_path):
     assert not spare.home.exists()
 
 
+def running(pid: int) -> bool:
+    """Whether pid names a process that has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="ascii")
+    except FileNotFoundError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists() or shutil.which("sleep") is None,
+                    reason="needs /proc and a sleep command")
+def test_a_candidates_child_processes_end_with_its_run(jdk, pools, tmp_path):
+    """A process the candidate starts and leaves running is killed with the run, on both paths."""
+    compilers, parked = pools
+    spawns = unit_of(
+        "public class Spawns { public static void main(String[] a) throws Exception {\n"
+        '    System.out.println("pid " + new ProcessBuilder("sleep", "4141").start().pid());\n'
+        '    System.out.println("All test cases passed.");\n} }\n'
+    )
+    pids = []
+    try:
+        for side, sandbox in (("parked", Sandbox(jdk, compilers=compilers, parked=parked)),
+                              ("cold", Sandbox(jdk, compilers=compilers))):
+            assert sandbox.evaluate(spawns, "f", (1,), tmp_path / side).kind is OutcomeKind.PASS, side
+            log = (tmp_path / side / "run.log").read_text(encoding="utf-8")
+            pids.append(int(re.search(r"^pid (\d+)$", log, re.MULTILINE).group(1)))
+        assert parked.parked == [True]
+        deadline = time.monotonic() + 5  # SIGKILL takes effect soon after killpg returns, not at once
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert [running(pid) for pid in pids] == [False, False]
+    finally:
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+
+
+def test_identity_hashes_are_the_one_difference_the_fingerprint_masks(jdk, pools, tmp_path):
+    """A default toString in the detail may differ between the paths in its hash alone; the fingerprint is equal."""
+    compilers, parked = pools
+    throws = unit_of(
+        "public class Hashes { public static void main(String[] a) {\n"
+        '    throw new IllegalStateException("bad " + new Object());\n} }\n'
+    )
+    got = Sandbox(jdk, compilers=compilers, parked=parked).evaluate(throws, "f", (1,), tmp_path / "parked")
+    want = Sandbox(jdk, compilers=compilers).evaluate(throws, "f", (1,), tmp_path / "cold")
+    assert parked.parked == [True]
+    assert want.kind is OutcomeKind.RUNTIME_ERROR
+    assert re.search(r"bad java\.lang\.Object@[0-9a-f]+$", want.detail)
+    assert got.fingerprint == want.fingerprint
+    assert re.sub("@[0-9a-f]+", "", got.detail) == re.sub("@[0-9a-f]+", "", want.detail)
+    unhashed = {side: {name: re.sub(rb"@[0-9a-f]+", b"", data) for name, data in files(tmp_path / side).items()}
+                for side in ("parked", "cold")}
+    assert unhashed["parked"] == unhashed["cold"]
+
+
 def test_output_beyond_the_limit_is_dropped_and_marked(jdk, pools, tmp_path, monkeypatch):
     """Both paths keep the first OUTPUT_LIMIT bytes of each stream and say how many more they dropped."""
     monkeypatch.setattr(sandbox_module, "OUTPUT_LIMIT", 10)
@@ -203,8 +263,8 @@ def test_verdicts_do_not_depend_on_the_output_limit(jdk, pools, tmp_path, monkey
     assert parked.parked == [True, True]
 
 
-def parked_spare(pool: ParkedPool, jdk) -> ParkedPool:
-    """The pool, with its launcher built and one spare parked for no dependencies."""
+def parked_spares(pool: ParkedPool, jdk) -> ParkedPool:
+    """The pool, with its launcher built and spares parked for no dependencies."""
     assert pool._take(jdk, ()) is None  # compiles the launcher
     pool._park(jdk.java, ())
     return pool
@@ -212,34 +272,55 @@ def parked_spare(pool: ParkedPool, jdk) -> ParkedPool:
 
 def test_spare_exits_when_its_stdin_closes(jdk):
     """A spare whose parent goes away before handing it a class halts at once."""
-    with parked_spare(ParkedPool(), jdk) as parked:
-        (spare,) = parked._idle
+    with parked_spares(ParkedPool(), jdk) as parked:
+        spare = parked._idle[0]
         spare.proc.stdin.close()
         spare.proc.wait(timeout=1.0)
         assert spare.proc.stdout.read() == b""
 
 
 def test_close_kills_and_reaps_idle_spares(jdk):
-    with parked_spare(ParkedPool(), jdk) as parked:
-        (spare,) = parked._idle
-    assert spare.proc.returncode is not None
-    assert not spare.home.exists()
+    with parked_spares(ParkedPool(), jdk) as parked:
+        spares = list(parked._idle)
+    assert spares
+    assert all(spare.proc.returncode is not None and not spare.home.exists() for spare in spares)
     assert not parked._launcher_dir.exists()
 
 
 def test_idle_spares_are_bounded_by_concurrent_runs(jdk, pools, tmp_path):
-    """One run at a time keeps one idle spare: a run with another classpath stops the other key's spare."""
+    """One run at a time keeps two idle spares: a run with another classpath stops the other key's spares."""
     compilers, parked = pools
     sandbox = Sandbox(jdk, compilers=compilers, parked=parked)
     exits = unit_of(SAME_CASES[1])
     sandbox.evaluate(exits, "f", (1,), tmp_path / "a1")
-    (plain,) = parked._idle
+    plain = list(parked._idle)
+    assert len(plain) == 2
     jar = tmp_path / "absent.jar"  # java accepts a missing classpath entry
     sandbox.evaluate(exits, "f", (1,), tmp_path / "a2", [jar])
-    (with_jar,) = parked._idle
-    assert with_jar.classpath == (str(jar),)
-    assert plain.proc.returncode is not None and not plain.home.exists()
+    assert [spare.classpath for spare in parked._idle] == [(str(jar),)] * 2
+    assert all(spare.proc.returncode is not None and not spare.home.exists() for spare in plain)
     assert parked.parked == [True, True]
+
+
+def test_a_run_takes_a_spare_started_two_runs_before(jdk, tmp_path):
+    """Without eager parking: the first run goes cold and parks two spares; each later run takes the oldest."""
+    exits = unit_of(SAME_CASES[1])
+    with CompilerPool() as compilers, ParkedPool(compilers) as parked:
+        sandbox = Sandbox(jdk, compilers=compilers, parked=parked)
+        sandbox.evaluate(exits, "f", (1,), tmp_path / "a1")
+        first = list(parked._idle)
+        sandbox.evaluate(exits, "f", (1,), tmp_path / "a2")
+        second = list(parked._idle)
+        assert len(first) == len(second) == 2
+        assert second[0] is first[1]
+        assert first[0].proc.returncode == 3  # it ran a2's candidate
+        jar = tmp_path / "absent.jar"
+        sandbox.evaluate(exits, "f", (1,), tmp_path / "a3", [jar])
+        assert [spare.classpath for spare in parked._idle] == [(str(jar),)] * 2
+        assert all(spare.proc.returncode is not None and not spare.home.exists() for spare in second)
+        last = list(parked._idle)
+    assert all(spare.proc.returncode is not None and not spare.home.exists() for spare in last)
+    assert not parked._launcher_dir.exists()
 
 
 def test_launcher_compiles_through_a_warm_server(jdk, monkeypatch):

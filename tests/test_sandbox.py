@@ -117,6 +117,16 @@ def test_fingerprint_insensitive_to_paths_and_line_numbers():
     assert "error: ';' expected" in a
 
 
+def test_fingerprint_insensitive_to_identity_hashes():
+    """A parked and a cold run may number identity hashes differently; the same-error stop must not see it."""
+    detail = 'Exception in thread "main" java.lang.IllegalStateException: bad java.lang.Object@{}'
+    cold, parked = (AttemptOutcome(OutcomeKind.RUNTIME_ERROR, detail=detail.format(h))
+                    for h in ("251a69d7", "7344699f"))
+    assert cold.fingerprint == parked.fingerprint
+    assert cold.fingerprint.endswith("bad java.lang.Object@<hash>")
+    assert normalize_diagnostic("at [I@1b6d3586") == "at [I@<hash>"
+
+
 def test_fingerprint_distinguishes_messages():
     a = AttemptOutcome(OutcomeKind.RUNTIME_ERROR, detail="java.lang.IllegalStateException: x")
     b = AttemptOutcome(OutcomeKind.RUNTIME_ERROR, detail="java.lang.NullPointerException: y")
