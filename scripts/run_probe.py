@@ -18,17 +18,27 @@ including those left idle at the end, but not the launcher's compile. The
 parked side also gives the p10/p50 of a spare's age when it is handed its
 run (from the start of its boot). A spare boots in about 50 ms on a busy
 core, so the default gap hides a boot that is not done: ``--gap 0.03``
-is about the time an attempt takes with a mock model.
+is about the time an attempt takes with a mock model. ``boots`` counts the
+spares started by the measured runs and ``refused`` the runs the pool left
+to a cold java.
+
+``--workers N`` runs N at once on both sides, and ``--keys K`` gives run i
+the dependency classpath i mod K (missing jars, which java accepts), so
+runs of different classpaths interleave:
+
+    python3 scripts/run_probe.py --candidates 40 --gap 0.03 --workers 2 --keys 2
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -97,35 +107,60 @@ class AgedPool(sandbox.ParkedPool):
         return spare
 
 
-def probe(candidates: list[tuple[Path, str]], rounds: int, gap: float, toolchain: sandbox.Toolchain) -> dict:
-    runs = [c for _ in range(rounds) for c in candidates]
+def probe(candidates: list[tuple[Path, str]], rounds: int, gap: float, toolchain: sandbox.Toolchain,
+          workers: int = 1, keys: int = 1) -> dict:
+    work = candidates[0][0].parent
+    classpaths = [[work / f"absent-{k}.jar"] for k in range(keys)] if keys > 1 else [[]]
+    runs = [(workdir, main_class, classpaths[i % keys])
+            for i, (workdir, main_class) in enumerate(c for _ in range(rounds) for c in candidates)]
 
-    cold, before = [], children_cpu()
-    for workdir, main_class in runs:
+    def cold_run(job) -> float:
+        workdir, main_class, classpath = job
         time.sleep(gap)
-        argv = [toolchain.java, *sandbox.CANDIDATE_JVM_FLAGS, "-cp", ".", main_class]
-        cold.append(sandbox._execute(argv, workdir, 30).duration_seconds)
+        argv = [toolchain.java, *sandbox.CANDIDATE_JVM_FLAGS, "-cp", os.pathsep.join([".", *map(str, classpath)]),
+                main_class]
+        return sandbox._execute(argv, workdir, 30).duration_seconds
+
+    before = children_cpu()
+    with ThreadPoolExecutor(workers) as threads:
+        cold = list(threads.map(cold_run, runs))
     cold_cpu = children_cpu() - before
 
-    parked, refused = [], 0
-    with AgedPool() as pool:
-        # The first run compiles the launcher, goes cold and parks the first spares.
-        pool.run(toolchain, runs[0][0], [], runs[0][1], 30)
-        before = children_cpu()
-        for workdir, main_class in runs:
-            time.sleep(gap)
-            result = pool.run(toolchain, workdir, [], main_class, 30)
-            if result is None:
-                refused += 1
-            else:
-                parked.append(result.duration_seconds)
+    boots = []  # one entry per spare started
+
+    class CountedSpare(sandbox._Spare):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            boots.append(1)
+
+    sandbox._Spare, spare_class = CountedSpare, sandbox._Spare
+    try:
+        with AgedPool() as pool:
+            # The first run compiles the launcher, goes cold and parks the first spares.
+            pool.run(toolchain, runs[0][0], runs[0][2], runs[0][1], 30)
+            before, boots[:] = children_cpu(), []
+
+            def parked_run(job) -> float | None:
+                workdir, main_class, classpath = job
+                time.sleep(gap)
+                result = pool.run(toolchain, workdir, classpath, main_class, 30)
+                return None if result is None else result.duration_seconds
+
+            with ThreadPoolExecutor(workers) as threads:
+                done = list(threads.map(parked_run, runs))
+    finally:
+        sandbox._Spare = spare_class
     parked_cpu = children_cpu() - before
+    parked = [t for t in done if t is not None]
     age = {f"spare_age_p{q}_ms": round(percentile(pool.ages, q) * 1000, 1) for q in (10, 50)} if pool.ages else {}
     return {
         "candidates": len(candidates),
         "gap_s": gap,
+        "workers": workers,
+        "keys": keys,
         "cold": summary(cold, cold_cpu),
-        "parked": summary(parked, parked_cpu, refused=refused, **age),
+        "parked": summary(parked, parked_cpu, refused=len(done) - len(parked), boots=len(boots),
+                          boots_per_run=round(len(boots) / len(runs), 2), **age),
     }
 
 
@@ -135,11 +170,13 @@ def main() -> int:
     parser.add_argument("--rounds", type=int, default=2, help="runs of each candidate per side (default 2)")
     parser.add_argument("--gap", type=float, default=0.15, help="seconds before each run (default 0.15)")
     parser.add_argument("--seed", type=int, default=21, help="generator seed (default 21)")
+    parser.add_argument("--workers", type=int, default=1, help="runs at once on each side (default 1)")
+    parser.add_argument("--keys", type=int, default=1, help="dependency classpaths, taken in turn (default 1)")
     args = parser.parse_args()
     toolchain = sandbox.find_toolchain()
     with tempfile.TemporaryDirectory(prefix="run-probe-") as work:
         candidates = compiled(args.seed, args.candidates, Path(work), toolchain)
-        result = probe(candidates, args.rounds, args.gap, toolchain)
+        result = probe(candidates, args.rounds, args.gap, toolchain, args.workers, args.keys)
     print(json.dumps(result))
     return 0
 

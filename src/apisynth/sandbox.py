@@ -131,11 +131,13 @@ def normalize_diagnostic(line: str) -> str:
 
     A default toString such as ``java.lang.Object@251a69d7`` ends in an
     identity hash, which a parked JVM numbers differently from a cold java.
+    Only an ``@`` right after a class name (or an array's ``;`` or ``]``)
+    starts one, so ``value @5`` keeps its number.
     """
     line = re.sub(r"^\S+\.java:\d+:\s*", "", line)
     line = re.sub(r"\S*/\S*", "<path>", line)
     line = re.sub(r"\S+\.java\b", "<path>", line)
-    line = re.sub(r"@[0-9a-f]{1,8}\b", "@<hash>", line)
+    line = re.sub(r"(?<=[\w$;\]])@[0-9a-f]{1,8}\b", "@<hash>", line)
     line = re.sub(r":\d+", ":<n>", line)
     line = re.sub(r"\bline \d+", "line <n>", line)
     return re.sub(r"\s+", " ", line).strip()
@@ -315,48 +317,41 @@ class _Capture:
         return text
 
 
-def _exited(pid: int, timeout: float) -> bool:
-    """Whether child pid exits within timeout; it is left unreaped either way."""
-    deadline = time.monotonic() + timeout
-    delay = 0.0005  # Popen.wait's polling steps
-    while os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return False
-        time.sleep(min(delay, remaining))
-        delay = min(delay * 2, 0.05)
-    return True
-
-
 def _collect(proc: subprocess.Popen, timeout: float, stdout_head: int = 0):
     """proc's (stdout, stderr, timed out): both read to their end, its process group killed and proc reaped.
 
     The group is killed once timeout passes, and in any case once proc has
-    exited, so no process the child started outlives it. At most
-    OUTPUT_LIMIT bytes of each stream are kept (see _Capture), beyond
-    stdout_head bytes that precede the child's own output on stdout.
+    exited, before it is reaped: so no process the child started outlives
+    it or holds its pipes open, and the group's id cannot have been reused.
+    At most OUTPUT_LIMIT bytes of each stream are kept (see _Capture),
+    beyond stdout_head bytes that precede the child's own output on stdout.
     """
     deadline = time.monotonic() + timeout
     out, err = _Capture(stdout_head + OUTPUT_LIMIT), _Capture(OUTPUT_LIMIT)
     timed_out = False
-    with selectors.DefaultSelector() as selector:
-        selector.register(proc.stdout, selectors.EVENT_READ, out)
-        selector.register(proc.stderr, selectors.EVENT_READ, err)
-        while selector.get_map():
-            if not timed_out and time.monotonic() >= deadline:
-                # Kill the whole process group: javac/java may have forked.
-                timed_out = True
-                _kill_group(proc)
-            for key, _ in selector.select(None if timed_out else deadline - time.monotonic()):
-                chunk = os.read(key.fd, 1 << 16)
-                if chunk:
-                    key.data.add(chunk)
-                else:
-                    selector.unregister(key.fileobj)
-    if not timed_out and not _exited(proc.pid, deadline - time.monotonic()):
-        timed_out = True
-    # Until proc is reaped its pid, and so its group's id, cannot be reused.
-    _kill_group(proc)
+    exit_fd = os.pidfd_open(proc.pid)  # readable once proc has exited, reaped or not
+    try:
+        with selectors.DefaultSelector() as selector:
+            selector.register(proc.stdout, selectors.EVENT_READ, out)
+            selector.register(proc.stderr, selectors.EVENT_READ, err)
+            selector.register(exit_fd, selectors.EVENT_READ)
+            while selector.get_map():
+                if not timed_out and time.monotonic() >= deadline:
+                    # Kill the whole process group: javac/java may have forked.
+                    timed_out = True
+                    _kill_group(proc)
+                for key, _ in selector.select(None if timed_out else deadline - time.monotonic()):
+                    if key.data is None:  # proc has exited: end what it left running, then drain
+                        selector.unregister(exit_fd)
+                        _kill_group(proc)
+                        continue
+                    chunk = os.read(key.fd, 1 << 16)
+                    if chunk:
+                        key.data.add(chunk)
+                    else:
+                        selector.unregister(key.fileobj)
+    finally:
+        os.close(exit_fd)
     proc.wait()
     proc.stdout.close()
     proc.stderr.close()
@@ -662,18 +657,20 @@ class ParkedPool(_Pool):
     """Candidate JVMs booted ahead of their run, each waiting in its own directory.
 
     A run takes an idle spare booted with its dependency classpath, hands it
-    the candidate and at once tops that classpath up to one idle spare more
-    than the most runs that have gone on at once; beyond that many, the
-    oldest idle spares of any classpath are stopped. So a run starts one
-    replacement, and the spare it takes was started two runs earlier. A
-    boot (about 45-50 ms on a busy core) outlasts the rest of an attempt
-    whose model answers at once (35-45 ms), so a spare started by the run
-    just before would often still be booting. A spare runs one candidate
-    and exits; none is reused. The first run compiles the launcher class,
-    through a warm server of ``compilers`` when there is one (tens of
-    milliseconds, against about a second of CPU for a cold javac), and goes
-    to a cold java, as does a run whose spare refuses its class. close()
-    also removes the launcher's directory.
+    the candidate and at once starts one spare of that classpath in its
+    place. A run that found none (the first, the first after a change of
+    classpath, or one that more runs at once left without) starts two.
+    Beyond one more than the most runs that have gone on at once, the
+    oldest idle spares of any classpath are stopped. So on one classpath the
+    spare a run takes was started two runs earlier, and no run starts more
+    than two. A boot (about 45-50 ms on a busy core) outlasts the rest of an
+    attempt whose model answers at once (35-45 ms), so a spare started by
+    the run just before would often still be booting. A spare runs one
+    candidate and exits; none is reused. The first run compiles the
+    launcher class, through a warm server of ``compilers`` when there is
+    one (tens of milliseconds, against about a second of CPU for a cold
+    javac), and goes to a cold java, as does a run whose spare refuses its
+    class. close() also removes the launcher's directory.
     """
 
     _cold = "every run starts a cold java"
@@ -706,7 +703,7 @@ class ParkedPool(_Pool):
             spare = self._take(toolchain, key)
             if spare is not None:
                 spare.hand_off(workdir, main_class)
-            self._park(toolchain.java, key)  # the next run's spare boots while this one runs
+            self._park(toolchain.java, key, 1 if spare is not None else 2)  # they boot while this one runs
             return None if spare is None else spare.finish(workdir, timeout)
         finally:
             if spare is not None:
@@ -743,12 +740,9 @@ class ParkedPool(_Pool):
                 self._launcher = home / LAUNCHER_CLASS
             self._building = False
 
-    def _park(self, java: str, key: tuple[str, ...]) -> None:
-        """Top key up to one idle spare more than the most runs seen at once; stop the oldest idle ones beyond that."""
-        most = self._peak + 1
-        with self._lock:
-            missing = most - sum(spare.classpath == key for spare in self._idle)
-        for _ in range(missing):
+    def _park(self, java: str, key: tuple[str, ...], count: int) -> None:
+        """Start count spares for key; stop the oldest idle ones beyond one more than the most runs seen at once."""
+        for _ in range(count):
             if self._closed or self._unusable or self._launcher is None:
                 return
             try:
@@ -756,7 +750,7 @@ class ParkedPool(_Pool):
             except OSError:
                 self._give_up(f"{java} cannot start a parked JVM")
                 return
-            self._keep(spare, most=most)
+            self._keep(spare, most=self._peak + 1)
 
     def close(self) -> None:
         """Stop taking runs; kill and reap every idle spare and remove the launcher."""

@@ -189,7 +189,7 @@ class EagerParkedPool(ParkedPool):
     def _take(self, toolchain, key):
         spare = super()._take(toolchain, key)
         if spare is None:
-            self._park(toolchain.java, key)
+            self._park(toolchain.java, key, 2)  # as a run that finds none does
             spare = super()._take(toolchain, key)
         return spare
 

@@ -10,6 +10,7 @@ import os
 import re
 import shutil
 import signal
+import threading
 import time
 from pathlib import Path
 
@@ -188,6 +189,24 @@ def test_a_candidates_child_processes_end_with_its_run(jdk, pools, tmp_path):
                 os.kill(pid, signal.SIGKILL)
 
 
+@pytest.mark.skipif(shutil.which("sleep") is None, reason="needs a sleep command")
+def test_a_run_ends_when_its_jvm_does_though_a_child_holds_its_output(jdk, pools, tmp_path):
+    """A process started with inheritIO shares the run's pipes; the run passes when its JVM exits, not at the timeout."""
+    compilers, parked = pools
+    inherits = unit_of(
+        "public class Inherits { public static void main(String[] a) throws Exception {\n"
+        '    new ProcessBuilder("sleep", "30").inheritIO().start();\n'
+        '    System.out.println("All test cases passed.");\n} }\n'
+    )
+    for side, sandbox in (("parked", Sandbox(jdk, run_timeout=20.0, compilers=compilers, parked=parked)),
+                          ("cold", Sandbox(jdk, run_timeout=20.0, compilers=compilers))):
+        start = time.monotonic()
+        assert sandbox.evaluate(inherits, "f", (1,), tmp_path / side).kind is OutcomeKind.PASS, side
+        assert time.monotonic() - start < 10, side
+        assert "(timed out)" not in (tmp_path / side / "run.log").read_text(encoding="utf-8")
+    assert parked.parked == [True]
+
+
 def test_identity_hashes_are_the_one_difference_the_fingerprint_masks(jdk, pools, tmp_path):
     """A default toString in the detail may differ between the paths in its hash alone; the fingerprint is equal."""
     compilers, parked = pools
@@ -266,7 +285,7 @@ def test_verdicts_do_not_depend_on_the_output_limit(jdk, pools, tmp_path, monkey
 def parked_spares(pool: ParkedPool, jdk) -> ParkedPool:
     """The pool, with its launcher built and spares parked for no dependencies."""
     assert pool._take(jdk, ()) is None  # compiles the launcher
-    pool._park(jdk.java, ())
+    pool._park(jdk.java, (), 2)
     return pool
 
 
@@ -321,6 +340,46 @@ def test_a_run_takes_a_spare_started_two_runs_before(jdk, tmp_path):
         last = list(parked._idle)
     assert all(spare.proc.returncode is not None and not spare.home.exists() for spare in last)
     assert not parked._launcher_dir.exists()
+
+
+def test_each_run_starts_one_spare_also_when_runs_overlap(jdk, tmp_path, monkeypatch):
+    """Two runs at once on one classpath each take a spare and start one: no more boots than runs, plus one."""
+    started = []
+
+    class Counted(sandbox_module._Spare):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            started.append(self)
+
+    monkeypatch.setattr(sandbox_module, "_Spare", Counted)
+    naps = unit_of(
+        "public class Naps { public static void main(String[] a) throws Exception {\n"
+        '    Thread.sleep(500);\n    System.out.println("All test cases passed.");\n} }\n'
+    )
+    with CompilerPool() as compilers, ParkedPool(compilers) as parked:
+        sandbox = Sandbox(jdk, compilers=compilers, parked=parked)
+        assert sandbox.evaluate(naps, "f", (1,), tmp_path / "a0").kind is OutcomeKind.PASS  # cold; parks two
+        assert len(started) == 2
+        workdirs = [tmp_path / f"a{i}" for i in (1, 2)]
+        for workdir in workdirs:
+            shutil.copytree(tmp_path / "a0", workdir, ignore=shutil.ignore_patterns("*.log"))
+        results = {}
+        both = threading.Barrier(2, timeout=30)
+
+        def run(workdir):
+            both.wait()
+            results[workdir] = parked.run(jdk, workdir, [], "Naps", 30.0)
+
+        threads = [threading.Thread(target=run, args=(workdir,)) for workdir in workdirs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert parked._peak == 2
+        assert [results[w].stdout for w in workdirs] == ["All test cases passed.\n"] * 2
+        assert len(started) == 4
+        assert len(parked._idle) == 2
 
 
 def test_launcher_compiles_through_a_warm_server(jdk, monkeypatch):

@@ -37,3 +37,12 @@ def test_run_probe(repo_root, tmp_path):
     for side in ("cold", "parked"):
         assert report[side]["runs"] == 2 - report[side].get("refused", 0)
         assert 0 < report[side]["p50_ms"] <= report[side]["p90_ms"]
+
+
+@pytest.mark.usefixtures("jdk")
+def test_run_probe_with_runs_at_once_on_two_classpaths(repo_root, tmp_path):
+    report = probe(repo_root, tmp_path, "run_probe.py", "--candidates", "2", "--rounds", "2", "--gap", "0",
+                   "--workers", "2", "--keys", "2")
+    assert (report["workers"], report["keys"], report["cold"]["runs"]) == (2, 2, 4)
+    assert report["parked"]["runs"] + report["parked"]["refused"] == 4
+    assert report["parked"]["boots_per_run"] == round(report["parked"]["boots"] / 4, 2) > 0

@@ -125,6 +125,9 @@ def test_fingerprint_insensitive_to_identity_hashes():
     assert cold.fingerprint == parked.fingerprint
     assert cold.fingerprint.endswith("bad java.lang.Object@<hash>")
     assert normalize_diagnostic("at [I@1b6d3586") == "at [I@<hash>"
+    assert normalize_diagnostic("[Ljava.lang.String;@5e9f23b4") == "[Ljava.lang.String;@<hash>"
+    # Not after a class name: not a hash.
+    assert normalize_diagnostic("value @5") != normalize_diagnostic("value @6")
 
 
 def test_fingerprint_distinguishes_messages():
