@@ -35,7 +35,7 @@ sys.path[:0] = [str(REPO / "src"), str(REPO / "perfbench")]
 import generate  # noqa: E402
 from workloads import percentile  # noqa: E402
 from apisynth import sandbox  # noqa: E402
-from apisynth.extractor import ExtractionError, extract_source_unit  # noqa: E402
+from apisynth.extractor import ExtractionError, candidate_source, extract_source_unit  # noqa: E402
 
 PAUSE = re.compile(r"Pause (Young|Full).* (\d+\.\d+)ms$")
 
@@ -50,7 +50,7 @@ def candidates(seed: int, count: int) -> list[tuple[str, str]]:
                 unit = extract_source_unit(reply, fam.method, len(fam.params))
             except ExtractionError:
                 continue
-            found.append((f"{unit.public_class_name}.java", sandbox.candidate_source(unit, fam.method)[0]))
+            found.append((f"{unit.public_class_name}.java", candidate_source(unit, fam.method)[0]))
             if len(found) == count:
                 return found
     return found

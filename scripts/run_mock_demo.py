@@ -18,8 +18,8 @@ from apisynth.bench import aggregate, render_markdown, run_suite, write_reports
 from apisynth.extractor import SourceUnit
 from apisynth.llm import MockBackend, TranscriptWriter
 from apisynth.prompting import load_templates
-from apisynth.sandbox import AttemptOutcome, OutcomeKind
 from apisynth.tasks import load_suite
+from apisynth.verdict import AttemptOutcome, OutcomeKind
 
 REPO = Path(__file__).resolve().parent.parent
 RUN_DIR = REPO / "runs" / "mock-demo"

@@ -47,7 +47,7 @@ sys.path[:0] = [str(REPO / "src"), str(REPO / "perfbench")]
 import generate  # noqa: E402
 from workloads import percentile  # noqa: E402
 from apisynth import sandbox  # noqa: E402
-from apisynth.extractor import ExtractionError, extract_source_unit  # noqa: E402
+from apisynth.extractor import ExtractionError, candidate_source, extract_source_unit  # noqa: E402
 
 
 def compiled(seed: int, count: int, work: Path, toolchain: sandbox.Toolchain) -> list[tuple[Path, str]]:
@@ -61,7 +61,7 @@ def compiled(seed: int, count: int, work: Path, toolchain: sandbox.Toolchain) ->
                     unit = extract_source_unit(reply, fam.method, len(fam.params))
                 except ExtractionError:
                     continue
-                source, main_class = sandbox.candidate_source(unit, fam.method)
+                source, main_class = candidate_source(unit, fam.method)
                 if main_class is None:
                     continue
                 tried += 1

@@ -23,8 +23,8 @@ from .refine import (
     save_record,
     synthesize,
 )
-from .sandbox import OutcomeKind
 from .tasks import SynthesisTask, resolve_dependencies
+from .verdict import OutcomeKind
 
 
 class MetricsError(Exception):

@@ -23,7 +23,7 @@ from .prompting import (
     render_conversation_text,
 )
 from .refine import FinalStatus, RunRecord, make_sandbox, synthesize
-from .sandbox import CompilerPool, OutcomeKind, ParkedPool, ToolchainError, usable_cores
+from .sandbox import CompilerPool, ParkedPool, ToolchainError, usable_cores
 from .tasks import (
     TaskParseError,
     TaskValidationError,
@@ -35,6 +35,7 @@ from .tasks import (
     task_files,
     validate_task,
 )
+from .verdict import OutcomeKind
 
 EXIT_OK = 0
 EXIT_TASK_FAILED = 1

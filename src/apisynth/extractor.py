@@ -1,4 +1,4 @@
-"""Pull a compilable Java source unit out of free-form model output."""
+"""Pull a compilable Java source unit out of free-form model output; shape the file the sandbox compiles."""
 
 from __future__ import annotations
 
@@ -50,6 +50,57 @@ def strip_comments_and_strings(source: str) -> str:
         return "\n" * text.count("\n") if "\n" in text else " "
 
     return _STRIP_RE.sub(replace, source)
+
+
+TEST_METHOD_RE = re.compile(r"\b(?:(static)\s+)?(?:final\s+)?void\s+(test\w*)\s*\(\s*\)")
+
+
+def find_test_method(stripped_source: str, target_name: str) -> tuple[str, bool] | None:
+    """Pick a no-arg test method to drive; prefers one named after the target."""
+    matches = [(m.group(2), m.group(1) is not None) for m in TEST_METHOD_RE.finditer(stripped_source)]
+    if not matches:
+        return None
+    lowered = target_name.lower()
+    for name, static in matches:
+        if lowered in name.lower():
+            return name, static
+    return matches[0]
+
+
+def make_driver(class_name: str, stripped_source: str, target_name: str) -> tuple[str, str] | None:
+    """Synthesize a main-bearing driver class; None when nothing is callable."""
+    picked = find_test_method(stripped_source, target_name)
+    if picked is None:
+        return None
+    method, static = picked
+    call = f"{class_name}.{method}();" if static else f"new {class_name}().{method}();"
+    driver_name = "SynthesisDriver"
+    n = 2
+    while driver_name in stripped_source:
+        driver_name = f"SynthesisDriver{n}"
+        n += 1
+    body = (
+        f"class {driver_name} {{\n"
+        f"    public static void main(String[] args) throws Exception {{\n"
+        f"        {call}\n"
+        f"    }}\n"
+        f"}}\n"
+    )
+    return driver_name, body
+
+
+def candidate_source(unit: SourceUnit, target_name: str) -> tuple[str, str | None]:
+    """The source file written for a candidate and the class to run (None: nothing runnable)."""
+    source = unit.source_text
+    if not source.endswith("\n"):
+        source += "\n"
+    if unit.contains_main:
+        return source, unit.public_class_name
+    driver = make_driver(unit.public_class_name, strip_comments_and_strings(unit.source_text), target_name)
+    if driver is None:
+        return source, None
+    main_class, driver_body = driver
+    return source + "\n" + driver_body, main_class
 
 
 def select_code_block(response_text: str, target_method_name: str) -> str:

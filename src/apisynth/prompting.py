@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .sandbox import AttemptOutcome, OutcomeKind
 from .tasks import SynthesisTask, TestCase
+from .verdict import AttemptOutcome, OutcomeKind
 
 VALID_ROLES = ("system", "user", "assistant")
 PACKAGED_PROMPTS = Path(__file__).with_name("prompts")

@@ -14,8 +14,9 @@ from .extractor import ExtractionError, SourceUnit, extract_source_unit
 from .llm import BackendError, ChatBackend
 from .prompting import Message, PromptTemplateSet, build_followup, build_initial_conversation
 from .records import from_json_dict, save_json
-from .sandbox import AttemptOutcome, OutcomeKind, Sandbox, ToolchainError, find_toolchain
+from .sandbox import Sandbox, ToolchainError, find_toolchain
 from .tasks import SynthesisTask
+from .verdict import AttemptOutcome, OutcomeKind
 
 DEFAULT_MAX_FOLLOWUPS = 3
 

@@ -15,16 +15,11 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
-from .extractor import SourceUnit, strip_comments_and_strings
-
-FAIL_MARKER_RE = re.compile(r"Test case #(\d+) failed")
-SUCCESS_MARKER = "All test cases passed."
-
-TIMEOUT_DIAGNOSTIC = "process timed out (forcibly terminated)"
-NO_ENTRY_POINT_DIAGNOSTIC = "no runnable entry point (no main method or test method found)"
+from .extractor import SourceUnit, candidate_source
+from .verdict import (FAIL_MARKER_RE, NO_ENTRY_POINT_DIAGNOSTIC, SUCCESS_MARKER, AttemptOutcome, ExecutionResult,
+                      classify, first_diagnostic_line)
 
 # Every JVM started here gets it, so none leaves an hsperfdata file in the
 # system temp directory.
@@ -84,107 +79,6 @@ class ToolchainError(Exception):
     """The Java toolchain is unavailable; an environment problem, not a task failure."""
 
 
-class OutcomeKind(str, Enum):
-    PASS = "pass"
-    COMPILE_ERROR = "compile_error"
-    RUNTIME_ERROR = "runtime_error"
-    FAILING_TESTS = "failing_tests"
-
-
-@dataclass(frozen=True)
-class ExecutionResult:
-    exit_code: int
-    stdout: str
-    stderr: str
-    duration_seconds: float
-    timed_out: bool = False
-
-
-@dataclass(frozen=True)
-class AttemptOutcome:
-    kind: OutcomeKind
-    failing_ordinals: frozenset[int] = frozenset()
-    detail: str = ""
-    extraction_failed: bool = False
-
-    @property
-    def fingerprint(self) -> str:
-        """What the same-error stop compares; derived from the fields, never stored."""
-        if self.kind is OutcomeKind.PASS:
-            return "pass"
-        if self.kind is OutcomeKind.FAILING_TESTS:
-            return "failing_tests:" + ",".join(str(o) for o in sorted(self.failing_ordinals))
-        source = "extraction:" if self.extraction_failed else ""
-        return f"{self.kind.value}:{source}{normalize_diagnostic(self.detail)}"
-
-
-def _first_diagnostic_line(stderr: str, stdout: str) -> str:
-    for text in (stderr, stdout):
-        for line in text.splitlines():
-            if line.strip():
-                return line.strip()
-    return ""
-
-
-def normalize_diagnostic(line: str) -> str:
-    """Stabilize a diagnostic line across workdirs and run paths: drop paths, line numbers and identity hashes.
-
-    A default toString such as ``java.lang.Object@251a69d7`` ends in an
-    identity hash, which a parked JVM numbers differently from a cold java.
-    Only an ``@`` right after a class name (or an array's ``;`` or ``]``)
-    starts one, so ``value @5`` keeps its number.
-    """
-    line = re.sub(r"^\S+\.java:\d+:\s*", "", line)
-    line = re.sub(r"\S*/\S*", "<path>", line)
-    line = re.sub(r"\S+\.java\b", "<path>", line)
-    line = re.sub(r"(?<=[\w$;\]])@[0-9a-f]{1,8}\b", "@<hash>", line)
-    line = re.sub(r":\d+", ":<n>", line)
-    line = re.sub(r"\bline \d+", "line <n>", line)
-    return re.sub(r"\s+", " ", line).strip()
-
-
-def _parse_failing_ordinals(*texts: str) -> frozenset[int]:
-    found = set()
-    for text in texts:
-        for match in FAIL_MARKER_RE.finditer(text):
-            found.add(int(match.group(1)))
-    return frozenset(found)
-
-
-def classify(
-    compile_result: ExecutionResult,
-    run_result: ExecutionResult | None,
-    all_ordinals: tuple[int, ...],
-    declares_target: bool = True,
-) -> AttemptOutcome:
-    """Map raw execution results onto the four outcome kinds.
-
-    A pass needs all three of: the unit declares the target method, the run
-    printed no failure marker, and its stdout holds the success marker.
-    Failure markers decide first, whatever the exit code: assertions raised
-    under -ea carry the marker text. A clean exit that is not a pass fails
-    every test case, since the harness gave no verdict on the target.
-    """
-    if compile_result.timed_out:
-        return AttemptOutcome(OutcomeKind.COMPILE_ERROR, detail=TIMEOUT_DIAGNOSTIC)
-    if compile_result.exit_code != 0:
-        detail = _first_diagnostic_line(compile_result.stderr, compile_result.stdout)
-        return AttemptOutcome(OutcomeKind.COMPILE_ERROR, detail=detail or "compilation failed")
-    if run_result is None:
-        return AttemptOutcome(OutcomeKind.RUNTIME_ERROR, detail=NO_ENTRY_POINT_DIAGNOSTIC)
-    if run_result.timed_out:
-        return AttemptOutcome(OutcomeKind.RUNTIME_ERROR, detail=TIMEOUT_DIAGNOSTIC)
-    failing = _parse_failing_ordinals(run_result.stdout, run_result.stderr)
-    if failing:
-        return AttemptOutcome(OutcomeKind.FAILING_TESTS, failing_ordinals=failing)
-    if run_result.exit_code != 0:
-        detail = _first_diagnostic_line(run_result.stderr, run_result.stdout)
-        return AttemptOutcome(OutcomeKind.RUNTIME_ERROR, detail=detail or "nonzero exit")
-    if declares_target and SUCCESS_MARKER in run_result.stdout:
-        return AttemptOutcome(OutcomeKind.PASS)
-    return AttemptOutcome(OutcomeKind.FAILING_TESTS, failing_ordinals=frozenset(all_ordinals))
-
-
 @dataclass(frozen=True)
 class Toolchain:
     javac: str
@@ -208,57 +102,6 @@ def find_toolchain() -> Toolchain:
             "javac/java on PATH (APISYNTH_JAVAC/APISYNTH_JAVA override)"
         )
     return Toolchain(javac=javac, java=java)
-
-
-TEST_METHOD_RE = re.compile(r"\b(?:(static)\s+)?(?:final\s+)?void\s+(test\w*)\s*\(\s*\)")
-
-
-def find_test_method(stripped_source: str, target_name: str) -> tuple[str, bool] | None:
-    """Pick a no-arg test method to drive; prefers one named after the target."""
-    matches = [(m.group(2), m.group(1) is not None) for m in TEST_METHOD_RE.finditer(stripped_source)]
-    if not matches:
-        return None
-    lowered = target_name.lower()
-    for name, static in matches:
-        if lowered in name.lower():
-            return name, static
-    return matches[0]
-
-
-def make_driver(class_name: str, stripped_source: str, target_name: str) -> tuple[str, str] | None:
-    """Synthesize a main-bearing driver class; None when nothing is callable."""
-    picked = find_test_method(stripped_source, target_name)
-    if picked is None:
-        return None
-    method, static = picked
-    call = f"{class_name}.{method}();" if static else f"new {class_name}().{method}();"
-    driver_name = "SynthesisDriver"
-    n = 2
-    while driver_name in stripped_source:
-        driver_name = f"SynthesisDriver{n}"
-        n += 1
-    body = (
-        f"class {driver_name} {{\n"
-        f"    public static void main(String[] args) throws Exception {{\n"
-        f"        {call}\n"
-        f"    }}\n"
-        f"}}\n"
-    )
-    return driver_name, body
-
-
-def candidate_source(unit: SourceUnit, target_name: str) -> tuple[str, str | None]:
-    """The source file written for a candidate and the class to run (None: nothing runnable)."""
-    source = unit.source_text
-    if not source.endswith("\n"):
-        source += "\n"
-    if unit.contains_main:
-        return source, unit.public_class_name
-    driver = make_driver(unit.public_class_name, strip_comments_and_strings(unit.source_text), target_name)
-    if driver is None:
-        return source, None
-    main_class, driver_body = driver
-    return source + "\n" + driver_body, main_class
 
 
 def _write_log(path: Path, argv: list[str], result: ExecutionResult) -> None:
@@ -607,10 +450,7 @@ def _javac(
 
 def usable_cores() -> int:
     """How many cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
 
 class _Spare(_Child):
@@ -779,37 +619,38 @@ class Sandbox:
     ) -> AttemptOutcome:
         """Write, compile, and run one candidate; persist its logs."""
         workdir.mkdir(parents=True, exist_ok=True)
-        classpath = classpath or []
         source, main_class = candidate_source(unit, target_name)
-        source_path = workdir / f"{unit.public_class_name}.java"
-        source_path.write_text(source, encoding="utf-8")
+        source_name = f"{unit.public_class_name}.java"
+        (workdir / source_name).write_text(source, encoding="utf-8")
+        compiled, ran = self.compile_and_run(workdir, source_name, main_class, classpath or [])
+        return classify(compiled, ran, all_ordinals, unit.contains_target_method)
 
-        compile_result = self._compile(workdir, classpath, source_path.name)
+    def compile_and_run(
+        self, workdir: Path, source_name: str, main_class: str | None, classpath: list[Path]
+    ) -> tuple[ExecutionResult, ExecutionResult | None]:
+        """Compile workdir/source_name, then run main_class in workdir; write compile.log and run.log.
 
-        run_result = None
-        if compile_result.exit_code == 0 and not compile_result.timed_out:
-            if main_class is None:
-                (workdir / "run.log").write_text(
-                    NO_ENTRY_POINT_DIAGNOSTIC + "\n", encoding="utf-8"
-                )
-            else:
-                run_cp = os.pathsep.join(["."] + [str(p) for p in classpath])
-                run_argv = [self.toolchain.java, *CANDIDATE_JVM_FLAGS, "-cp", run_cp, main_class]
-                if self.parked is not None:
-                    run_result = self.parked.run(self.toolchain, workdir, classpath, main_class, self.run_timeout)
-                if run_result is None:
-                    run_result = _execute(run_argv, workdir, self.run_timeout)
-                _write_log(workdir / "run.log", run_argv, run_result)
-
-        return classify(compile_result, run_result, all_ordinals, unit.contains_target_method)
-
-    def _compile(self, workdir: Path, classpath: list[Path], source_name: str) -> ExecutionResult:
-        """Compile through _javac and write compile.log; a cold javac's fault exit raises ToolchainError."""
+        The run is None when the compile failed or there is no class to run
+        (main_class None). A cold javac's fault exit raises ToolchainError.
+        """
         timeout = self.compile_timeout
-        argv, result = _javac(self.toolchain, self.compilers, workdir, classpath, source_name, timeout)
-        _write_log(workdir / "compile.log", argv, result)
-        caused_by_source = result.exit_code == 3 and JAVAC_STACK_OVERFLOW in result.stderr
-        if result.exit_code in JAVAC_FAULT_EXITS and not caused_by_source:
-            detail = _first_diagnostic_line(result.stderr, result.stdout)
-            raise ToolchainError(f"javac exited {result.exit_code}: {detail}")
-        return result
+        argv, compiled = _javac(self.toolchain, self.compilers, workdir, classpath, source_name, timeout)
+        _write_log(workdir / "compile.log", argv, compiled)
+        caused_by_source = compiled.exit_code == 3 and JAVAC_STACK_OVERFLOW in compiled.stderr
+        if compiled.exit_code in JAVAC_FAULT_EXITS and not caused_by_source:
+            detail = first_diagnostic_line(compiled.stderr, compiled.stdout)
+            raise ToolchainError(f"javac exited {compiled.exit_code}: {detail}")
+        if compiled.exit_code != 0 or compiled.timed_out:
+            return compiled, None
+        if main_class is None:
+            (workdir / "run.log").write_text(NO_ENTRY_POINT_DIAGNOSTIC + "\n", encoding="utf-8")
+            return compiled, None
+        run_cp = os.pathsep.join(["."] + [str(p) for p in classpath])
+        run_argv = [self.toolchain.java, *CANDIDATE_JVM_FLAGS, "-cp", run_cp, main_class]
+        ran = None
+        if self.parked is not None:
+            ran = self.parked.run(self.toolchain, workdir, classpath, main_class, self.run_timeout)
+        if ran is None:
+            ran = _execute(run_argv, workdir, self.run_timeout)
+        _write_log(workdir / "run.log", run_argv, ran)
+        return compiled, ran

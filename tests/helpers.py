@@ -9,8 +9,9 @@ from pathlib import Path
 
 from apisynth import sandbox as sandbox_module
 from apisynth.refine import AttemptRecord, FinalStatus, RunRecord
-from apisynth.sandbox import AttemptOutcome, OutcomeKind, ParkedPool
+from apisynth.sandbox import ParkedPool
 from apisynth.tasks import SynthesisTask
+from apisynth.verdict import AttemptOutcome, OutcomeKind
 
 
 def load_script(repo_root, name):

@@ -28,14 +28,9 @@ from apisynth.prompting import (
     render_conversation_text,
 )
 from apisynth.refine import FinalStatus, make_sandbox, synthesize
-from apisynth.sandbox import (
-    OutcomeKind,
-    Sandbox,
-    SUCCESS_MARKER,
-    ToolchainError,
-    find_toolchain,
-)
+from apisynth.sandbox import Sandbox, ToolchainError, find_toolchain
 from apisynth.tasks import parse_task_file
+from apisynth.verdict import SUCCESS_MARKER, OutcomeKind
 from helpers import (
     StubSandbox,
     compile_error,

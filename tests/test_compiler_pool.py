@@ -19,13 +19,8 @@ import pytest
 import apisynth.cli as cli
 from apisynth import sandbox as sandbox_module
 from apisynth.extractor import SourceUnit, extract_source_unit
-from apisynth.sandbox import (
-    TIMEOUT_DIAGNOSTIC,
-    AttemptOutcome,
-    CompilerPool,
-    OutcomeKind,
-    Sandbox,
-)
+from apisynth.sandbox import CompilerPool, Sandbox
+from apisynth.verdict import TIMEOUT_DIAGNOSTIC, AttemptOutcome, OutcomeKind
 from helpers import EagerParkedPool, java_response, record_servers
 
 FIXTURES = [

@@ -18,7 +18,8 @@ import pytest
 
 from apisynth import sandbox as sandbox_module
 from apisynth.extractor import SourceUnit, extract_source_unit
-from apisynth.sandbox import CompilerPool, OutcomeKind, ParkedPool, Sandbox
+from apisynth.sandbox import CompilerPool, ParkedPool, Sandbox
+from apisynth.verdict import NO_ENTRY_POINT_DIAGNOSTIC, OutcomeKind
 from helpers import EagerParkedPool
 
 FIXTURES = [
@@ -130,6 +131,34 @@ def test_parked_runs_match_cold_java(jdk, pools, java_fixture_dir, tmp_path):
     writes = cases.index(next(c for c in cases if c[0].public_class_name == "Writes"))
     assert (tmp_path / "parked" / str(writes) / "sub" / "x.txt").read_text(encoding="utf-8") == "x"
 
+
+
+def test_compile_and_run_takes_a_source_file_and_a_class(jdk, pools, tmp_path):
+    """The step needs no SourceUnit: it compiles a hand-written file and runs the class named, warm as cold."""
+    compilers, parked = pools
+    hello = 'public class Hello { public static void main(String[] a) { System.out.println("hello"); } }\n'
+    broken = "public class Hello { int f() { return; } }\n"
+    cases = {"runs": (hello, "Hello"), "no_entry": (hello, None), "broken": (broken, "Hello")}
+    for name, sandbox in (("warm", Sandbox(jdk, compilers=compilers, parked=parked)), ("cold", Sandbox(jdk))):
+        results = {}
+        for case, (source, main_class) in cases.items():
+            workdir = tmp_path / name / case
+            workdir.mkdir(parents=True)
+            (workdir / "Hello.java").write_text(source, encoding="utf-8")
+            results[case] = sandbox.compile_and_run(workdir, "Hello.java", main_class, [])
+        compiled, ran = results["runs"]
+        assert (compiled.exit_code, ran.exit_code, ran.stdout, ran.timed_out) == (0, 0, "hello\n", False)
+        compiled, ran = results["no_entry"]
+        assert compiled.exit_code == 0 and ran is None
+        no_entry_log = (tmp_path / name / "no_entry" / "run.log").read_text(encoding="utf-8")
+        assert no_entry_log == NO_ENTRY_POINT_DIAGNOSTIC + "\n"
+        compiled, ran = results["broken"]
+        assert compiled.exit_code == 1 and ran is None
+        assert compiled.stderr.startswith("Hello.java:1: error: incompatible types: missing return value\n")
+        assert not (tmp_path / name / "broken" / "run.log").exists()
+    for case in cases:
+        assert files(tmp_path / "warm" / case) == files(tmp_path / "cold" / case), case
+    assert parked.parked == [True]
 
 def test_parked_run_timeout_kills_the_group(jdk, pools, tmp_path):
     """The run timeout counts from the hand-off; the spare's group is killed and its directory removed."""

@@ -9,6 +9,11 @@ perfbench/workloads.py also reads loaded records and copies them with
 ``dataclasses.replace``. A field it reads that became a property would make
 ``replace`` fail or drop the value from record.json, so those stay fields.
 
+perfbench/spans.py's ``TracedSandbox`` calls ``Sandbox.evaluate`` with
+positional arguments and reads the compile/run split from the attempt's
+``compile.log`` and ``run.log``; so the sandbox keeps that signature and
+those logs.
+
 perfbench/setup_probe.py times the start-up calls of ``bench`` in a fresh
 interpreter; running it here keeps the names and signatures it calls working.
 """
@@ -24,8 +29,10 @@ from pathlib import Path
 import pytest
 
 from apisynth import cli
+from apisynth.extractor import SourceUnit, extract_source_unit
 from apisynth.refine import AttemptRecord, FinalStatus, RunRecord, load_record, save_record
-from apisynth.sandbox import AttemptOutcome, ToolchainError, find_toolchain
+from apisynth.sandbox import Sandbox, ToolchainError, find_toolchain
+from apisynth.verdict import AttemptOutcome
 from helpers import failing, ok
 
 REPO = Path(__file__).resolve().parent.parent
@@ -80,6 +87,22 @@ def test_record_attributes_the_benchmark_reads_are_stored(tmp_path):
     )
     attempts = [(a.index, a.outcome.kind.value, sorted(a.outcome.failing_ordinals)) for a in loaded.attempts]
     assert attempts == [(1, "failing_tests", [2, 3]), (2, "pass", [])]
+
+
+def test_traced_sandbox_reads_the_compile_and_run_logs(jdk, java_fixture_dir, tmp_path):
+    spans = load_spans()
+    tracer = spans.Tracer()
+    traced = spans.TracedSandbox(Sandbox(jdk), tracer)
+    source = (java_fixture_dir / "PalindromeChecker.java").read_text(encoding="utf-8")
+    passing = extract_source_unit(f"```java\n{source}```", "isPalindrome", 1)
+    no_entry = SourceUnit("public class Solution { int f() { return 1; } }\n", "Solution", True, False)
+    traced.evaluate(passing, "isPalindrome", (1, 2, 3, 4, 5, 6), tmp_path / "a1", [])
+    traced.evaluate(no_entry, "f", (1,), tmp_path / "a2", [])
+    ran, unrunnable = [s for s in tracer.spans if s["name"] == "sandbox.evaluate"]
+    assert ran["kind"] == "pass" and ran["timed_out"] is False
+    assert ran["compile_s"] is not None and ran["run_s"] is not None
+    assert unrunnable["kind"] == "runtime_error" and unrunnable["timed_out"] is False
+    assert unrunnable["compile_s"] is not None and unrunnable["run_s"] is None
 
 
 def test_setup_probe_runs(tmp_path):

@@ -16,8 +16,8 @@ from apisynth.bench import aggregate, percentage, render_csv, render_json, rende
 from apisynth.llm import MockBackend
 from apisynth.prompting import load_templates
 from apisynth.refine import FinalStatus, synthesize
-from apisynth.sandbox import OutcomeKind
 from apisynth.tasks import parse_task_file
+from apisynth.verdict import OutcomeKind
 from helpers import (
     StubSandbox,
     compile_error,

@@ -15,7 +15,7 @@ from apisynth.refine import (
     save_record,
     synthesize,
 )
-from apisynth.sandbox import AttemptOutcome, OutcomeKind
+from apisynth.verdict import AttemptOutcome, OutcomeKind
 from helpers import (
     StubSandbox,
     compile_error,

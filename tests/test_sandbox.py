@@ -3,28 +3,24 @@ from __future__ import annotations
 import json
 import os
 import stat
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from apisynth.extractor import SourceUnit
+from apisynth.extractor import SourceUnit, find_test_method, make_driver
 from apisynth.llm import MockBackend
 from apisynth.records import from_json_dict, to_json_dict
 from apisynth.refine import FinalStatus, synthesize
-from apisynth.sandbox import (
-    CANDIDATE_JVM_FLAGS,
+from apisynth.sandbox import CANDIDATE_JVM_FLAGS, CompilerPool, Sandbox, Toolchain, ToolchainError, find_toolchain
+from apisynth.verdict import (
     NO_ENTRY_POINT_DIAGNOSTIC,
     AttemptOutcome,
-    CompilerPool,
     ExecutionResult,
     OutcomeKind,
-    Sandbox,
-    Toolchain,
-    ToolchainError,
     classify,
-    find_test_method,
-    find_toolchain,
-    make_driver,
     normalize_diagnostic,
 )
 from helpers import EagerParkedPool, java_response, record_servers
@@ -150,6 +146,18 @@ def test_outcome_dict_round_trip():
     data = json.loads(json.dumps(to_json_dict(outcome)))
     assert data["failing_ordinals"] == [1]
     assert from_json_dict(AttemptOutcome, data) == outcome
+
+
+def test_verdicts_and_prompts_load_no_process_code():
+    """The verdict rules and the prompts they feed import neither subprocess nor the sandbox."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, apisynth.verdict, apisynth.prompting; print(*sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "apisynth.prompting" in loaded
+    assert not {"subprocess", "apisynth.sandbox"} & loaded
 
 
 def test_find_test_method_prefers_target_name():
