@@ -8,7 +8,7 @@ Usage, from the root of a checkout:
 The candidates are the first ones of a repair-loop run (perfbench/generate.py)
 that compile and have a class to run, written as the sandbox writes them and
 compiled once through a compile server. Each is then run ``--rounds`` times
-in a cold ``java`` (``sandbox.CANDIDATE_JVM_FLAGS``), and as many times handed
+in a cold ``java`` (``sandbox.candidate_argv``), and as many times handed
 to a parked JVM of a ``sandbox.ParkedPool``. Every run waits ``--gap`` seconds
 first, the time the rest of an attempt gives a spare to boot. The report is
 one JSON object with, per side, the p50/p90 of the run's wall time (a cold
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import resource
 import sys
 import tempfile
@@ -94,7 +93,7 @@ def summary(times: list[float], cpu_s: float, **extra) -> dict:
 
 
 class AgedPool(sandbox.ParkedPool):
-    """A ParkedPool that records how long before each take the spare taken began to boot."""
+    """A ParkedPool that records how long before each take the spare taken began to boot (see CountedSpare)."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -110,15 +109,14 @@ class AgedPool(sandbox.ParkedPool):
 def probe(candidates: list[tuple[Path, str]], rounds: int, gap: float, toolchain: sandbox.Toolchain,
           workers: int = 1, keys: int = 1) -> dict:
     work = candidates[0][0].parent
-    classpaths = [[work / f"absent-{k}.jar"] for k in range(keys)] if keys > 1 else [[]]
+    classpaths = [[str(work / f"absent-{k}.jar")] for k in range(keys)] if keys > 1 else [[]]
     runs = [(workdir, main_class, classpaths[i % keys])
             for i, (workdir, main_class) in enumerate(c for _ in range(rounds) for c in candidates)]
 
     def cold_run(job) -> float:
         workdir, main_class, classpath = job
         time.sleep(gap)
-        argv = [toolchain.java, *sandbox.CANDIDATE_JVM_FLAGS, "-cp", os.pathsep.join([".", *map(str, classpath)]),
-                main_class]
+        argv = sandbox.candidate_argv(toolchain.java, classpath, main_class)
         return sandbox._execute(argv, workdir, 30).duration_seconds
 
     before = children_cpu()
@@ -131,6 +129,7 @@ def probe(candidates: list[tuple[Path, str]], rounds: int, gap: float, toolchain
     class CountedSpare(sandbox._Spare):
         def __init__(self, *args) -> None:
             super().__init__(*args)
+            self.boot_start = time.monotonic()
             boots.append(1)
 
     sandbox._Spare, spare_class = CountedSpare, sandbox._Spare

@@ -1,3 +1,1 @@
 """Synthesize Java method implementations from signatures and I/O test cases."""
-
-__version__ = "0.1.0"

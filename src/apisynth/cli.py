@@ -22,8 +22,8 @@ from .prompting import (
     load_templates,
     render_conversation_text,
 )
-from .refine import FinalStatus, RunRecord, make_sandbox, synthesize
-from .sandbox import CompilerPool, ParkedPool, ToolchainError, usable_cores
+from .refine import FinalStatus, RunRecord, synthesize
+from .sandbox import CompilerPool, ParkedPool, Sandbox, ToolchainError, usable_cores
 from .tasks import (
     TaskParseError,
     TaskValidationError,
@@ -40,6 +40,9 @@ from .verdict import OutcomeKind
 EXIT_OK = 0
 EXIT_TASK_FAILED = 1
 EXIT_ENVIRONMENT = 2
+
+# Every command builds its sandbox through this name, which perfbench rebinds to wrap it.
+make_sandbox = Sandbox
 
 
 def _setting(args: argparse.Namespace, dest: str, cast=str):
@@ -137,10 +140,10 @@ def warm_sandbox(workers: int, **timeouts):
 
     The command, not the sandbox (make_sandbox's result may be a wrapper),
     owns the JVMs. It parks only while its workers leave a core idle: a
-    spare boots on a core that no worker is busy on. With a worker for every
-    core, it boots in competition with the other workers and is often still
-    booting when it is taken: on 2 cores, 2 workers ran their slowest tenth
-    of tasks 22% slower with spares than with a cold java per run.
+    spare boots on a core that no worker is busy on. With a worker on every
+    core, a spare is often taken still booting: on 2 cores, 2 workers parking
+    ran 10% more tasks/s at a 9% lower p50, but their slowest tenth of tasks
+    19% slower than a cold java per run (perfbench one-shot, 4 pair medians).
     """
     with CompilerPool() as compilers, contextlib.ExitStack() as stack:
         parked = stack.enter_context(ParkedPool(compilers)) if workers < usable_cores() else None

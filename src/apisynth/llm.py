@@ -389,31 +389,22 @@ class MockBackend:
     model: str = "mock"
     transcript: TranscriptWriter | None = None
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    _cursors: dict[str, int] = field(default_factory=dict, repr=False)
-    _cursor: int = field(default=0, repr=False)
+    # The next response's position per task id; an array script is one queue, under None.
+    _cursors: dict[str | None, int] = field(default_factory=dict, repr=False)
 
     def complete(self, conversation: Sequence[Message], task_id: str) -> ChatExchange:
         _check_conversation(conversation)
         with self._lock:
-            if isinstance(self.script, list):
-                if self._cursor >= len(self.script):
-                    raise ScriptExhaustedError(
-                        f"mock script exhausted after {len(self.script)} responses"
-                    )
-                text = self.script[self._cursor]
-                self._cursor += 1
-            else:
-                entries = self.script.get(task_id)
-                if entries is None:
-                    raise ScriptExhaustedError(f"mock script has no entry for task '{task_id}'")
-                position = self._cursors.get(task_id, 0)
-                if position >= len(entries):
-                    raise ScriptExhaustedError(
-                        f"mock script for task '{task_id}' exhausted after "
-                        f"{len(entries)} responses"
-                    )
-                text = entries[position]
-                self._cursors[task_id] = position + 1
+            key = None if isinstance(self.script, list) else task_id
+            entries = self.script if key is None else self.script.get(key)
+            if entries is None:
+                raise ScriptExhaustedError(f"mock script has no entry for task '{task_id}'")
+            position = self._cursors.get(key, 0)
+            if position >= len(entries):
+                queue = "" if key is None else f" for task '{task_id}'"
+                raise ScriptExhaustedError(f"mock script{queue} exhausted after {len(entries)} responses")
+            text = entries[position]
+            self._cursors[key] = position + 1
         exchange = ChatExchange(
             request_messages=tuple(conversation), response_text=text, latency_seconds=0.0
         )

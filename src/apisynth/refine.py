@@ -14,7 +14,7 @@ from .extractor import ExtractionError, SourceUnit, extract_source_unit
 from .llm import BackendError, ChatBackend
 from .prompting import Message, PromptTemplateSet, build_followup, build_initial_conversation
 from .records import from_json_dict, save_json
-from .sandbox import Sandbox, ToolchainError, find_toolchain
+from .sandbox import ToolchainError
 from .tasks import SynthesisTask
 from .verdict import AttemptOutcome, OutcomeKind
 
@@ -68,11 +68,6 @@ class SandboxLike(Protocol):
     ) -> AttemptOutcome: ...
 
 
-def make_sandbox(**settings) -> Sandbox:
-    """Real toolchain sandbox; an omitted setting keeps Sandbox's default. Needs a JDK."""
-    return Sandbox(toolchain=find_toolchain(), **settings)
-
-
 def save_record(record: RunRecord, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     save_json(record, path)
@@ -109,10 +104,11 @@ def synthesize(
     consecutive attempts with the same error fingerprint, on an exhausted
     follow-up budget, or on an environment fault (backend or toolchain). A
     stop on unusable model output, which counts as a compile error until
-    then, is an extraction failure. Attempt directories that an earlier run
-    left in task_dir are removed first.
+    then, is an extraction failure. The record and attempt directories that
+    an earlier run left in task_dir are removed first.
     """
     start = time.monotonic()
+    (task_dir / "record.json").unlink(missing_ok=True)
     for stale in task_dir.glob("attempt-*"):
         if stale.is_dir():
             shutil.rmtree(stale)

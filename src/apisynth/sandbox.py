@@ -14,7 +14,7 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .extractor import SourceUnit, candidate_source
@@ -108,11 +108,16 @@ def _write_log(path: Path, argv: list[str], result: ExecutionResult) -> None:
     status = f"exit: {result.exit_code}" + (" (timed out)" if result.timed_out else "")
     path.write_text(
         "$ " + " ".join(argv) + "\n"
-        + status + f"  ({result.duration_seconds:.2f}s)\n"
+        + status + f"  ({result.duration_seconds:.3f}s)\n"
         + "--- stdout ---\n" + result.stdout
         + "\n--- stderr ---\n" + result.stderr + "\n",
         encoding="utf-8",
     )
+
+
+def candidate_argv(java: str, classpath: list[str] | tuple[str, ...], main_class: str) -> list[str]:
+    """The command that runs main_class in a candidate JVM, the working directory first on its classpath."""
+    return [java, *CANDIDATE_JVM_FLAGS, "-cp", os.pathsep.join([".", *classpath]), main_class]
 
 
 def _kill_group(proc: subprocess.Popen) -> None:
@@ -323,18 +328,17 @@ class _Pool:
     """Warm JVMs of one kind, kept idle between uses: the base of CompilerPool and ParkedPool.
 
     When this JDK cannot provide them, the pool says so once on stderr and
-    leaves every later use to a cold JVM. close() stops taking work and
-    reaps every idle JVM, and stops one handed back after it, so their CPU
-    time and peak memory count among this process's waited-for children.
+    closes, leaving every later use to a cold JVM. close() stops taking work
+    and reaps every idle JVM, and stops one handed back after it, so their
+    CPU time and peak memory count among this process's waited-for children.
     """
 
-    _cold = ""  # what every use does once the pool is unusable
+    _cold = ""  # what every use does once the pool has given up
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._idle: list = []
         self._closed = False
-        self._unusable = False
 
     def __enter__(self):
         return self
@@ -343,11 +347,12 @@ class _Pool:
         self.close()
 
     def _give_up(self, reason: str) -> None:
-        """Go cold from now on, saying why once."""
+        """Go cold from now on, saying why once, and close."""
         with self._lock:
-            first, self._unusable = not self._unusable, True
+            first, self._closed = not self._closed, True
         if first:
             print(f"warning: {reason}; {self._cold}", file=sys.stderr)
+        self.close()
 
     def _keep(self, child: _Child, most: int | None = None) -> None:
         """Make child idle, stopping the oldest idle ones beyond most; stop it if the pool is closed."""
@@ -383,7 +388,7 @@ class CompilerPool(_Pool):
 
     def _take(self, java: str, timeout: float) -> _CompileServer | None:
         with self._lock:
-            if self._closed or self._unusable:
+            if self._closed:
                 return None
             if self._idle:
                 return self._idle.pop()
@@ -400,15 +405,13 @@ class CompilerPool(_Pool):
         return None
 
     def compile(
-        self, java: str, workdir: Path, classpath: list[Path], source_name: str, timeout: float
+        self, java: str, workdir: Path, classpath: list[str], source_name: str, timeout: float
     ) -> ExecutionResult | None:
-        """Compile workdir/source_name like javac run in workdir; None leaves it to a cold javac."""
+        """Compile workdir/source_name like javac run in workdir, classpath absolute; None leaves it to a cold javac."""
         home = os.path.abspath(workdir)
-        # javac resolves relative entries against its working directory. No entries
-        # means javac's default ".", which the server stands in for with its own empty
-        # directory, so every compile without dependencies shares one javac context.
-        entries = [os.path.join(home, p) for p in classpath]
-        request = _request_line(home, os.pathsep.join(entries), source_name)
+        # No entries means javac's default ".", which the server stands in for with its own
+        # empty directory, so every compile without dependencies shares one javac context.
+        request = _request_line(home, os.pathsep.join(classpath), source_name)
         server = None if request is None else self._take(java, timeout)
         if server is None:
             return None
@@ -430,7 +433,7 @@ def _javac(
     toolchain: Toolchain,
     compilers: CompilerPool | None,
     workdir: Path,
-    classpath: list[Path],
+    classpath: list[str],
     source_name: str,
     timeout: float,
 ) -> tuple[list[str], ExecutionResult]:
@@ -439,7 +442,7 @@ def _javac(
     Through a warm server of compilers when there is one; else, or on the
     server's fault, a cold javac.
     """
-    argv = [toolchain.javac, *(["-cp", os.pathsep.join(map(str, classpath))] if classpath else []), source_name]
+    argv = [toolchain.javac, *(["-cp", os.pathsep.join(classpath)] if classpath else []), source_name]
     result = None
     if compilers is not None:
         result = compilers.compile(toolchain.java, workdir, classpath, source_name, timeout)
@@ -457,11 +460,9 @@ class _Spare(_Child):
     """One parked candidate JVM: booted in its own directory, it waits for the class to run."""
 
     def __init__(self, java: str, launcher: Path, classpath: tuple[str, ...]) -> None:
-        argv = [java, *CANDIDATE_JVM_FLAGS, "-cp", os.pathsep.join((".", *classpath)), LAUNCHER.stem]
-        super().__init__(argv, "apisynth-spare-", files=(launcher,))
+        super().__init__(candidate_argv(java, classpath, LAUNCHER.stem), "apisynth-spare-", files=(launcher,))
         self.classpath = classpath
         self.copied = {LAUNCHER_CLASS}
-        self.boot_start = time.monotonic()
         self.start = 0.0  # the hand-off, from which its run is timed
 
     def hand_off(self, workdir: Path, main_class: str) -> None:
@@ -525,16 +526,12 @@ class ParkedPool(_Pool):
         self._launcher_dir: Path | None = None
 
     def run(
-        self, toolchain: Toolchain, workdir: Path, classpath: list[Path], main_class: str, timeout: float
+        self, toolchain: Toolchain, workdir: Path, classpath: list[str], main_class: str, timeout: float
     ) -> ExecutionResult | None:
-        """Run main_class as ``java -cp .:classpath`` in workdir would; None leaves it to a cold java."""
-        if (
-            not main_class.isascii()
-            or not all(os.path.isabs(p) for p in classpath)
-            or (workdir / LAUNCHER_CLASS).exists()
-        ):
+        """Run main_class as candidate_argv does in workdir, classpath absolute; None leaves it to a cold java."""
+        if not main_class.isascii() or (workdir / LAUNCHER_CLASS).exists():
             return None
-        key = tuple(str(p) for p in classpath)
+        key = tuple(classpath)
         with self._lock:
             self._running += 1
             self._peak = max(self._peak, self._running)
@@ -554,7 +551,7 @@ class ParkedPool(_Pool):
     def _take(self, toolchain: Toolchain, key: tuple[str, ...]) -> _Spare | None:
         """An idle spare for key, if there is one; the first call compiles the launcher."""
         with self._lock:
-            if self._closed or self._unusable or self._building:
+            if self._closed or self._building:
                 return None
             if self._launcher is not None:
                 spare = next((s for s in self._idle if s.classpath == key), None)
@@ -583,7 +580,7 @@ class ParkedPool(_Pool):
     def _park(self, java: str, key: tuple[str, ...], count: int) -> None:
         """Start count spares for key; stop the oldest idle ones beyond one more than the most runs seen at once."""
         for _ in range(count):
-            if self._closed or self._unusable or self._launcher is None:
+            if self._closed or self._launcher is None:
                 return
             try:
                 spare = _Spare(java, self._launcher, key)
@@ -603,7 +600,7 @@ class ParkedPool(_Pool):
 class Sandbox:
     """Compiles and runs candidates; through ``compilers`` and ``parked`` when given."""
 
-    toolchain: Toolchain
+    toolchain: Toolchain = field(default_factory=find_toolchain)
     compile_timeout: float = 60.0
     run_timeout: float = 30.0
     compilers: CompilerPool | None = None
@@ -633,6 +630,9 @@ class Sandbox:
         The run is None when the compile failed or there is no class to run
         (main_class None). A cold javac's fault exit raises ToolchainError.
         """
+        # Relative entries count from workdir, as for javac and java run in it. A compile server and a parked
+        # JVM run elsewhere, so each is resolved, through symlinks, to one path whatever the attempt directory.
+        classpath = [os.fspath(p) if os.path.isabs(p) else os.path.realpath(workdir / p) for p in classpath]
         timeout = self.compile_timeout
         argv, compiled = _javac(self.toolchain, self.compilers, workdir, classpath, source_name, timeout)
         _write_log(workdir / "compile.log", argv, compiled)
@@ -645,8 +645,7 @@ class Sandbox:
         if main_class is None:
             (workdir / "run.log").write_text(NO_ENTRY_POINT_DIAGNOSTIC + "\n", encoding="utf-8")
             return compiled, None
-        run_cp = os.pathsep.join(["."] + [str(p) for p in classpath])
-        run_argv = [self.toolchain.java, *CANDIDATE_JVM_FLAGS, "-cp", run_cp, main_class]
+        run_argv = candidate_argv(self.toolchain.java, classpath, main_class)
         ran = None
         if self.parked is not None:
             ran = self.parked.run(self.toolchain, workdir, classpath, main_class, self.run_timeout)

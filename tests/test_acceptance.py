@@ -27,7 +27,7 @@ from apisynth.prompting import (
     load_templates,
     render_conversation_text,
 )
-from apisynth.refine import FinalStatus, make_sandbox, synthesize
+from apisynth.refine import FinalStatus, synthesize
 from apisynth.sandbox import Sandbox, ToolchainError, find_toolchain
 from apisynth.tasks import parse_task_file
 from apisynth.verdict import SUCCESS_MARKER, OutcomeKind
@@ -222,7 +222,7 @@ def test_live_backend_solves_reference_tasks(repo_root, templates, tmp_path):
     )
     transcript = TranscriptWriter(tmp_path / "transcript.jsonl")
     backend = make_backend(config, transcript)
-    sandbox = make_sandbox(compile_timeout=60.0, run_timeout=30.0)
+    sandbox = Sandbox(compile_timeout=60.0, run_timeout=30.0)
 
     for task_file in ("ellipse-area.json", "get-range.json"):
         task = parse_task_file(repo_root / "tasks" / "sample" / task_file)

@@ -52,7 +52,7 @@ def fixture_unit(java_fixture_dir, name, target, params) -> SourceUnit:
 def compile_log(workdir) -> str:
     """compile.log without its duration, which differs from run to run."""
     text = (workdir / "compile.log").read_text(encoding="utf-8")
-    return re.sub(r"\(\d+\.\d\ds\)", "", text)
+    return re.sub(r"\(\d+\.\d{3}s\)", "", text)
 
 
 def served_by(pool: CompilerPool) -> int:
@@ -130,7 +130,7 @@ def test_warm_compiles_match_cold_javac(jdk, pool, helper_jar, java_fixture_dir,
     def files(workdir):
         """Every file the attempt left, the logs without their durations."""
         return {
-            p.name: re.sub(rb"\(\d+\.\d\ds\)", b"", p.read_bytes()) if p.suffix == ".log" else p.read_bytes()
+            p.name: re.sub(rb"\(\d+\.\d{3}s\)", b"", p.read_bytes()) if p.suffix == ".log" else p.read_bytes()
             for p in workdir.iterdir()
         }
 

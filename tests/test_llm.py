@@ -45,8 +45,9 @@ def test_mock_array_script_consumed_in_order():
     backend = MockBackend(script=["first", "second"])
     assert backend.complete(conversation(), "t").response_text == "first"
     assert backend.complete(conversation(), "t").response_text == "second"
-    with pytest.raises(ScriptExhaustedError):
-        backend.complete(conversation(), "t")
+    with pytest.raises(ScriptExhaustedError) as excinfo:
+        backend.complete(conversation(), "u")  # one queue, whatever the task id
+    assert str(excinfo.value) == "mock script exhausted after 2 responses"
 
 
 def test_mock_keyed_script_tracks_tasks_independently():
@@ -56,14 +57,14 @@ def test_mock_keyed_script_tracks_tasks_independently():
     assert backend.complete(conversation(), "a").response_text == "a2"
     with pytest.raises(ScriptExhaustedError) as excinfo:
         backend.complete(conversation(), "b")
-    assert "'b'" in str(excinfo.value)
+    assert str(excinfo.value) == "mock script for task 'b' exhausted after 1 responses"
 
 
 def test_mock_unknown_task_id():
     backend = MockBackend(script={"a": ["a1"]})
     with pytest.raises(ScriptExhaustedError) as excinfo:
         backend.complete(conversation(), "mystery")
-    assert "mystery" in str(excinfo.value)
+    assert str(excinfo.value) == "mock script has no entry for task 'mystery'"
 
 
 def test_mock_ignores_prompt_content():

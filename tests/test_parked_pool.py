@@ -91,7 +91,7 @@ def unit_of(source: str) -> SourceUnit:
 def files(workdir):
     """Every file under the attempt directory, the logs without their durations."""
     return {
-        str(p.relative_to(workdir)): re.sub(rb"\(\d+\.\d\ds\)", b"", p.read_bytes()) if p.suffix == ".log" else p.read_bytes()
+        str(p.relative_to(workdir)): re.sub(rb"\(\d+\.\d{3}s\)", b"", p.read_bytes()) if p.suffix == ".log" else p.read_bytes()
         for p in sorted(workdir.rglob("*")) if p.is_file()
     }
 
@@ -159,6 +159,48 @@ def test_compile_and_run_takes_a_source_file_and_a_class(jdk, pools, tmp_path):
     for case in cases:
         assert files(tmp_path / "warm" / case) == files(tmp_path / "cold" / case), case
     assert parked.parked == [True]
+
+def test_a_parked_run_logs_the_command_its_spare_ran(jdk, pools, tmp_path):
+    """run.log holds the spare's own command, the class to run in the launcher's place, as a cold run's does."""
+    compilers, parked = pools
+    jar = str(tmp_path / "absent.jar")  # java accepts a missing classpath entry
+    exits = unit_of(SAME_CASES[1])
+    warm, cold = Sandbox(jdk, compilers=compilers, parked=parked), Sandbox(jdk, compilers=compilers)
+    warm.evaluate(exits, "f", (1,), tmp_path / "a0", [jar])  # parks spares for the jar
+    spare = parked._idle[0]  # the one the next run takes
+    warm.evaluate(exits, "f", (1,), tmp_path / "a1", [jar])
+    cold.evaluate(exits, "f", (1,), tmp_path / "cold", [jar])
+    assert parked.parked == [True, True] and spare.proc.returncode == 3
+    assert spare.proc.args[-1] == sandbox_module.LAUNCHER.stem
+    command = "$ " + " ".join([*spare.proc.args[:-1], "Exits"])
+    for workdir in ("a1", "cold"):
+        assert (tmp_path / workdir / "run.log").read_text(encoding="utf-8").splitlines()[0] == command, workdir
+
+
+def test_a_relative_classpath_entry_parks(jdk, pools, tmp_path, monkeypatch):
+    """An entry relative to the attempt directory reaches the compile server and the spare, resolved."""
+    compilers, parked = pools
+    lib = tmp_path / "lib"
+    lib.mkdir()
+    (lib / "Dep.java").write_text(
+        'public class Dep { public static String verdict() { return "All test cases passed."; } }\n', encoding="utf-8"
+    )
+    assert Sandbox(jdk).compile_and_run(lib, "Dep.java", None, [])[0].exit_code == 0
+    uses = unit_of("public class UsesDep { public static void main(String[] a) { System.out.println(Dep.verdict()); } }\n")
+    sandbox = Sandbox(jdk, compilers=compilers, parked=parked)
+
+    def no_cold_jvm(argv, *args):
+        raise AssertionError(f"cold: {argv}")
+
+    monkeypatch.setattr(sandbox_module, "_execute", no_cold_jvm)
+    # Compiled through the server and run parked, each finding Dep only through the entry.
+    assert sandbox.evaluate(uses, "f", (1,), tmp_path / "a1", [Path("../lib")]).kind is OutcomeKind.PASS
+    assert f"-cp .{os.pathsep}{os.path.realpath(lib)} UsesDep\n" in (tmp_path / "a1" / "run.log").read_text()
+    # Named from another attempt directory, it is the same classpath: that run takes a spare parked by this one.
+    first = parked._idle[0]
+    assert sandbox.evaluate(uses, "f", (1,), tmp_path / "t" / "a2", [Path("../../lib")]).kind is OutcomeKind.PASS
+    assert parked.parked == [True, True] and first.proc.returncode == 0
+
 
 def test_parked_run_timeout_kills_the_group(jdk, pools, tmp_path):
     """The run timeout counts from the hand-off; the spare's group is killed and its directory removed."""
@@ -266,7 +308,7 @@ def test_output_beyond_the_limit_is_dropped_and_marked(jdk, pools, tmp_path, mon
     for side, sandbox in (("parked", Sandbox(jdk, compilers=compilers, parked=parked)),
                           ("cold", Sandbox(jdk, compilers=compilers))):
         sandbox.evaluate(chatty, "f", (1,), tmp_path / side)
-        log = re.sub(r"\(\d+\.\d\ds\)", "", (tmp_path / side / "run.log").read_text(encoding="utf-8"))
+        log = re.sub(r"\(\d+\.\d{3}s\)", "", (tmp_path / side / "run.log").read_text(encoding="utf-8"))
         assert log.endswith(
             "--- stdout ---\n0123456789\n[truncated: 10 more bytes not kept]\n"
             "--- stderr ---\nABCDEFGHIJ\n[truncated: 5 more bytes not kept]\n"
@@ -445,11 +487,24 @@ def test_a_launcher_that_does_not_compile_leaves_every_run_cold(jdk, tmp_path, m
     assert not parked._launcher_dir.exists()
 
 
+def test_giving_up_stops_the_idle_spares(jdk, monkeypatch, capsys):
+    """A spare that cannot start closes the pool: the spares already idle stop at once, not when the command ends."""
+    with parked_spares(ParkedPool(), jdk) as parked:
+        idle = list(parked._idle)
+        monkeypatch.setattr(sandbox_module, "_Spare", cannot_start)
+        parked._park(jdk.java, (), 1)
+        assert parked._closed and not parked._idle
+        assert idle and all(spare.proc.returncode is not None and not spare.home.exists() for spare in idle)
+        parked._give_up("another reason")  # said once, for the first
+    assert capsys.readouterr().err == f"warning: {jdk.java} cannot start a parked JVM; every run starts a cold java\n"
+
+
+def cannot_start(*args):
+    raise OSError("cannot start")
+
+
 def test_a_spare_that_cannot_start_leaves_every_run_cold(jdk, pools, tmp_path, monkeypatch, capsys):
     """It warns once, as a launcher that does not compile does."""
-    def cannot_start(*args):
-        raise OSError("cannot start")
-
     monkeypatch.setattr(sandbox_module, "_Spare", cannot_start)
     compilers, parked = pools
     sandbox = Sandbox(jdk, compilers=compilers, parked=parked)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from apisynth.bench import run_suite
 from apisynth.llm import MockBackend, TranscriptWriter, read_transcript
 from apisynth.prompting import COMPILE_FOLLOWUP, RUNTIME_FOLLOWUP, load_templates
 from apisynth.records import from_json_dict, to_json_dict
@@ -176,6 +177,25 @@ def test_sandbox_workdirs_follow_attempt_layout(ellipse_task, tmp_path):
     dirs = [call[1] for call in sandbox.calls]
     assert dirs[0] == tmp_path / ellipse_task.id / "attempt-1"
     assert dirs[1] == tmp_path / ellipse_task.id / "attempt-2"
+
+
+def test_an_interrupted_rerun_leaves_no_stale_record(ellipse_task, tmp_path):
+    """The record an earlier run left goes with its attempts, so resume cannot take it for the re-run's."""
+    run(ellipse_task, [ok()], tmp_path)
+    task_dir = tmp_path / ellipse_task.id
+    assert sorted(p.name for p in task_dir.iterdir()) == ["record.json"]  # the stub sandbox writes no attempt
+
+    class Interrupted:
+        def complete(self, conversation, task_id):
+            raise KeyboardInterrupt
+
+    (task_dir / "attempt-1").mkdir()
+    with pytest.raises(KeyboardInterrupt):
+        synthesize(ellipse_task, Interrupted(), load_templates(), StubSandbox(), task_dir)
+    assert list(task_dir.iterdir()) == []
+    sandbox = StubSandbox(outcomes=[failing(1), ok()])
+    rerun = run_suite([ellipse_task], MockBackend(script=RESPONSES), load_templates(), sandbox, tmp_path, resume=True)
+    assert [len(record.attempts) for record in rerun] == [2]
 
 
 def test_environment_record_shape(ellipse_task):

@@ -425,7 +425,7 @@ def test_fake_java_cannot_host_a_compile_server(fake_sandbox, tmp_path, capsys, 
         for attempt in ("a1", "a2"):
             outcome = pooled.evaluate(unit(source), "f", (1,), tmp_path / attempt)
             assert outcome.kind is OutcomeKind.PASS
-        assert pool._unusable and not pool._idle
+        assert pool._closed and not pool._idle
         # The one server tried is already reaped and its directory removed.
         (server,) = started
         assert server.proc.returncode is not None and not server.home.exists()
