@@ -88,15 +88,15 @@ def main(run_dir: Path = RUN_DIR) -> int:
 
     if run_dir.exists():
         shutil.rmtree(run_dir)
-    backend = MockBackend(script=script, transcript=TranscriptWriter(run_dir / "transcript.jsonl"))
     records = run_suite(
         tasks,
-        backend,
+        MockBackend(script=script),
         load_templates(),
         sandbox,
         run_dir,
         max_followups=3,
         workers=2,
+        transcript=TranscriptWriter(run_dir / "transcript.jsonl", "mock"),
     )
     report = aggregate(records)
     write_reports(run_dir, report)

@@ -11,7 +11,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Sequence
 
-from .llm import ChatBackend, ConfigError
+from .llm import ChatBackend, ConfigError, TranscriptWriter
 from .prompting import PromptTemplateSet
 from .refine import (
     DEFAULT_MAX_FOLLOWUPS,
@@ -255,6 +255,7 @@ def run_suite(
     max_followups: int = DEFAULT_MAX_FOLLOWUPS,
     workers: int = DEFAULT_WORKERS,
     resume: bool = False,
+    transcript: TranscriptWriter | None = None,
 ) -> list[RunRecord]:
     """Run every task, bounded-parallel; returns records in task id order.
 
@@ -282,7 +283,9 @@ def run_suite(
             record = environment_record(task, "unresolved dependencies: " + ", ".join(missing))
             save_record(record, task_dir / "record.json")
             return record
-        return synthesize(task, backend, templates, sandbox, task_dir, classpath, max_followups)
+        return synthesize(
+            task, backend, templates, sandbox, task_dir, classpath, max_followups, transcript
+        )
 
     if pending:
         with ThreadPoolExecutor(max_workers=workers) as pool:

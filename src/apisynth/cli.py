@@ -174,8 +174,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
             print(f"error: dependency '{dep}' does not resolve", file=sys.stderr)
         return EXIT_ENVIRONMENT
 
-    transcript = TranscriptWriter(run_dir / "transcript.jsonl")
-    backend = make_backend(backend_config, transcript, _path(args, "mock_script"))
+    transcript = TranscriptWriter(run_dir / "transcript.jsonl", backend_config.model)
+    backend = make_backend(backend_config, _path(args, "mock_script"))
     with warm_sandbox(workers=1, **timeouts) as sandbox:
         record = synthesize(
             task,
@@ -184,6 +184,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             sandbox,
             run_dir / task.id,
             classpath,
+            transcript=transcript,
             **_given(max_followups=max_followups),
         )
     _print_record(record)
@@ -210,8 +211,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if output_format not in RENDERERS:
         raise ConfigError(f"unknown report format {output_format!r}")
 
-    transcript = TranscriptWriter(run_dir / "transcript.jsonl")
-    backend = make_backend(backend_config, transcript, _path(args, "mock_script"))
+    transcript = TranscriptWriter(run_dir / "transcript.jsonl", backend_config.model)
+    backend = make_backend(backend_config, _path(args, "mock_script"))
     with warm_sandbox(workers or DEFAULT_WORKERS, **timeouts) as sandbox:
         records = run_suite(
             tasks,
@@ -221,6 +222,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             run_dir,
             deps_dir=_path(args, "deps"),
             resume=args.resume,
+            transcript=transcript,
             **_given(max_followups=max_followups, workers=workers),
         )
     report = aggregate(records)

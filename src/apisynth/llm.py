@@ -1,8 +1,12 @@
-"""Chat-completion backends: an HTTP client and a deterministic scripted mock."""
+"""Chat-completion backends and the transcript of their exchanges.
+
+A backend only answers: an HTTP client, or a deterministic scripted mock.
+The synthesis loop writes each exchange to the transcript, since it knows
+which conversation and turn each model call belongs to.
+"""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -30,14 +34,6 @@ class ConfigError(Exception):
 
 class BackendError(Exception):
     """The backend could not produce a completion; an environment failure."""
-
-
-class CredentialError(BackendError):
-    """The credential environment variable is unset; a configuration failure."""
-
-
-class ScriptExhaustedError(BackendError):
-    """The mock script has no further response for this request."""
 
 
 @dataclass(frozen=True)
@@ -103,26 +99,6 @@ class TranscriptEntry:
     exchange: ChatExchange
 
 
-@dataclass(frozen=True)
-class _Tail:
-    """A writer's state for a task's latest conversation: a digest in place of its messages."""
-
-    conversation: int
-    turn: int
-    count: int  # messages written so far, the last reply included
-    digest: bytes
-
-
-def _digest(pairs) -> bytes:
-    """A hash of (role, content) pairs; each content is fed after its role and byte length."""
-    hasher = hashlib.blake2b(digest_size=16)
-    for role, content in pairs:
-        data = content.encode("utf-8")
-        hasher.update(f"{role} {len(data)}\n".encode("utf-8"))
-        hasher.update(data)
-    return hasher.digest()
-
-
 def _count_lines(path: Path) -> int:
     try:
         with path.open("rb") as fh:
@@ -135,41 +111,38 @@ def _count_lines(path: Path) -> int:
 class TranscriptWriter:
     """Append-only JSONL log of every model exchange, flushed before use.
 
-    A request continues its task's latest conversation when it starts with
-    every message written for it so far, the last reply included as an
-    assistant message; its line then holds only the messages after those.
-    Any other request starts a new conversation. Per task the writer keeps
-    the conversation id, the turn, the message count and a digest, never
-    the messages.
+    The caller says where each line belongs. A line with no conversation id
+    starts a conversation, whose id is the line's number. A later turn
+    passes that id and its turn number, and its new messages are only those
+    after the previous turn's reply. The writer keeps no per-task state:
+    only the line count, read from the file on the first append, so that
+    ids stay unique when a resumed run appends to the file.
     """
 
     path: Path
+    model: str
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _lines: int | None = field(default=None, repr=False)  # counted on first append
-    _tails: dict[str, _Tail] = field(default_factory=dict, repr=False)
 
-    def append(self, task_id: str, model: str, exchange: ChatExchange) -> None:
-        request = exchange.request_messages
-        pairs = [(m.role, m.content) for m in request]
+    def append(
+        self,
+        task_id: str,
+        new_messages: Sequence[Message],
+        exchange: ChatExchange,
+        conversation: int | None = None,
+        turn: int = 0,
+    ) -> int:
+        """Write one exchange and return its conversation id."""
         with self._lock:
             if self._lines is None:
                 self._lines = _count_lines(self.path)
-            tail = self._tails.get(task_id)
-            if (
-                tail is not None
-                and len(pairs) > tail.count
-                and _digest(pairs[: tail.count]) == tail.digest
-            ):
-                conversation, turn, start = tail.conversation, tail.turn + 1, tail.count
-            else:
-                conversation, turn, start = self._lines + 1, 0, 0
             line = TranscriptLine(
                 timestamp=datetime.now(timezone.utc).isoformat(),
                 task_id=task_id,
-                model=model,
-                conversation=conversation,
+                model=self.model,
+                conversation=self._lines + 1 if conversation is None else conversation,
                 turn=turn,
-                new_messages=request[start:],
+                new_messages=tuple(new_messages),
                 response_text=exchange.response_text,
                 latency_seconds=exchange.latency_seconds,
                 usage=exchange.usage,
@@ -179,8 +152,7 @@ class TranscriptWriter:
             with self.path.open("a", encoding="utf-8") as fh:
                 fh.write(text)
             self._lines += 1
-            pairs.append(("assistant", exchange.response_text))
-            self._tails[task_id] = _Tail(conversation, turn, len(pairs), _digest(pairs))
+            return line.conversation
 
 
 def _written(entry: TranscriptEntry) -> tuple[Message, ...]:
@@ -246,13 +218,6 @@ def _check_conversation(conversation: Sequence[Message]) -> None:
         raise BackendError("conversation must end with a user message")
 
 
-def _persist(
-    transcript: TranscriptWriter | None, task_id: str, model: str, exchange: ChatExchange
-) -> None:
-    if transcript is not None:
-        transcript.append(task_id, model, exchange)
-
-
 @dataclass
 class HttpBackend:
     """Client for a chat-completions endpoint; retries transport-level faults.
@@ -262,14 +227,13 @@ class HttpBackend:
     """
 
     config: BackendConfig
-    transcript: TranscriptWriter | None = None
     _api_key: str = field(init=False, repr=False)
     _local: threading.local = field(default_factory=threading.local, init=False, repr=False)
 
     def __post_init__(self) -> None:
         key = os.environ.get(self.config.credential_source)
         if not key:
-            raise CredentialError(
+            raise BackendError(
                 f"credential environment variable {self.config.credential_source} is not set"
             )
         self._api_key = key
@@ -313,9 +277,7 @@ class HttpBackend:
                     f"chat completion failed with HTTP {response.status_code}: "
                     f"{response.text[:500]}"
                 )
-            exchange = self._parse(conversation, response, time.monotonic() - start)
-            _persist(self.transcript, task_id, self.config.model, exchange)
-            return exchange
+            return self._parse(conversation, response, time.monotonic() - start)
         raise BackendError(f"transport failed after {attempts} attempts: {last_error}")
 
     def _parse(
@@ -386,8 +348,6 @@ class MockBackend:
     """Replays scripted responses; blind to prompt content except the task id."""
 
     script: list[str] | dict[str, list[str]]
-    model: str = "mock"
-    transcript: TranscriptWriter | None = None
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     # The next response's position per task id; an array script is one queue, under None.
     _cursors: dict[str | None, int] = field(default_factory=dict, repr=False)
@@ -398,31 +358,23 @@ class MockBackend:
             key = None if isinstance(self.script, list) else task_id
             entries = self.script if key is None else self.script.get(key)
             if entries is None:
-                raise ScriptExhaustedError(f"mock script has no entry for task '{task_id}'")
+                raise BackendError(f"mock script has no entry for task '{task_id}'")
             position = self._cursors.get(key, 0)
             if position >= len(entries):
                 queue = "" if key is None else f" for task '{task_id}'"
-                raise ScriptExhaustedError(f"mock script{queue} exhausted after {len(entries)} responses")
+                raise BackendError(f"mock script{queue} exhausted after {len(entries)} responses")
             text = entries[position]
             self._cursors[key] = position + 1
-        exchange = ChatExchange(
+        return ChatExchange(
             request_messages=tuple(conversation), response_text=text, latency_seconds=0.0
         )
-        _persist(self.transcript, task_id, self.model, exchange)
-        return exchange
 
 
 def make_backend(
-    config: BackendConfig,
-    transcript: TranscriptWriter | None = None,
-    mock_script_path: Path | None = None,
+    config: BackendConfig, mock_script_path: Path | None = None
 ) -> HttpBackend | MockBackend:
     if config.kind == "mock":
         if mock_script_path is None:
             raise ConfigError("the mock backend requires a script file (--mock-script)")
-        return MockBackend(
-            script=load_mock_script(mock_script_path),
-            model=config.model,
-            transcript=transcript,
-        )
-    return HttpBackend(config=config, transcript=transcript)
+        return MockBackend(script=load_mock_script(mock_script_path))
+    return HttpBackend(config=config)

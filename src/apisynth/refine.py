@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Protocol
 
 from .extractor import ExtractionError, SourceUnit, extract_source_unit
-from .llm import BackendError, ChatBackend
+from .llm import BackendError, ChatBackend, TranscriptWriter
 from .prompting import Message, PromptTemplateSet, build_followup, build_initial_conversation
 from .records import from_json_dict, save_json
 from .sandbox import ToolchainError
@@ -96,6 +96,7 @@ def synthesize(
     task_dir: Path,
     classpath: list[Path] | None = None,
     max_followups: int = DEFAULT_MAX_FOLLOWUPS,
+    transcript: TranscriptWriter | None = None,
 ) -> RunRecord:
     """Run the full loop for one task and persist its record under task_dir.
 
@@ -106,6 +107,10 @@ def synthesize(
     stop on unusable model output, which counts as a compile error until
     then, is an extraction failure. The record and attempt directories that
     an earlier run left in task_dir are removed first.
+
+    Each reply goes to the transcript before its candidate is judged. The
+    first attempt starts a new conversation there with the whole request;
+    each later attempt is the next turn and adds only its follow-up.
     """
     start = time.monotonic()
     (task_dir / "record.json").unlink(missing_ok=True)
@@ -118,11 +123,17 @@ def synthesize(
     attempts: list[AttemptRecord] = []
     final_status: FinalStatus | None = None
     error: str | None = None
+    conversation_id: int | None = None
 
     try:
         while final_status is None:
             index = len(attempts) + 1
             exchange = backend.complete(conversation, task.id)
+            if transcript is not None:
+                new_messages = conversation if index == 1 else conversation[-1:]
+                conversation_id = transcript.append(
+                    task.id, new_messages, exchange, conversation_id, index - 1
+                )
             try:
                 unit = extract_source_unit(exchange.response_text, task.signature.name, param_count)
             except ExtractionError as exc:

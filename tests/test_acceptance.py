@@ -220,8 +220,8 @@ def test_live_backend_solves_reference_tasks(repo_root, templates, tmp_path):
         endpoint_url=os.environ.get("APISYNTH_ENDPOINT", "https://api.openai.com/v1"),
         credential_source=os.environ.get("APISYNTH_CREDENTIAL_ENV", "OPENAI_API_KEY"),
     )
-    transcript = TranscriptWriter(tmp_path / "transcript.jsonl")
-    backend = make_backend(config, transcript)
+    transcript = TranscriptWriter(tmp_path / "transcript.jsonl", config.model)
+    backend = make_backend(config)
     sandbox = Sandbox(compile_timeout=60.0, run_timeout=30.0)
 
     for task_file in ("ellipse-area.json", "get-range.json"):
@@ -229,7 +229,12 @@ def test_live_backend_solves_reference_tasks(repo_root, templates, tmp_path):
         solved = 0
         for attempt in range(5):
             record = synthesize(
-                task, backend, templates, sandbox, tmp_path / task.id / f"run-{attempt}"
+                task,
+                backend,
+                templates,
+                sandbox,
+                tmp_path / task.id / f"run-{attempt}",
+                transcript=transcript,
             )
             if record.final_status is FinalStatus.SOLVED:
                 solved += 1

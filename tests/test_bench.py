@@ -353,13 +353,13 @@ def test_transcript_rebuilds_interleaved_conversations(repo_root, tmp_path):
             time.sleep(0.002)  # a real sandbox waits on javac and java here
             return outcomes[workdir.parent.name].pop(0)
 
-    transcript = TranscriptWriter(tmp_path / "transcript.jsonl")
+    transcript = TranscriptWriter(tmp_path / "transcript.jsonl", "mock")
     script = {
         task.id: [java_response(f"    void {task.signature.name}() {{ }}\n    void test{i}() {{ }}")
                   for i in range(4)]
         for task in tasks
     }
-    backend = RecordingBackend(MockBackend(script=script, transcript=transcript))
+    backend = RecordingBackend(MockBackend(script=script))
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -370,6 +370,7 @@ def test_transcript_rebuilds_interleaved_conversations(repo_root, tmp_path):
             PerTaskSandbox(),
             tmp_path,
             workers=3,
+            transcript=transcript,
         )
     finally:
         sys.setswitchinterval(switch)

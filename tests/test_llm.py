@@ -13,10 +13,8 @@ from apisynth.llm import (
     BackendError,
     ChatExchange,
     ConfigError,
-    CredentialError,
     HttpBackend,
     MockBackend,
-    ScriptExhaustedError,
     TokenUsage,
     TranscriptWriter,
     load_mock_script,
@@ -45,7 +43,7 @@ def test_mock_array_script_consumed_in_order():
     backend = MockBackend(script=["first", "second"])
     assert backend.complete(conversation(), "t").response_text == "first"
     assert backend.complete(conversation(), "t").response_text == "second"
-    with pytest.raises(ScriptExhaustedError) as excinfo:
+    with pytest.raises(BackendError) as excinfo:
         backend.complete(conversation(), "u")  # one queue, whatever the task id
     assert str(excinfo.value) == "mock script exhausted after 2 responses"
 
@@ -55,14 +53,14 @@ def test_mock_keyed_script_tracks_tasks_independently():
     assert backend.complete(conversation(), "a").response_text == "a1"
     assert backend.complete(conversation(), "b").response_text == "b1"
     assert backend.complete(conversation(), "a").response_text == "a2"
-    with pytest.raises(ScriptExhaustedError) as excinfo:
+    with pytest.raises(BackendError) as excinfo:
         backend.complete(conversation(), "b")
     assert str(excinfo.value) == "mock script for task 'b' exhausted after 1 responses"
 
 
 def test_mock_unknown_task_id():
     backend = MockBackend(script={"a": ["a1"]})
-    with pytest.raises(ScriptExhaustedError) as excinfo:
+    with pytest.raises(BackendError) as excinfo:
         backend.complete(conversation(), "mystery")
     assert str(excinfo.value) == "mock script has no entry for task 'mystery'"
 
@@ -85,11 +83,14 @@ def test_conversation_preconditions():
 
 def test_transcript_written_per_exchange(tmp_path):
     path = tmp_path / "transcript.jsonl"
-    backend = MockBackend(script=["one", "two"], transcript=TranscriptWriter(path))
-    backend.complete(conversation("q1"), "task-1")
+    writer = TranscriptWriter(path, "mock")
+    backend = MockBackend(script=["one", "two"])
+    first = backend.complete(conversation("q1"), "task-1")
+    assert writer.append("task-1", first.request_messages, first) == 1
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 1  # persisted before the call returned
-    backend.complete(conversation("q2"), "task-2")
+    assert len(lines) == 1  # persisted before append returned
+    second = backend.complete(conversation("q2"), "task-2")
+    assert writer.append("task-2", second.request_messages, second) == 2
     entries = read_transcript(path)
     assert len(entries) == 2
     assert entries[0].task_id == "task-1"
@@ -101,16 +102,16 @@ def test_transcript_written_per_exchange(tmp_path):
 
 def test_transcript_line_layout(tmp_path):
     path = tmp_path / "transcript.jsonl"
-    writer = TranscriptWriter(path)
+    writer = TranscriptWriter(path, "test-model")
     first = ChatExchange(
         request_messages=(Message("system", "persona"), Message("user", "naïve q")),
         response_text="the code",
         latency_seconds=0.25,
         usage=TokenUsage(prompt_tokens=12, completion_tokens=34, total_tokens=46),
     )
-    llm._persist(writer, "task-9", "test-model", first)
+    conversation_id = writer.append("task-9", first.request_messages, first)
     followup = first.request_messages + (Message("assistant", "the code"), Message("user", "fix"))
-    llm._persist(writer, "task-9", "test-model", ChatExchange(followup, "fixed", 0.5))
+    writer.append("task-9", followup[-1:], ChatExchange(followup, "fixed", 0.5), conversation_id, 1)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     stamps = [json.loads(line)["timestamp"] for line in lines]
     assert lines == [
@@ -132,41 +133,16 @@ def exchange(*contents: str, reply: str = "reply") -> ChatExchange:
     return ChatExchange(messages, reply, 0.0)
 
 
-def test_transcript_continues_only_a_matching_conversation(tmp_path):
-    path = tmp_path / "transcript.jsonl"
-    writer = TranscriptWriter(path)
-    sent = [
-        ("a", exchange("q")),
-        ("b", exchange("q")),  # same messages, another task: a conversation of its own
-        ("a", exchange("q", "reply", "follow-up")),
-        ("a", exchange("q", "another reply", "follow-up")),  # differs from what was written
-        ("a", exchange("q", "another reply", "follow-up", "reply", "again")),
-        ("a", exchange("q")),  # a re-run starts over
-    ]
-    for task_id, ex in sent:
-        writer.append(task_id, "m", ex)
-    entries = read_transcript(path)
-    assert [(e.task_id, e.conversation, e.turn) for e in entries] == [
-        ("a", 1, 0),
-        ("b", 2, 0),
-        ("a", 1, 1),
-        ("a", 4, 0),
-        ("a", 4, 1),
-        ("a", 6, 0),
-    ]
-    assert [e.exchange for e in entries] == [ex for _, ex in sent]
-    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-    assert [len(line["new_messages"]) for line in lines] == [2, 2, 1, 4, 1, 2]
-
-
 def test_transcript_ids_stay_unique_across_writers(tmp_path):
     """A resumed run appends with a new writer; its conversations get new ids."""
     path = tmp_path / "transcript.jsonl"
-    TranscriptWriter(path).append("a", "m", exchange("q"))
-    TranscriptWriter(path).append("a", "m", exchange("q"))
-    later = TranscriptWriter(path)
-    later.append("a", "m", exchange("q"))
-    later.append("a", "m", exchange("q", "reply", "follow-up"))
+    first = exchange("q")
+    assert TranscriptWriter(path, "m").append("a", first.request_messages, first) == 1
+    assert TranscriptWriter(path, "m").append("a", first.request_messages, first) == 2
+    later = TranscriptWriter(path, "m")
+    assert later.append("a", first.request_messages, first) == 3
+    followup = exchange("q", "reply", "follow-up")
+    assert later.append("a", followup.request_messages[-1:], followup, 3, 1) == 3
     entries = read_transcript(path)
     assert [(e.conversation, e.turn) for e in entries] == [(1, 0), (2, 0), (3, 0), (3, 1)]
 
@@ -186,9 +162,10 @@ def test_transcript_refuses_the_older_layout(tmp_path, repo_root, capsys):
 
 def test_transcript_reader_rejects_an_unknown_conversation(tmp_path):
     path = tmp_path / "transcript.jsonl"
-    writer = TranscriptWriter(path)
-    writer.append("a", "m", exchange("q"))
-    writer.append("a", "m", exchange("q", "reply", "follow-up"))
+    writer = TranscriptWriter(path, "m")
+    opening = exchange("q")
+    writer.append("a", opening.request_messages, opening)
+    writer.append("a", [Message("user", "follow-up")], exchange("q", "reply", "follow-up"), 1, 1)
     first, second = path.read_text(encoding="utf-8").splitlines()
     for lines, message in (
         ([second], "line 1: turn 1 continues an unknown conversation 1 of task 'a'"),
@@ -240,9 +217,9 @@ def test_make_backend_mock_requires_script():
 
 def test_http_backend_requires_credential(monkeypatch):
     monkeypatch.delenv("DEMO_KEY", raising=False)
-    with pytest.raises(CredentialError) as excinfo:
+    with pytest.raises(BackendError) as excinfo:
         HttpBackend(BackendConfig(credential_source="DEMO_KEY"))
-    assert "DEMO_KEY" in str(excinfo.value)
+    assert str(excinfo.value) == "credential environment variable DEMO_KEY is not set"
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -286,7 +263,7 @@ def _completion_payload(text: str) -> dict:
     }
 
 
-def test_http_backend_round_trip(http_stub, monkeypatch, tmp_path):
+def test_http_backend_round_trip(http_stub, monkeypatch):
     server, handler = http_stub
     handler.responses.append((200, _completion_payload("the code")))
     monkeypatch.setenv("DEMO_KEY", "sekrit")
@@ -296,12 +273,12 @@ def test_http_backend_round_trip(http_stub, monkeypatch, tmp_path):
         endpoint_url=f"http://127.0.0.1:{server.server_port}/v1",
         credential_source="DEMO_KEY",
     )
-    transcript = TranscriptWriter(tmp_path / "t.jsonl")
-    backend = HttpBackend(config, transcript=transcript)
+    backend = HttpBackend(config)
     exchange = backend.complete(conversation("write code"), "task-9")
 
     assert exchange.response_text == "the code"
-    assert exchange.usage.total_tokens == 46
+    assert exchange.request_messages == tuple(conversation("write code"))
+    assert exchange.usage == TokenUsage(prompt_tokens=12, completion_tokens=34, total_tokens=46)
     request = handler.seen[0]
     assert request["path"] == "/v1/chat/completions"
     assert request["auth"] == "Bearer sekrit"
@@ -309,9 +286,6 @@ def test_http_backend_round_trip(http_stub, monkeypatch, tmp_path):
     assert request["body"]["model"] == "test-model"
     assert request["body"]["temperature"] == 0.7
     assert request["body"]["messages"][-1]["content"] == "write code"
-    persisted = json.loads((tmp_path / "t.jsonl").read_text().splitlines()[0])
-    assert persisted["response_text"] == "the code"
-    assert persisted["usage"]["total_tokens"] == 46
 
 
 def test_http_backend_session_per_thread(monkeypatch):

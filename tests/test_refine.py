@@ -30,11 +30,17 @@ RESPONSES = [simple_response() for _ in range(8)]
 
 
 def run(task, outcomes, tmp_path, responses=None, max_followups=3, transcript=None):
-    backend = MockBackend(script=list(responses or RESPONSES), transcript=transcript)
+    backend = MockBackend(script=list(responses or RESPONSES))
     sandbox = StubSandbox(outcomes=outcomes)
     templates = load_templates()
     record = synthesize(
-        task, backend, templates, sandbox, tmp_path / task.id, max_followups=max_followups
+        task,
+        backend,
+        templates,
+        sandbox,
+        tmp_path / task.id,
+        max_followups=max_followups,
+        transcript=transcript,
     )
     return record, sandbox
 
@@ -56,7 +62,7 @@ def test_record_persisted_to_task_dir(ellipse_task, tmp_path):
 
 
 def test_compile_error_then_pass(ellipse_task, tmp_path):
-    transcript = TranscriptWriter(tmp_path / "t.jsonl")
+    transcript = TranscriptWriter(tmp_path / "t.jsonl", "mock")
     record, _ = run(ellipse_task, [compile_error(), ok()], tmp_path, transcript=transcript)
     assert record.final_status is FinalStatus.SOLVED
     assert len(record.attempts) == 2
@@ -78,6 +84,48 @@ def test_compile_error_then_pass(ellipse_task, tmp_path):
     assert second.request_messages[0:2] == first.request_messages[0:2]
     assert second.request_messages[2].content == first.response_text
     assert second.request_messages[3].content == COMPILE_FOLLOWUP
+
+
+def test_each_reply_is_on_disk_before_it_is_judged(ellipse_task, tmp_path):
+    path = tmp_path / "t.jsonl"
+    lines_seen: list[int] = []
+
+    class CountingSandbox(StubSandbox):
+        def evaluate(self, unit, target_name, all_ordinals, workdir, classpath=None):
+            lines_seen.append(len(path.read_text(encoding="utf-8").splitlines()))
+            return super().evaluate(unit, target_name, all_ordinals, workdir, classpath)
+
+    sandbox = CountingSandbox(outcomes=[compile_error(), failing(1), ok()])
+    transcript = TranscriptWriter(path, "mock")
+    backend = MockBackend(script=RESPONSES)
+    synthesize(ellipse_task, backend, load_templates(), sandbox, tmp_path, transcript=transcript)
+    assert lines_seen == [1, 2, 3]
+
+
+def transcript_lines(path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_transcript_turns_follow_the_attempts(ellipse_task, tmp_path):
+    transcript = TranscriptWriter(tmp_path / "t.jsonl", "mock")
+    outcomes = [compile_error(), runtime_error(), failing(2), ok()]
+    record, _ = run(ellipse_task, outcomes, tmp_path, transcript=transcript)
+    lines = transcript_lines(tmp_path / "t.jsonl")
+    assert [(line["conversation"], line["turn"]) for line in lines] == [(1, 0), (1, 1), (1, 2), (1, 3)]
+    assert [m["role"] for m in lines[0]["new_messages"]] == ["system", "user"]
+    followups = [attempt.followup_sent for attempt in record.attempts[:-1]]
+    assert [line["new_messages"] for line in lines[1:]] == [
+        [{"role": "user", "content": followup}] for followup in followups
+    ]
+
+
+def test_a_rerun_starts_a_new_conversation(ellipse_task, tmp_path):
+    transcript = TranscriptWriter(tmp_path / "t.jsonl", "mock")
+    run(ellipse_task, [compile_error(), ok()], tmp_path, transcript=transcript)
+    run(ellipse_task, [failing(1), ok()], tmp_path, transcript=transcript)
+    lines = transcript_lines(tmp_path / "t.jsonl")
+    assert [(line["conversation"], line["turn"]) for line in lines] == [(1, 0), (1, 1), (3, 0), (3, 1)]
+    assert lines[2]["new_messages"] == lines[0]["new_messages"]
 
 
 def test_runtime_error_followup_text(ellipse_task, tmp_path):
