@@ -95,7 +95,7 @@ def main(run_dir: Path = RUN_DIR) -> int:
         sandbox,
         run_dir,
         max_followups=3,
-        workers=2,
+        workers=1,  # one order of transcript lines and conversation ids
         transcript=TranscriptWriter(run_dir / "transcript.jsonl", "mock"),
     )
     report = aggregate(records)

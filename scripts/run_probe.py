@@ -13,12 +13,14 @@ to a parked JVM of a ``sandbox.ParkedPool``. Every run waits ``--gap`` seconds
 first, the time the rest of an attempt gives a spare to boot. The report is
 one JSON object with, per side, the p50/p90 of the run's wall time (a cold
 java from its start, a parked one from the hand-off) and the CPU seconds of
-all its reaped children: the parked side counts every spare it booted,
-including those left idle at the end, but not the launcher's compile. The
-parked side also gives the p10/p50 of a spare's age when it is handed its
-run (from the start of its boot). A spare boots in about 50 ms on a busy
-core, so the default gap hides a boot that is not done: ``--gap 0.03``
-is about the time an attempt takes with a mock model. ``boots`` counts the
+all its reaped children (``cpu_s``): the parked side counts every spare it
+booted, including those left idle at the end, but not the launcher's
+compile. ``cpu_ms_per_run`` is ``cpu_s`` over every run the side was asked
+for, refused ones included: the CPU of one launch. The parked side also
+gives the p10/p50 of a spare's age when it is handed its run (from the
+start of its boot). A spare boots in about 47 ms on an idle core and
+63 ms beside a busy one, so the default gap hides a boot that is not
+done: ``--gap 0.03`` is about the time an attempt takes with a mock model. ``boots`` counts the
 spares started by the measured runs and ``refused`` the runs the pool left
 to a cold java.
 
@@ -82,12 +84,13 @@ def children_cpu() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def summary(times: list[float], cpu_s: float, **extra) -> dict:
+def summary(times: list[float], cpu_s: float, served: int, **extra) -> dict:
     return {
         "runs": len(times),
         "p50_ms": round(percentile(times, 50) * 1000, 1),
         "p90_ms": round(percentile(times, 90) * 1000, 1),
         "cpu_s": round(cpu_s, 2),
+        "cpu_ms_per_run": round(cpu_s / served * 1000, 1),
         **extra,
     }
 
@@ -157,8 +160,8 @@ def probe(candidates: list[tuple[Path, str]], rounds: int, gap: float, toolchain
         "gap_s": gap,
         "workers": workers,
         "keys": keys,
-        "cold": summary(cold, cold_cpu),
-        "parked": summary(parked, parked_cpu, refused=len(done) - len(parked), boots=len(boots),
+        "cold": summary(cold, cold_cpu, len(runs)),
+        "parked": summary(parked, parked_cpu, len(runs), refused=len(done) - len(parked), boots=len(boots),
                           boots_per_run=round(len(boots) / len(runs), 2), **age),
     }
 

@@ -144,6 +144,9 @@ def warm_sandbox(workers: int, **timeouts):
     core, a spare is often taken still booting: on 2 cores, 2 workers parking
     ran 10% more tasks/s at a 9% lower p50, but their slowest tenth of tasks
     19% slower than a cold java per run (perfbench one-shot, 4 pair medians).
+    With the cheaper boots of today's CANDIDATE_JVM_FLAGS (C1 only), parking
+    ran 25.7 against 22.5 tasks/s at a p50 of 0.065 against 0.078 s, and the
+    slowest tenth still 5% slower, 0.102 against 0.096 s (5 pair medians).
     """
     with CompilerPool() as compilers, contextlib.ExitStack() as stack:
         parked = stack.enter_context(ParkedPool(compilers)) if workers < usable_cores() else None

@@ -24,9 +24,20 @@ from .verdict import (FAIL_MARKER_RE, NO_ENTRY_POINT_DIAGNOSTIC, SUCCESS_MARKER,
 # Every JVM started here gets it, so none leaves an hsperfdata file in the
 # system temp directory.
 NO_PERF_DATA = "-XX:-UsePerfData"
-# A candidate's heap and thread stacks are bounded; measured on JDK 17, these
-# limits cost nothing at start-up against a bare `java -ea` (33 ms at p50).
-CANDIDATE_JVM_FLAGS = (NO_PERF_DATA, "-Xmx256m", "-Xss1m", "-ea")
+# A candidate's heap and thread stacks are bounded. The other three flags cut
+# the CPU of a boot, which is most of a typical candidate's run: C1 only, JIT
+# compile thresholds 20 times higher, and a 16 MB initial heap. CPU per cold
+# launch, medians of 30 interleaved runs on JDK 17 (2 vCPU), two rounds:
+# 52.7-53.1 -> 45.9-46.4 ms for a harness of literal asserts, 121.9-128.4 ->
+# 90.1-92.1 ms for one of lambdas, streams and string concatenation. Leaving
+# out C1 only or the scaling costs 1.2-24 ms on each harness; the small heap
+# saves the least, 0.2-6 ms. A scaling of 10 reads as 20 does, 5 costs more.
+# The price is peak speed: a harness that computes for about a second runs
+# 7-12% longer.
+CANDIDATE_JVM_FLAGS = (
+    NO_PERF_DATA, "-Xmx256m", "-Xss1m", "-ea",
+    "-XX:TieredStopAtLevel=1", "-XX:CompileThresholdScaling=20", "-Xms16m",
+)
 COMPILE_SERVER = Path(__file__).with_name("CompileServer.java")
 # Measured on JDK 17: a compile server peaks at about 300 MB with the JVM's
 # defaults and at about 89 MB with these after a thousand compiles; one cold
@@ -504,9 +515,10 @@ class ParkedPool(_Pool):
     Beyond one more than the most runs that have gone on at once, the
     oldest idle spares of any classpath are stopped. So on one classpath the
     spare a run takes was started two runs earlier, and no run starts more
-    than two. A boot (about 45-50 ms on a busy core) outlasts the rest of an
-    attempt whose model answers at once (35-45 ms), so a spare started by
-    the run just before would often still be booting. A spare runs one
+    than two. A boot (about 45 ms of CPU; 47 ms on an idle core, 63 ms
+    beside a busy one) outlasts the rest of an attempt whose model answers
+    at once (35-45 ms), so a spare started by the run just before would
+    often still be booting. A spare runs one
     candidate and exits; none is reused. The first run compiles the
     launcher class, through a warm server of ``compilers`` when there is
     one (tens of milliseconds, against about a second of CPU for a cold

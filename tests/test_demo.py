@@ -40,6 +40,22 @@ def test_demo_final_statuses(demo_run):
     }
 
 
+def masked_transcript(run_dir):
+    """The transcript's lines without the fields that time them."""
+    lines = [json.loads(line) for line in (run_dir / "transcript.jsonl").read_text(encoding="utf-8").splitlines()]
+    for line in lines:
+        del line["timestamp"], line["latency_seconds"]
+    return lines
+
+
+def test_demo_transcript_is_the_same_every_run(demo_run, repo_root, tmp_path):
+    """Line order and conversation ids do not depend on scheduling: two runs differ only in timings."""
+    assert load_script(repo_root, "run_mock_demo").main(tmp_path / "mock-demo") == 0
+    first = masked_transcript(demo_run)
+    assert [line["task_id"] for line in first if line["turn"] == 0] == sorted({line["task_id"] for line in first})
+    assert masked_transcript(tmp_path / "mock-demo") == first
+
+
 @pytest.mark.parametrize("fmt", sorted(SUFFIXES))
 def test_demo_writes_golden_reports(demo_run, repo_root, fmt):
     golden = repo_root / "tests" / "data" / f"golden_report.{SUFFIXES[fmt]}"

@@ -177,6 +177,21 @@ def test_a_parked_run_logs_the_command_its_spare_ran(jdk, pools, tmp_path):
         assert (tmp_path / workdir / "run.log").read_text(encoding="utf-8").splitlines()[0] == command, workdir
 
 
+def test_candidate_flags_print_nothing_of_their_own(jdk, pools, tmp_path):
+    """No JVM warning (a deprecated flag, an adjusted heap) in stderr or in stdout, ahead of the markers."""
+    compilers, parked = pools
+    (tmp_path / "One.java").write_text(
+        'public class One { public static void main(String[] a) { System.out.println("one line"); } }\n',
+        encoding="utf-8",
+    )
+    assert compilers.compile(jdk.java, tmp_path, [], "One.java", 60).exit_code == 0
+    cold = sandbox_module._execute(sandbox_module.candidate_argv(jdk.java, [], "One"), tmp_path, 30)
+    assert (cold.exit_code, cold.stdout, cold.stderr) == (0, "one line\n", "")
+    warm = parked.run(jdk, tmp_path, [], "One", 30)  # output before the launcher's marker refuses the run
+    assert parked.parked == [True]
+    assert (warm.exit_code, warm.stdout, warm.stderr) == (0, "one line\n", "")
+
+
 def test_a_relative_classpath_entry_parks(jdk, pools, tmp_path, monkeypatch):
     """An entry relative to the attempt directory reaches the compile server and the spare, resolved."""
     compilers, parked = pools

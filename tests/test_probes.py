@@ -37,6 +37,7 @@ def test_run_probe(repo_root, tmp_path):
     for side in ("cold", "parked"):
         assert report[side]["runs"] == 2 - report[side].get("refused", 0)
         assert 0 < report[side]["p50_ms"] <= report[side]["p90_ms"]
+        assert report[side]["cpu_ms_per_run"] > 0
 
 
 @pytest.mark.usefixtures("jdk")
