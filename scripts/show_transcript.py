@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
-"""Print a run's model conversations, rebuilt from its transcript.
+"""Print a run's model conversations from its transcript.
 
     python scripts/show_transcript.py RUN_DIR [TASK_ID]
 
-A transcript line holds only the messages its request added to the
-conversation, so one line alone no longer shows what the model was sent.
-This reads RUN_DIR/transcript.jsonl through ``apisynth.llm.read_transcript``
-and prints each conversation (or only TASK_ID's) in file order: every
-message once, and each reply under its turn and latency.
+Reads RUN_DIR/transcript.jsonl through ``apisynth.llm.read_transcript`` and
+prints each conversation (or only TASK_ID's) in file order. A line holds only
+the messages its request added, so printing each line's new messages, then
+its reply under its turn and latency, shows every message once.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import TextIO
 
-from apisynth.llm import TranscriptEntry, read_transcript
+from apisynth.llm import TranscriptLine, read_transcript
 
 USAGE = "usage: show_transcript.py RUN_DIR [TASK_ID]"
 
@@ -28,25 +27,19 @@ def show(run_dir: Path, task_id: str | None = None, out: TextIO | None = None) -
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    conversations: dict[tuple[str, int], list[TranscriptEntry]] = {}
-    for entry in entries:
-        if task_id is None or entry.task_id == task_id:
-            conversations.setdefault((entry.task_id, entry.conversation), []).append(entry)
+    conversations: dict[tuple[str, int], list[TranscriptLine]] = {}
+    for line, _ in entries:
+        if task_id is None or line.task_id == task_id:
+            conversations.setdefault((line.task_id, line.conversation), []).append(line)
     if not conversations:
         print(f"error: no exchange of task {task_id!r} in {run_dir}", file=sys.stderr)
         return 1
-    for (task, conversation), turns in conversations.items():
-        out.write(f"=== task {task}, conversation {conversation}, {len(turns)} turn(s)\n")
-        shown = 0
-        for entry in turns:
-            request = entry.exchange.request_messages
-            for message in request[shown:]:
+    for (task, conversation), lines in conversations.items():
+        out.write(f"=== task {task}, conversation {conversation}, {len(lines)} turn(s)\n")
+        for line in lines:
+            for message in line.new_messages:
                 out.write(f"--- {message.role}\n{message.content}\n")
-            out.write(
-                f"--- assistant (turn {entry.turn}, {entry.exchange.latency_seconds:.2f} s)\n"
-                f"{entry.exchange.response_text}\n"
-            )
-            shown = len(request) + 1
+            out.write(f"--- assistant (turn {line.turn}, {line.latency_seconds:.2f} s)\n{line.response_text}\n")
     return 0
 
 

@@ -127,10 +127,9 @@ def load_baseline(path: Path) -> Baseline:
         raise ConfigError(f"{path}: baseline must be a JSON object keyed by suite name")
     baseline: Baseline = {}
     for suite, entry in data.items():
-        if (
-            not isinstance(entry, dict)
-            or not isinstance(entry.get("n_tasks"), int)
-            or not isinstance(entry.get("success_count"), int)
+        # Exactly int, as the records codec reads one: JSON true is not a count.
+        if not isinstance(entry, dict) or not all(
+            type(entry.get(key)) is int for key in ("n_tasks", "success_count")
         ):
             raise ConfigError(
                 f"{path}: baseline entry {suite!r} must have integer n_tasks and success_count"
@@ -251,11 +250,11 @@ def run_suite(
     templates: PromptTemplateSet,
     sandbox: SandboxLike,
     run_dir: Path,
+    transcript: TranscriptWriter,
     deps_dir: Path | None = None,
     max_followups: int = DEFAULT_MAX_FOLLOWUPS,
     workers: int = DEFAULT_WORKERS,
     resume: bool = False,
-    transcript: TranscriptWriter | None = None,
 ) -> list[RunRecord]:
     """Run every task, bounded-parallel; returns records in task id order.
 
@@ -284,7 +283,7 @@ def run_suite(
             save_record(record, task_dir / "record.json")
             return record
         return synthesize(
-            task, backend, templates, sandbox, task_dir, classpath, max_followups, transcript
+            task, backend, templates, sandbox, task_dir, transcript, classpath, max_followups
         )
 
     if pending:

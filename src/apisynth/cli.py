@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import os
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -94,8 +95,11 @@ def _timeouts(args: argparse.Namespace) -> dict:
         compile_timeout=_setting(args, "compile_timeout", float),
         run_timeout=_setting(args, "run_timeout", float),
     )
-    if any(timeout <= 0 for timeout in timeouts.values()):
+    if not all(timeout > 0 for timeout in timeouts.values()):  # false for nan too
         raise ConfigError("timeouts must be positive")
+    # Above TIMEOUT_MAX the compile server's timer thread dies and a compile runs unbounded.
+    if any(timeout > threading.TIMEOUT_MAX for timeout in timeouts.values()):
+        raise ConfigError(f"timeouts must be at most {threading.TIMEOUT_MAX:.0f} s")
     return timeouts
 
 
@@ -186,8 +190,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
             templates,
             sandbox,
             run_dir / task.id,
+            transcript,
             classpath,
-            transcript=transcript,
             **_given(max_followups=max_followups),
         )
     _print_record(record)
@@ -223,9 +227,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             templates,
             sandbox,
             run_dir,
+            transcript,
             deps_dir=_path(args, "deps"),
             resume=args.resume,
-            transcript=transcript,
             **_given(max_followups=max_followups, workers=workers),
         )
     report = aggregate(records)

@@ -1,8 +1,11 @@
 """Chat-completion backends and the transcript of their exchanges.
 
 A backend only answers: an HTTP client, or a deterministic scripted mock.
-The synthesis loop writes each exchange to the transcript, since it knows
-which conversation and turn each model call belongs to.
+Its ``ChatExchange`` is the model's reply and what it cost, never the
+request. The synthesis loop holds the conversation, so it writes each
+exchange to the transcript with the messages that request added, its
+conversation id and its turn. ``read_transcript`` returns each line as
+written, beside the whole request rebuilt from the lines before it.
 """
 
 from __future__ import annotations
@@ -60,7 +63,9 @@ class TokenUsage:
 
 @dataclass(frozen=True)
 class ChatExchange:
-    request_messages: tuple[Message, ...]
+    """One model answer: its text, the wall time of the call that got it, and
+    the token counts the backend reported (None when it reported none)."""
+
     response_text: str
     latency_seconds: float
     usage: TokenUsage | None = None
@@ -85,18 +90,6 @@ class TranscriptLine:
     response_text: str
     latency_seconds: float
     usage: TokenUsage | None = None
-
-
-@dataclass(frozen=True)
-class TranscriptEntry:
-    """An exchange as read back from a transcript, with its whole request rebuilt."""
-
-    task_id: str
-    conversation: int
-    turn: int
-    model: str
-    timestamp: str
-    exchange: ChatExchange
 
 
 def _count_lines(path: Path) -> int:
@@ -155,45 +148,40 @@ class TranscriptWriter:
             return line.conversation
 
 
-def _written(entry: TranscriptEntry) -> tuple[Message, ...]:
-    """The conversation as it stands after an exchange: its request, then the reply."""
-    return entry.exchange.request_messages + (Message("assistant", entry.exchange.response_text),)
+def read_transcript(path: Path) -> list[tuple[TranscriptLine, tuple[Message, ...]]]:
+    """Every line of a transcript in file order, each with its whole request.
 
-
-def read_transcript(path: Path) -> list[TranscriptEntry]:
-    """Every exchange of a transcript in file order, each with its whole request.
-
-    A line that continues an unknown conversation, or that does not decode,
-    raises ValueError naming its line number. A line of the older layout,
-    which has no ``conversation``, does not decode.
+    The request is the conversation's earlier requests and replies, then the
+    line's new messages. A line that continues an unknown conversation, or
+    that does not decode, raises ValueError naming its line number. A line
+    of the older layout, which has no ``conversation``, does not decode.
     """
-    entries: list[TranscriptEntry] = []
-    tails: dict[tuple[str, int], TranscriptEntry] = {}
+    entries: list[tuple[TranscriptLine, tuple[Message, ...]]] = []
+    tails: dict[tuple[str, int], tuple[TranscriptLine, tuple[Message, ...]]] = {}
     with Path(path).open(encoding="utf-8") as fh:
         for number, text in enumerate(fh, 1):
             try:
                 line = from_json_dict(TranscriptLine, json.loads(text))
                 key = (line.task_id, line.conversation)
-                tail = tails.get(key)
-                if tail is None and line.turn:
+                request = line.new_messages
+                if key in tails:
+                    tail, tail_request = tails[key]
+                    if line.turn != tail.turn + 1:
+                        raise ValueError(
+                            f"turn {line.turn} cannot follow turn {tail.turn} of conversation "
+                            f"{line.conversation} of task {line.task_id!r}"
+                        )
+                    reply = Message("assistant", tail.response_text)
+                    request = tail_request + (reply,) + line.new_messages
+                elif line.turn:
                     raise ValueError(
                         f"turn {line.turn} continues an unknown conversation "
                         f"{line.conversation} of task {line.task_id!r}"
                     )
-                if tail is not None and line.turn != tail.turn + 1:
-                    raise ValueError(
-                        f"turn {line.turn} cannot follow turn {tail.turn} of conversation "
-                        f"{line.conversation} of task {line.task_id!r}"
-                    )
-                request = line.new_messages if tail is None else _written(tail) + line.new_messages
             except (ValueError, PromptError) as exc:
                 raise ValueError(f"{path}: line {number}: {exc}") from None
-            exchange = ChatExchange(request, line.response_text, line.latency_seconds, line.usage)
-            entry = TranscriptEntry(
-                line.task_id, line.conversation, line.turn, line.model, line.timestamp, exchange
-            )
-            tails[key] = entry
-            entries.append(entry)
+            tails[key] = (line, request)
+            entries.append((line, request))
     return entries
 
 
@@ -277,12 +265,10 @@ class HttpBackend:
                     f"chat completion failed with HTTP {response.status_code}: "
                     f"{response.text[:500]}"
                 )
-            return self._parse(conversation, response, time.monotonic() - start)
+            return self._parse(response, time.monotonic() - start)
         raise BackendError(f"transport failed after {attempts} attempts: {last_error}")
 
-    def _parse(
-        self, conversation: Sequence[Message], response: requests.Response, latency: float
-    ) -> ChatExchange:
+    def _parse(self, response: requests.Response, latency: float) -> ChatExchange:
         try:
             data = response.json()
             text = data["choices"][0]["message"]["content"]
@@ -293,17 +279,11 @@ class HttpBackend:
         usage = None
         raw_usage = data.get("usage")
         if isinstance(raw_usage, dict):
-            usage = TokenUsage(
-                prompt_tokens=raw_usage.get("prompt_tokens"),
-                completion_tokens=raw_usage.get("completion_tokens"),
-                total_tokens=raw_usage.get("total_tokens"),
-            )
-        return ChatExchange(
-            request_messages=tuple(conversation),
-            response_text=text,
-            latency_seconds=latency,
-            usage=usage,
-        )
+            # A count that is not exactly an int (12.0, true) is not kept: the
+            # transcript's reader would refuse the line it was written to.
+            counts = [raw_usage.get(name) for name in ("prompt_tokens", "completion_tokens", "total_tokens")]
+            usage = TokenUsage(*(count if type(count) is int else None for count in counts))
+        return ChatExchange(text, latency, usage)
 
 
 def load_mock_script(path: Path) -> list[str] | dict[str, list[str]]:
@@ -365,9 +345,7 @@ class MockBackend:
                 raise BackendError(f"mock script{queue} exhausted after {len(entries)} responses")
             text = entries[position]
             self._cursors[key] = position + 1
-        return ChatExchange(
-            request_messages=tuple(conversation), response_text=text, latency_seconds=0.0
-        )
+        return ChatExchange(text, 0.0)
 
 
 def make_backend(

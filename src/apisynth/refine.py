@@ -94,9 +94,9 @@ def synthesize(
     templates: PromptTemplateSet,
     sandbox: SandboxLike,
     task_dir: Path,
+    transcript: TranscriptWriter,
     classpath: list[Path] | None = None,
     max_followups: int = DEFAULT_MAX_FOLLOWUPS,
-    transcript: TranscriptWriter | None = None,
 ) -> RunRecord:
     """Run the full loop for one task and persist its record under task_dir.
 
@@ -129,11 +129,8 @@ def synthesize(
         while final_status is None:
             index = len(attempts) + 1
             exchange = backend.complete(conversation, task.id)
-            if transcript is not None:
-                new_messages = conversation if index == 1 else conversation[-1:]
-                conversation_id = transcript.append(
-                    task.id, new_messages, exchange, conversation_id, index - 1
-                )
+            new_messages = conversation if index == 1 else conversation[-1:]
+            conversation_id = transcript.append(task.id, new_messages, exchange, conversation_id, index - 1)
             try:
                 unit = extract_source_unit(exchange.response_text, task.signature.name, param_count)
             except ExtractionError as exc:

@@ -84,6 +84,7 @@ _MARKER_RE = re.compile(FAIL_MARKER_RE.pattern.encode("ascii") + b"|" + re.escap
 _MARKER_REACH = 64  # bytes carried from one read to the next, so a marker split between reads is found
 _MARKERS_KEPT = 1000  # distinct markers kept from the dropped bytes of one stream
 _REPLY_HEADER = re.compile(rb"(\d+) (\d+) (\d+)\n")
+_SELECT_MAX = 3600.0  # seconds: epoll refuses a wait above about 2.1e6 s; the loop re-checks the deadline
 
 
 class ToolchainError(Exception):
@@ -199,7 +200,8 @@ def _collect(proc: subprocess.Popen, timeout: float, stdout_head: int = 0):
                     # Kill the whole process group: javac/java may have forked.
                     timed_out = True
                     _kill_group(proc)
-                for key, _ in selector.select(None if timed_out else deadline - time.monotonic()):
+                wait = None if timed_out else min(deadline - time.monotonic(), _SELECT_MAX)
+                for key, _ in selector.select(wait):
                     if key.data is None:  # proc has exited: end what it left running, then drain
                         selector.unregister(exit_fd)
                         _kill_group(proc)
@@ -436,8 +438,11 @@ class CompilerPool(_Pool):
             server.stop()
             return None
         self._keep(server)
-        exit_code, stdout, stderr = reply
-        return ExecutionResult(exit_code, _decode(stdout), _decode(stderr), duration)
+        exit_code, *streams = reply
+        out, err = _Capture(OUTPUT_LIMIT), _Capture(OUTPUT_LIMIT)  # bounded as a cold javac's are
+        for capture, data in zip((out, err), streams):
+            capture.add(data)
+        return ExecutionResult(exit_code, out.text(), err.text(), duration)
 
 
 def _javac(

@@ -20,6 +20,11 @@ def repo_root() -> Path:
 
 @pytest.fixture(scope="session")
 def golden_prompt() -> str:
+    """The initial prompt for ellipse-area. After a deliberate change to the templates or the
+    renderer, regenerate it with APISYNTH_PROMPTS unset and review the diff:
+
+        apisynth synth tasks/sample/ellipse-area.json --dry-run > tests/data/golden_initial_prompt.txt
+    """
     return (ROOT / "tests" / "data" / "golden_initial_prompt.txt").read_text(encoding="utf-8")
 
 

@@ -8,6 +8,7 @@ import threading
 from pathlib import Path
 
 from apisynth import sandbox as sandbox_module
+from apisynth.llm import TranscriptWriter
 from apisynth.refine import AttemptRecord, FinalStatus, RunRecord
 from apisynth.sandbox import ParkedPool
 from apisynth.tasks import SynthesisTask
@@ -24,6 +25,11 @@ def load_script(repo_root, name):
     finally:
         del sys.modules[spec.name]
     return module
+
+
+def transcript_in(directory: Path) -> TranscriptWriter:
+    """The writer a run of the loop takes, appending to directory/transcript.jsonl."""
+    return TranscriptWriter(Path(directory) / "transcript.jsonl", "mock")
 
 
 def ok() -> AttemptOutcome:

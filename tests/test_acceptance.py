@@ -39,6 +39,7 @@ from helpers import (
     ok,
     runtime_error,
     table_rows_records,
+    transcript_in,
 )
 
 
@@ -83,7 +84,7 @@ def test_refinement_state_machine(repo_root, tmp_path, templates):
     def scenario(name, outcomes, n_responses):
         backend = MockBackend(script=[reply] * n_responses)
         sandbox = StubSandbox(outcomes=outcomes)
-        return synthesize(task, backend, templates, sandbox, tmp_path / name)
+        return synthesize(task, backend, templates, sandbox, tmp_path / name, transcript_in(tmp_path))
 
     start = time.monotonic()
 
@@ -234,7 +235,7 @@ def test_live_backend_solves_reference_tasks(repo_root, templates, tmp_path):
                 templates,
                 sandbox,
                 tmp_path / task.id / f"run-{attempt}",
-                transcript=transcript,
+                transcript,
             )
             if record.final_status is FinalStatus.SOLVED:
                 solved += 1

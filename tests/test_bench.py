@@ -21,7 +21,7 @@ from apisynth.bench import (
     run_suite,
     write_reports,
 )
-from apisynth.llm import ConfigError, MockBackend, TranscriptWriter, read_transcript
+from apisynth.llm import ConfigError, MockBackend, read_transcript
 from apisynth.prompting import load_templates
 from apisynth.refine import FinalStatus, RunRecord, load_record
 from apisynth.tasks import load_suite
@@ -35,6 +35,7 @@ from helpers import (
     ok,
     runtime_error,
     table_rows_records,
+    transcript_in,
 )
 
 
@@ -195,6 +196,9 @@ def test_baseline_validation(tmp_path):
     bad.write_text('{"s": {"n_tasks": 5}}')
     with pytest.raises(ConfigError):
         load_baseline(bad)
+    bad.write_text('{"frangel": {"n_tasks": true, "success_count": true}}')
+    with pytest.raises(ConfigError, match="must have integer n_tasks and success_count"):
+        load_baseline(bad)
     bad.write_text("[1, 2]")
     with pytest.raises(ConfigError):
         load_baseline(bad)
@@ -281,7 +285,7 @@ def passing_sandbox():
 def test_run_suite_returns_records_in_task_id_order(repo_root, tmp_path):
     tasks = load_suite(repo_root / "tasks" / "sample")
     records = run_suite(
-        tasks, scripted_backend(), load_templates(), passing_sandbox(), tmp_path, workers=3
+        tasks, scripted_backend(), load_templates(), passing_sandbox(), tmp_path, transcript_in(tmp_path), workers=3
     )
     assert [r.task_id for r in records] == sorted(SAMPLE_TARGETS)
     assert all(r.final_status is FinalStatus.SOLVED for r in records)
@@ -290,7 +294,7 @@ def test_run_suite_returns_records_in_task_id_order(repo_root, tmp_path):
 def test_run_suite_writes_record_files(repo_root, tmp_path):
     tasks = load_suite(repo_root / "tasks" / "sample")
     records = run_suite(
-        tasks, scripted_backend(), load_templates(), passing_sandbox(), tmp_path, workers=2
+        tasks, scripted_backend(), load_templates(), passing_sandbox(), tmp_path, transcript_in(tmp_path), workers=2
     )
     for record in records:
         assert load_record(tmp_path / record.task_id / "record.json") == record
@@ -317,7 +321,7 @@ def test_run_suite_mixed_outcomes(repo_root, tmp_path):
     )
     records = {
         r.task_id: r
-        for r in run_suite(tasks, backend, load_templates(), sandbox, tmp_path, workers=4)
+        for r in run_suite(tasks, backend, load_templates(), sandbox, tmp_path, transcript_in(tmp_path), workers=4)
     }
     assert records["collections-swap"].final_status is FinalStatus.SOLVED
     assert records["ellipse-area"].followups_used == 1
@@ -353,7 +357,6 @@ def test_transcript_rebuilds_interleaved_conversations(repo_root, tmp_path):
             time.sleep(0.002)  # a real sandbox waits on javac and java here
             return outcomes[workdir.parent.name].pop(0)
 
-    transcript = TranscriptWriter(tmp_path / "transcript.jsonl", "mock")
     script = {
         task.id: [java_response(f"    void {task.signature.name}() {{ }}\n    void test{i}() {{ }}")
                   for i in range(4)]
@@ -369,21 +372,22 @@ def test_transcript_rebuilds_interleaved_conversations(repo_root, tmp_path):
             load_templates(),
             PerTaskSandbox(),
             tmp_path,
+            transcript_in(tmp_path),
             workers=3,
-            transcript=transcript,
         )
     finally:
         sys.setswitchinterval(switch)
     assert all(r.final_status is FinalStatus.SOLVED and len(r.attempts) == 4 for r in records)
 
     entries = read_transcript(tmp_path / "transcript.jsonl")
+    lines = [line for line, _ in entries]
     # Some turn follows another task's line: the conversations really interleave.
-    assert any(b.turn and a.task_id != b.task_id for a, b in zip(entries, entries[1:]))
+    assert any(b.turn and a.task_id != b.task_id for a, b in zip(lines, lines[1:]))
     rebuilt: dict[str, list[tuple]] = {}
     turns: dict[str, list[tuple[int, int]]] = {}
-    for entry in entries:
-        rebuilt.setdefault(entry.task_id, []).append(entry.exchange.request_messages)
-        turns.setdefault(entry.task_id, []).append((entry.conversation, entry.turn))
+    for line, request in entries:
+        rebuilt.setdefault(line.task_id, []).append(request)
+        turns.setdefault(line.task_id, []).append((line.conversation, line.turn))
     assert rebuilt == backend.sent
     for task_id, seen in turns.items():
         assert [turn for _, turn in seen] == [0, 1, 2, 3]
@@ -399,7 +403,8 @@ def test_unresolved_dependency_skips_backend(repo_root, tmp_path):
     backend = scripted_backend()
     backend.script.pop(needy.id)
     records = run_suite(
-        tasks, backend, load_templates(), passing_sandbox(), tmp_path, deps_dir=tmp_path / "deps"
+        tasks, backend, load_templates(), passing_sandbox(), tmp_path, transcript_in(tmp_path),
+        deps_dir=tmp_path / "deps",
     )
     by_id = {r.task_id: r for r in records}
     assert by_id[needy.id].final_status is FinalStatus.FAILED_ENVIRONMENT
@@ -421,6 +426,7 @@ def test_resume_skips_finished_and_retries_environment(repo_root, tmp_path):
         load_templates(),
         passing_sandbox(),
         tmp_path,
+        transcript_in(tmp_path),
         deps_dir=tmp_path / "deps",
     )
 
@@ -439,6 +445,7 @@ def test_resume_skips_finished_and_retries_environment(repo_root, tmp_path):
         load_templates(),
         sandbox,
         tmp_path,
+        transcript_in(tmp_path),
         deps_dir=deps,
         resume=True,
     )
@@ -449,11 +456,11 @@ def test_resume_skips_finished_and_retries_environment(repo_root, tmp_path):
 def test_resume_with_nothing_pending_reads_from_disk(repo_root, tmp_path):
     tasks = load_suite(repo_root / "tasks" / "sample")
     first = run_suite(
-        tasks, scripted_backend(), load_templates(), passing_sandbox(), tmp_path, workers=2
+        tasks, scripted_backend(), load_templates(), passing_sandbox(), tmp_path, transcript_in(tmp_path), workers=2
     )
     # an exhausted backend proves nothing is re-asked
     second = run_suite(
-        tasks, MockBackend(script={}), load_templates(), StubSandbox(), tmp_path, resume=True
+        tasks, MockBackend(script={}), load_templates(), StubSandbox(), tmp_path, transcript_in(tmp_path), resume=True
     )
     assert second == first
 
@@ -461,7 +468,7 @@ def test_resume_with_nothing_pending_reads_from_disk(repo_root, tmp_path):
 def test_resume_reruns_a_truncated_record(repo_root, tmp_path):
     """A record cut short, or one with a field of the wrong type, is re-run."""
     tasks = load_suite(repo_root / "tasks" / "sample")[:3]
-    run_suite(tasks, scripted_backend(), load_templates(), passing_sandbox(), tmp_path)
+    run_suite(tasks, scripted_backend(), load_templates(), passing_sandbox(), tmp_path, transcript_in(tmp_path))
     truncated, mistyped, intact = tasks
     path = tmp_path / truncated.id / "record.json"
     path.write_text(path.read_text(encoding="utf-8")[:40], encoding="utf-8")
@@ -477,7 +484,9 @@ def test_resume_reruns_a_truncated_record(repo_root, tmp_path):
         }
     )
     sandbox = StubSandbox(by_target={target: [ok()] for target in targets})
-    records = run_suite(tasks, backend, load_templates(), sandbox, tmp_path, resume=True, workers=1)
+    records = run_suite(
+        tasks, backend, load_templates(), sandbox, tmp_path, transcript_in(tmp_path), resume=True, workers=1
+    )
     assert [call[0] for call in sandbox.calls] == targets
     assert all(r.final_status is FinalStatus.SOLVED for r in records)
     assert load_record(path) == records[0]
@@ -507,6 +516,7 @@ def test_resolved_dependency_lands_on_classpath(repo_root, tmp_path):
         load_templates(),
         sandbox,
         tmp_path / "run",
+        transcript_in(tmp_path / "run"),
         deps_dir=deps,
     )
     assert captured[target] == [jar]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -197,6 +198,9 @@ def test_unparseable_env_value_is_reported(sample_task, monkeypatch, capsys):
     assert "APISYNTH_TEMPERATURE" in err
 
 
+TIMEOUT_MAX_MESSAGE = f"timeouts must be at most {threading.TIMEOUT_MAX:.0f} s"
+
+
 @pytest.mark.parametrize(
     "extra, env, message",
     [
@@ -207,6 +211,9 @@ def test_unparseable_env_value_is_reported(sample_task, monkeypatch, capsys):
         (["--run-timeout", "0"], {}, "timeouts must be positive"),
         (["--run-id", "a/b"], {}, "run id must be a non-empty path segment, got 'a/b'"),
         (["--run-id", ".."], {}, "run id must be a non-empty path segment, got '..'"),
+        (["--run-timeout", "nan"], {}, "timeouts must be positive"),
+        (["--run-timeout", "inf"], {}, TIMEOUT_MAX_MESSAGE),
+        ([], {"APISYNTH_COMPILE_TIMEOUT": "1e309"}, TIMEOUT_MAX_MESSAGE),
     ],
 )
 def test_bench_rejects_bad_settings(
@@ -655,9 +662,9 @@ def test_bench_resume_appends_a_new_conversation(sample_suite, tmp_path, monkeyp
     assert "| Total | 5 | 5 (100.0%) | 4 (80.0%) | 5 (100.0%) | 5 (100.0%) |" in capsys.readouterr().out
 
     conversations: dict[str, dict[int, list[int]]] = {}
-    for entry in read_transcript(tmp_path / "runs" / "r1" / "transcript.jsonl"):
-        turns = conversations.setdefault(entry.task_id, {}).setdefault(entry.conversation, [])
-        turns.append(entry.turn)
+    for line, _ in read_transcript(tmp_path / "runs" / "r1" / "transcript.jsonl"):
+        turns = conversations.setdefault(line.task_id, {}).setdefault(line.conversation, [])
+        turns.append(line.turn)
     rerun = conversations.pop("get-range")
     assert list(rerun.values()) == [[0], [0, 1]]  # the re-run is the last conversation
     assert sorted(conversations) == sorted(TARGETS.keys() - {"get-range"})

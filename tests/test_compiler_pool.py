@@ -99,6 +99,10 @@ CONTEXT_CASES = [
     # Unchecked and deprecation notes.
     "import java.util.*;\npublic class Notes {\n"
     "    int g() { List l = new ArrayList(); l.add(1); return new java.util.Date().getYear(); }\n}\n",
+    # 150 undefined names on one line padded to 12 KB: each error repeats the line, so both sides
+    # keep the first OUTPUT_LIMIT bytes of stderr and end it with the same truncation note.
+    "public class Wide { int f() { return " + " + ".join(f"u{i}" for i in range(150))
+    + "; } /*" + "x" * 11000 + "*/ }\n",
 ]
 # Deep enough to overflow the compiler's stack: a fault of the server, compiled again cold, and a
 # compile error from a cold javac.
@@ -154,7 +158,8 @@ def test_warm_compiles_match_cold_javac(jdk, pool, helper_jar, java_fixture_dir,
         assert "\njava.lang.StackOverflowError\n" in compile_log(tmp_path / side / "deep")
 
     logs = [compile_log(tmp_path / "warm" / str(i)) for i in range(len(cases))]
-    assert sum(" error" in log for log in logs) == 9
+    assert sum(" error" in log for log in logs) == 10
+    assert sum("\n[truncated: " in log for log in logs) == 1
     assert any("package p does not exist" in log for log in logs)
     assert any("only showing the first 100 errors, of 150 total" in log for log in logs)
     assert any("only showing the first 100 errors, of 120 total" in log for log in logs)

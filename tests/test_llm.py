@@ -86,32 +86,31 @@ def test_transcript_written_per_exchange(tmp_path):
     writer = TranscriptWriter(path, "mock")
     backend = MockBackend(script=["one", "two"])
     first = backend.complete(conversation("q1"), "task-1")
-    assert writer.append("task-1", first.request_messages, first) == 1
+    assert writer.append("task-1", conversation("q1"), first) == 1
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1  # persisted before append returned
     second = backend.complete(conversation("q2"), "task-2")
-    assert writer.append("task-2", second.request_messages, second) == 2
+    assert writer.append("task-2", conversation("q2"), second) == 2
     entries = read_transcript(path)
     assert len(entries) == 2
-    assert entries[0].task_id == "task-1"
-    assert entries[0].exchange.response_text == "one"
-    assert entries[0].exchange.request_messages[-1] == Message("user", "q1")
-    assert entries[0].timestamp
-    assert entries[1].exchange.latency_seconds == 0.0
+    (line, request), (later, _) = entries
+    assert line.task_id == "task-1"
+    assert line.response_text == "one"
+    assert request == tuple(conversation("q1"))
+    assert line.timestamp
+    assert later.latency_seconds == 0.0
 
 
 def test_transcript_line_layout(tmp_path):
     path = tmp_path / "transcript.jsonl"
     writer = TranscriptWriter(path, "test-model")
     first = ChatExchange(
-        request_messages=(Message("system", "persona"), Message("user", "naïve q")),
         response_text="the code",
         latency_seconds=0.25,
         usage=TokenUsage(prompt_tokens=12, completion_tokens=34, total_tokens=46),
     )
-    conversation_id = writer.append("task-9", first.request_messages, first)
-    followup = first.request_messages + (Message("assistant", "the code"), Message("user", "fix"))
-    writer.append("task-9", followup[-1:], ChatExchange(followup, "fixed", 0.5), conversation_id, 1)
+    conversation_id = writer.append("task-9", [Message("system", "persona"), Message("user", "naïve q")], first)
+    writer.append("task-9", [Message("user", "fix")], ChatExchange("fixed", 0.5), conversation_id, 1)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     stamps = [json.loads(line)["timestamp"] for line in lines]
     assert lines == [
@@ -126,31 +125,28 @@ def test_transcript_line_layout(tmp_path):
     ]
 
 
-def exchange(*contents: str, reply: str = "reply") -> ChatExchange:
-    """A request of alternating user and assistant messages after a system message."""
-    roles = ["user", "assistant"] * len(contents)
-    messages = (Message("system", "persona"),) + tuple(map(Message, roles, contents))
-    return ChatExchange(messages, reply, 0.0)
+REPLY = ChatExchange("reply", 0.0)
+OPENING = (Message("system", "persona"), Message("user", "q"))
 
 
 def test_transcript_ids_stay_unique_across_writers(tmp_path):
     """A resumed run appends with a new writer; its conversations get new ids."""
     path = tmp_path / "transcript.jsonl"
-    first = exchange("q")
-    assert TranscriptWriter(path, "m").append("a", first.request_messages, first) == 1
-    assert TranscriptWriter(path, "m").append("a", first.request_messages, first) == 2
+    assert TranscriptWriter(path, "m").append("a", OPENING, REPLY) == 1
+    assert TranscriptWriter(path, "m").append("a", OPENING, REPLY) == 2
     later = TranscriptWriter(path, "m")
-    assert later.append("a", first.request_messages, first) == 3
-    followup = exchange("q", "reply", "follow-up")
-    assert later.append("a", followup.request_messages[-1:], followup, 3, 1) == 3
+    assert later.append("a", OPENING, REPLY) == 3
+    assert later.append("a", [Message("user", "follow-up")], REPLY, 3, 1) == 3
     entries = read_transcript(path)
-    assert [(e.conversation, e.turn) for e in entries] == [(1, 0), (2, 0), (3, 0), (3, 1)]
+    assert [(line.conversation, line.turn) for line, _ in entries] == [(1, 0), (2, 0), (3, 0), (3, 1)]
+    assert entries[3][1] == OPENING + (Message("assistant", "reply"), Message("user", "follow-up"))
 
 
 def test_transcript_refuses_the_older_layout(tmp_path, repo_root, capsys):
     """A line that held the whole request, with no conversation id, does not decode."""
     path = tmp_path / "transcript.jsonl"
-    line = {"timestamp": "t", "task_id": "a", "model": "m", **to_json_dict(exchange("q"))}
+    request = [to_json_dict(message) for message in OPENING]
+    line = {"timestamp": "t", "task_id": "a", "model": "m", "request_messages": request, **to_json_dict(REPLY)}
     path.write_text(json.dumps(line) + "\n", encoding="utf-8")
     message = f"{path}: line 1: conversation: missing required field"
     with pytest.raises(ValueError) as excinfo:
@@ -163,9 +159,8 @@ def test_transcript_refuses_the_older_layout(tmp_path, repo_root, capsys):
 def test_transcript_reader_rejects_an_unknown_conversation(tmp_path):
     path = tmp_path / "transcript.jsonl"
     writer = TranscriptWriter(path, "m")
-    opening = exchange("q")
-    writer.append("a", opening.request_messages, opening)
-    writer.append("a", [Message("user", "follow-up")], exchange("q", "reply", "follow-up"), 1, 1)
+    writer.append("a", OPENING, REPLY)
+    writer.append("a", [Message("user", "follow-up")], REPLY, 1, 1)
     first, second = path.read_text(encoding="utf-8").splitlines()
     for lines, message in (
         ([second], "line 1: turn 1 continues an unknown conversation 1 of task 'a'"),
@@ -263,7 +258,7 @@ def _completion_payload(text: str) -> dict:
     }
 
 
-def test_http_backend_round_trip(http_stub, monkeypatch):
+def test_http_backend_round_trip(http_stub, monkeypatch, tmp_path):
     server, handler = http_stub
     handler.responses.append((200, _completion_payload("the code")))
     monkeypatch.setenv("DEMO_KEY", "sekrit")
@@ -276,16 +271,26 @@ def test_http_backend_round_trip(http_stub, monkeypatch):
     backend = HttpBackend(config)
     exchange = backend.complete(conversation("write code"), "task-9")
 
-    assert exchange.response_text == "the code"
-    assert exchange.request_messages == tuple(conversation("write code"))
-    assert exchange.usage == TokenUsage(prompt_tokens=12, completion_tokens=34, total_tokens=46)
+    assert exchange == ChatExchange(
+        "the code", exchange.latency_seconds, TokenUsage(prompt_tokens=12, completion_tokens=34, total_tokens=46)
+    )
     request = handler.seen[0]
     assert request["path"] == "/v1/chat/completions"
     assert request["auth"] == "Bearer sekrit"
     assert set(request["body"]) == {"model", "messages", "temperature"}
     assert request["body"]["model"] == "test-model"
     assert request["body"]["temperature"] == 0.7
-    assert request["body"]["messages"][-1]["content"] == "write code"
+    assert request["body"]["messages"] == [to_json_dict(message) for message in conversation("write code")]
+
+    # A count that is not exactly an integer is not kept, so its transcript line reads back.
+    payload = _completion_payload("more code")
+    payload["usage"].update(prompt_tokens=12.0, total_tokens=True)
+    handler.responses.append((200, payload))
+    exchange = backend.complete(conversation("write code"), "task-9")
+    assert exchange.usage == TokenUsage(prompt_tokens=None, completion_tokens=34, total_tokens=None)
+    TranscriptWriter(tmp_path / "transcript.jsonl", "test-model").append("task-9", conversation("write code"), exchange)
+    [(line, _)] = read_transcript(tmp_path / "transcript.jsonl")
+    assert line.usage == exchange.usage
 
 
 def test_http_backend_session_per_thread(monkeypatch):

@@ -32,6 +32,7 @@ from helpers import (
     ok,
     runtime_error,
     solved_later,
+    transcript_in,
 )
 
 # --- rounding ---------------------------------------------------------------
@@ -174,6 +175,7 @@ def test_followup_budget_is_never_exceeded(outcome_picks, response_picks, max_fo
             load_templates(),
             sandbox,
             Path(tmp) / task.id,
+            transcript_in(Path(tmp)),
             max_followups=max_followups,
         )
 

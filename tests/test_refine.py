@@ -5,7 +5,7 @@ import json
 import pytest
 
 from apisynth.bench import run_suite
-from apisynth.llm import MockBackend, TranscriptWriter, read_transcript
+from apisynth.llm import MockBackend, read_transcript
 from apisynth.prompting import COMPILE_FOLLOWUP, RUNTIME_FOLLOWUP, load_templates
 from apisynth.records import from_json_dict, to_json_dict
 from apisynth.refine import (
@@ -24,12 +24,14 @@ from helpers import (
     ok,
     runtime_error,
     simple_response,
+    transcript_in,
 )
 
 RESPONSES = [simple_response() for _ in range(8)]
 
 
-def run(task, outcomes, tmp_path, responses=None, max_followups=3, transcript=None):
+def run(task, outcomes, tmp_path, responses=None, max_followups=3):
+    """One loop over the task under tmp_path, its transcript at tmp_path/transcript.jsonl."""
     backend = MockBackend(script=list(responses or RESPONSES))
     sandbox = StubSandbox(outcomes=outcomes)
     templates = load_templates()
@@ -39,8 +41,8 @@ def run(task, outcomes, tmp_path, responses=None, max_followups=3, transcript=No
         templates,
         sandbox,
         tmp_path / task.id,
+        transcript_in(tmp_path),
         max_followups=max_followups,
-        transcript=transcript,
     )
     return record, sandbox
 
@@ -62,32 +64,31 @@ def test_record_persisted_to_task_dir(ellipse_task, tmp_path):
 
 
 def test_compile_error_then_pass(ellipse_task, tmp_path):
-    transcript = TranscriptWriter(tmp_path / "t.jsonl", "mock")
-    record, _ = run(ellipse_task, [compile_error(), ok()], tmp_path, transcript=transcript)
+    record, _ = run(ellipse_task, [compile_error(), ok()], tmp_path)
     assert record.final_status is FinalStatus.SOLVED
     assert len(record.attempts) == 2
     assert record.followups_used == 1
     assert not record.solved_without_followups
     assert record.attempts[0].followup_sent == COMPILE_FOLLOWUP
 
-    entries = read_transcript(tmp_path / "t.jsonl")
+    entries = read_transcript(tmp_path / "transcript.jsonl")
     assert len(entries) == 2
-    first, second = (entry.exchange for entry in entries)
-    assert [m.role for m in first.request_messages] == ["system", "user"]
+    (first, first_request), (_, second_request) = entries
+    assert [m.role for m in first_request] == ["system", "user"]
     # one continuous conversation: reply + follow-up appended, nothing rebuilt
-    assert [m.role for m in second.request_messages] == [
+    assert [m.role for m in second_request] == [
         "system",
         "user",
         "assistant",
         "user",
     ]
-    assert second.request_messages[0:2] == first.request_messages[0:2]
-    assert second.request_messages[2].content == first.response_text
-    assert second.request_messages[3].content == COMPILE_FOLLOWUP
+    assert second_request[0:2] == first_request[0:2]
+    assert second_request[2].content == first.response_text
+    assert second_request[3].content == COMPILE_FOLLOWUP
 
 
 def test_each_reply_is_on_disk_before_it_is_judged(ellipse_task, tmp_path):
-    path = tmp_path / "t.jsonl"
+    path = tmp_path / "transcript.jsonl"
     lines_seen: list[int] = []
 
     class CountingSandbox(StubSandbox):
@@ -96,9 +97,8 @@ def test_each_reply_is_on_disk_before_it_is_judged(ellipse_task, tmp_path):
             return super().evaluate(unit, target_name, all_ordinals, workdir, classpath)
 
     sandbox = CountingSandbox(outcomes=[compile_error(), failing(1), ok()])
-    transcript = TranscriptWriter(path, "mock")
     backend = MockBackend(script=RESPONSES)
-    synthesize(ellipse_task, backend, load_templates(), sandbox, tmp_path, transcript=transcript)
+    synthesize(ellipse_task, backend, load_templates(), sandbox, tmp_path, transcript_in(tmp_path))
     assert lines_seen == [1, 2, 3]
 
 
@@ -107,10 +107,9 @@ def transcript_lines(path) -> list[dict]:
 
 
 def test_transcript_turns_follow_the_attempts(ellipse_task, tmp_path):
-    transcript = TranscriptWriter(tmp_path / "t.jsonl", "mock")
     outcomes = [compile_error(), runtime_error(), failing(2), ok()]
-    record, _ = run(ellipse_task, outcomes, tmp_path, transcript=transcript)
-    lines = transcript_lines(tmp_path / "t.jsonl")
+    record, _ = run(ellipse_task, outcomes, tmp_path)
+    lines = transcript_lines(tmp_path / "transcript.jsonl")
     assert [(line["conversation"], line["turn"]) for line in lines] == [(1, 0), (1, 1), (1, 2), (1, 3)]
     assert [m["role"] for m in lines[0]["new_messages"]] == ["system", "user"]
     followups = [attempt.followup_sent for attempt in record.attempts[:-1]]
@@ -120,10 +119,9 @@ def test_transcript_turns_follow_the_attempts(ellipse_task, tmp_path):
 
 
 def test_a_rerun_starts_a_new_conversation(ellipse_task, tmp_path):
-    transcript = TranscriptWriter(tmp_path / "t.jsonl", "mock")
-    run(ellipse_task, [compile_error(), ok()], tmp_path, transcript=transcript)
-    run(ellipse_task, [failing(1), ok()], tmp_path, transcript=transcript)
-    lines = transcript_lines(tmp_path / "t.jsonl")
+    run(ellipse_task, [compile_error(), ok()], tmp_path)
+    run(ellipse_task, [failing(1), ok()], tmp_path)
+    lines = transcript_lines(tmp_path / "transcript.jsonl")
     assert [(line["conversation"], line["turn"]) for line in lines] == [(1, 0), (1, 1), (3, 0), (3, 1)]
     assert lines[2]["new_messages"] == lines[0]["new_messages"]
 
@@ -239,10 +237,13 @@ def test_an_interrupted_rerun_leaves_no_stale_record(ellipse_task, tmp_path):
 
     (task_dir / "attempt-1").mkdir()
     with pytest.raises(KeyboardInterrupt):
-        synthesize(ellipse_task, Interrupted(), load_templates(), StubSandbox(), task_dir)
+        synthesize(ellipse_task, Interrupted(), load_templates(), StubSandbox(), task_dir, transcript_in(tmp_path))
     assert list(task_dir.iterdir()) == []
     sandbox = StubSandbox(outcomes=[failing(1), ok()])
-    rerun = run_suite([ellipse_task], MockBackend(script=RESPONSES), load_templates(), sandbox, tmp_path, resume=True)
+    rerun = run_suite(
+        [ellipse_task], MockBackend(script=RESPONSES), load_templates(), sandbox, tmp_path, transcript_in(tmp_path),
+        resume=True,
+    )
     assert [len(record.attempts) for record in rerun] == [2]
 
 

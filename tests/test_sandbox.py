@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from apisynth import sandbox as sandbox_module
 from apisynth.extractor import SourceUnit, find_test_method, make_driver
 from apisynth.llm import MockBackend
 from apisynth.records import from_json_dict, to_json_dict
@@ -23,7 +24,7 @@ from apisynth.verdict import (
     classify,
     normalize_diagnostic,
 )
-from helpers import EagerParkedPool, java_response, record_servers
+from helpers import EagerParkedPool, java_response, record_servers, transcript_in
 
 ORDINALS = (1, 2, 3)
 
@@ -302,7 +303,7 @@ def test_javac_fault_exit_is_an_environment_fault(fake_sandbox, ellipse_task, te
 
     body = "    /* JAVAC_CRASH */ double ellipseArea(java.awt.geom.Ellipse2D e) { return 0; }"
     backend = MockBackend(script=[java_response(body)])
-    record = synthesize(ellipse_task, backend, templates, fake_sandbox, tmp_path / "task")
+    record = synthesize(ellipse_task, backend, templates, fake_sandbox, tmp_path / "task", transcript_in(tmp_path))
     assert record.final_status is FinalStatus.FAILED_ENVIRONMENT
     assert record.error.startswith("javac exited 4: ")
     assert record.attempts == ()
@@ -403,6 +404,12 @@ def test_compile_timeout_is_compile_error(fake_sandbox, tmp_path):
     outcome = fast.evaluate(unit(source), "f", (1,), tmp_path / "a1")
     assert outcome.kind is OutcomeKind.COMPILE_ERROR
     assert "timed out" in outcome.fingerprint
+
+
+def test_a_timeout_longer_than_one_select_wait(tmp_path):
+    """epoll refuses a wait above about 2.1e6 s; a timeout beyond it still waits for the child."""
+    result = sandbox_module._execute([sys.executable, "-c", "pass"], tmp_path, 3e6)
+    assert (result.exit_code, result.timed_out) == (0, False)
 
 
 def test_classpath_passed_to_both_phases(fake_sandbox, tmp_path):
