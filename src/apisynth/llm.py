@@ -17,12 +17,13 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Protocol, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .prompting import Message, PromptError
 from .records import from_json_dict, to_json_dict
+
+if TYPE_CHECKING:
+    import requests
 
 RETRYABLE_STATUS = (429, 500, 502, 503, 504)
 REQUEST_TIMEOUT = 120.0  # seconds per HTTP request
@@ -92,12 +93,26 @@ class TranscriptLine:
     usage: TokenUsage | None = None
 
 
-def _count_lines(path: Path) -> int:
+def _whole_lines(path: Path) -> int:
+    """The number of lines in path, after cutting off a last line that has no newline.
+
+    A line is only ever written whole, so a last line without its newline was
+    torn by a killed run. Its task has no record, so a resumed run runs it again.
+    """
     try:
-        with path.open("rb") as fh:
-            return sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 16), b""))
+        fh = path.open("r+b")
     except FileNotFoundError:
         return 0
+    with fh:
+        lines = whole = size = 0
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            if b"\n" in chunk:
+                lines += chunk.count(b"\n")
+                whole = size + chunk.rindex(b"\n") + 1
+            size += len(chunk)
+        if whole < size:
+            fh.truncate(whole)
+        return lines
 
 
 @dataclass
@@ -109,7 +124,8 @@ class TranscriptWriter:
     passes that id and its turn number, and its new messages are only those
     after the previous turn's reply. The writer keeps no per-task state:
     only the line count, read from the file on the first append, so that
-    ids stay unique when a resumed run appends to the file.
+    ids stay unique when a resumed run appends to the file. That first
+    append also drops a torn last line, which a killed run can leave.
     """
 
     path: Path
@@ -128,7 +144,7 @@ class TranscriptWriter:
         """Write one exchange and return its conversation id."""
         with self._lock:
             if self._lines is None:
-                self._lines = _count_lines(self.path)
+                self._lines = _whole_lines(self.path)
             line = TranscriptLine(
                 timestamp=datetime.now(timezone.utc).isoformat(),
                 task_id=task_id,
@@ -211,7 +227,9 @@ class HttpBackend:
     """Client for a chat-completions endpoint; retries transport-level faults.
 
     Each thread that calls it gets its own ``requests.Session``: a session is
-    not safe to share between the ``--workers`` threads.
+    not safe to share between the ``--workers`` threads. ``requests`` is
+    imported at the first call, so a process that never calls a model (a
+    mock run, ``validate``, a dry run) never loads it.
     """
 
     config: BackendConfig
@@ -230,10 +248,14 @@ class HttpBackend:
     def _session(self) -> requests.Session:
         session = getattr(self._local, "session", None)
         if session is None:
+            import requests
+
             session = self._local.session = requests.Session()
         return session
 
     def complete(self, conversation: Sequence[Message], task_id: str) -> ChatExchange:
+        import requests  # here rather than at start-up, and before any latency is timed
+
         _check_conversation(conversation)
         url = self.config.endpoint_url.rstrip("/") + "/chat/completions"
         body = {

@@ -300,14 +300,23 @@ class _CompileServer(_Child):
         argv = [java, *COMPILE_SERVER_FLAGS, str(COMPILE_SERVER)]
         super().__init__(argv, "apisynth-compiler-", stderr=subprocess.DEVNULL)
         self.expired = False
+        self._lock = threading.Lock()
+        self._reading: threading.Timer | None = None  # the timer that bounds the read in progress
 
     def _expire(self) -> None:
-        self.expired = True
-        _kill_group(self.proc)
+        """The timer's callback: kill the server, unless the read it bounds has ended.
+
+        Timer.cancel() cannot stop a callback that has already begun, so one
+        can run after its read returned and the server was kept idle.
+        """
+        with self._lock:
+            if self._reading is threading.current_thread():
+                self.expired = True
+                _kill_group(self.proc)
 
     def _bounded(self, timeout: float, read):
         """read() with the server killed once timeout passes; None on a broken exchange."""
-        timer = threading.Timer(timeout, self._expire)
+        timer = self._reading = threading.Timer(timeout, self._expire)
         timer.start()
         try:
             return read()
@@ -315,6 +324,8 @@ class _CompileServer(_Child):
             return None
         finally:
             timer.cancel()
+            with self._lock:
+                self._reading = None
 
     def ready(self, timeout: float) -> bool:
         return self._bounded(timeout, self.proc.stdout.readline) == b"ready\n"

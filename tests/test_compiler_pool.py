@@ -243,6 +243,26 @@ def test_server_compile_timeout(jdk, pool, java_fixture_dir, tmp_path):
     assert served_by(pool) != server.proc.pid
 
 
+def test_late_timer_callback_spares_a_kept_server(jdk, pool, java_fixture_dir, tmp_path):
+    """A compile's timer callback can begin as its reply arrives; it must not kill the server kept idle."""
+    source = (java_fixture_dir / "PalindromeChecker.java").read_text(encoding="utf-8")
+
+    def compile_in(name):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        (workdir / "PalindromeChecker.java").write_text(source, encoding="utf-8")
+        return pool.compile(jdk.java, workdir, [], "PalindromeChecker.java", timeout=60)
+
+    assert compile_in("c1").exit_code == 0
+    (server,) = pool._idle
+    server._expire()  # as a timer callback that began before cancel() would
+    assert server.proc.poll() is None
+    assert not server.expired
+    again = compile_in("c2")
+    assert again.exit_code == 0 and not again.timed_out
+    assert pool._idle == [server]
+
+
 def test_concurrent_compiles_share_the_pool(jdk, java_fixture_dir, tmp_path, monkeypatch):
     """More threads than cores: no server is lost or shared, and each verdict holds."""
     threads, rounds = 3, 3

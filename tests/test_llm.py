@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -142,6 +145,18 @@ def test_transcript_ids_stay_unique_across_writers(tmp_path):
     assert entries[3][1] == OPENING + (Message("assistant", "reply"), Message("user", "follow-up"))
 
 
+def test_transcript_resume_drops_a_torn_last_line(tmp_path):
+    """A run killed while writing leaves a line without its newline; a resumed run's writer cuts it off."""
+    path = tmp_path / "transcript.jsonl"
+    writer = TranscriptWriter(path, "m")
+    writer.append("a", OPENING, REPLY)
+    writer.append("b", OPENING, REPLY)
+    path.write_bytes(path.read_bytes()[:-30])  # line 2 loses its end
+    assert TranscriptWriter(path, "m").append("b", OPENING, REPLY) == 2
+    entries = read_transcript(path)
+    assert [(line.task_id, line.conversation) for line, _ in entries] == [("a", 1), ("b", 2)]
+
+
 def test_transcript_refuses_the_older_layout(tmp_path, repo_root, capsys):
     """A line that held the whole request, with no conversation id, does not decode."""
     path = tmp_path / "transcript.jsonl"
@@ -249,6 +264,7 @@ def http_stub(monkeypatch):
     thread.start()
     yield server, _Handler
     server.shutdown()
+    server.server_close()
 
 
 def _completion_payload(text: str) -> dict:
@@ -351,6 +367,45 @@ def test_http_backend_rejects_malformed_payload(http_stub, monkeypatch):
         backend.complete(conversation(), "t")
     assert "malformed" in str(excinfo.value)
 
+
+
+# Run in a fresh interpreter: this module's own import of requests would hide a start-up import.
+FIRST_CALLS_ON_THREADS = """
+import json, sys, threading
+import apisynth.cli
+from apisynth.llm import BackendConfig, HttpBackend
+from apisynth.prompting import Message
+
+loaded_at_start = "requests" in sys.modules
+backend = HttpBackend(BackendConfig(endpoint_url=sys.argv[1], credential_source="DEMO_KEY"))
+conversation = [Message("user", "implement it")]
+barrier = threading.Barrier(4)
+replies = []
+
+def call():
+    barrier.wait()
+    replies.append(backend.complete(conversation, "t").response_text)
+
+threads = [threading.Thread(target=call) for _ in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print(json.dumps([loaded_at_start, sorted(replies)]))
+"""
+
+
+def test_http_backend_imports_requests_at_its_first_calls(http_stub, repo_root):
+    """Start-up leaves requests unloaded; four threads that then call at once each get their reply."""
+    server, handler = http_stub
+    handler.responses.extend((200, _completion_payload(f"reply {i}")) for i in range(4))
+    env = {**os.environ, "PYTHONPATH": str(repo_root / "src"), "DEMO_KEY": "k"}
+    endpoint = f"http://127.0.0.1:{server.server_port}/v1"
+    done = subprocess.run([sys.executable, "-c", FIRST_CALLS_ON_THREADS, endpoint], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [False, [f"reply {i}" for i in range(4)]]
+    assert len(handler.seen) == 4
 
 
 class _StubSession:
