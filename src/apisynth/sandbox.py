@@ -294,58 +294,56 @@ class _Child:
 
 
 class _CompileServer(_Child):
-    """One compiler JVM running CompileServer.java; it serves one compile at a time."""
+    """One compiler JVM running CompileServer.java; it serves one compile at a time.
+
+    Its stdout is read from the raw descriptor through a selector and a buffer,
+    as _collect reads; a read past its deadline kills the server itself and sets timed_out.
+    """
 
     def __init__(self, java: str) -> None:
         argv = [java, *COMPILE_SERVER_FLAGS, str(COMPILE_SERVER)]
         super().__init__(argv, "apisynth-compiler-", stderr=subprocess.DEVNULL)
-        self.expired = False
-        self._lock = threading.Lock()
-        self._reading: threading.Timer | None = None  # the timer that bounds the read in progress
+        self.timed_out = False
+        self._buffer = bytearray()
 
-    def _expire(self) -> None:
-        """The timer's callback: kill the server, unless the read it bounds has ended.
-
-        Timer.cancel() cannot stop a callback that has already begun, so one
-        can run after its read returned and the server was kept idle.
-        """
-        with self._lock:
-            if self._reading is threading.current_thread():
-                self.expired = True
-                _kill_group(self.proc)
-
-    def _bounded(self, timeout: float, read):
-        """read() with the server killed once timeout passes; None on a broken exchange."""
-        timer = self._reading = threading.Timer(timeout, self._expire)
-        timer.start()
-        try:
-            return read()
-        except (OSError, ValueError):
-            return None
-        finally:
-            timer.cancel()
-            with self._lock:
-                self._reading = None
+    def _next(self, deadline: float, size: int | None = None) -> bytes | None:
+        """The next line of stdout, or with size its next size bytes; None when stdout ends or the deadline passes."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self.proc.stdout, selectors.EVENT_READ)
+            while True:
+                if size is None:
+                    end = self._buffer.find(b"\n") + 1 or None
+                else:
+                    end = size if len(self._buffer) >= size else None
+                if end is not None:
+                    data, self._buffer = bytes(self._buffer[:end]), self._buffer[end:]
+                    return data
+                wait = deadline - time.monotonic()
+                if wait <= 0:
+                    self.timed_out = True
+                    _kill_group(self.proc)
+                    return None
+                if selector.select(min(wait, _SELECT_MAX)):
+                    chunk = os.read(self.proc.stdout.fileno(), 1 << 16)
+                    if not chunk:
+                        return None
+                    self._buffer += chunk
 
     def ready(self, timeout: float) -> bool:
-        return self._bounded(timeout, self.proc.stdout.readline) == b"ready\n"
+        return self._next(time.monotonic() + timeout) == b"ready\n"
 
     def compile(self, request: bytes, timeout: float) -> tuple[int, bytes, bytes] | None:
-        """(exit code, stdout, stderr), or None when the server did not answer in form."""
-
-        def exchange():
+        """(exit code, stdout, stderr), or None when the server did not answer in form or in time."""
+        deadline = time.monotonic() + timeout
+        with contextlib.suppress(OSError):  # it has died: its stdout ends at once
             self.proc.stdin.write(request)
             self.proc.stdin.flush()
-            header = _REPLY_HEADER.fullmatch(self.proc.stdout.readline())
-            if header is None:
-                return None
-            exit_code, n_out, n_err = map(int, header.groups())
-            stdout, stderr = self.proc.stdout.read(n_out), self.proc.stdout.read(n_err)
-            if len(stdout) != n_out or len(stderr) != n_err:
-                return None
-            return exit_code, stdout, stderr
-
-        return self._bounded(timeout, exchange)
+        header = _REPLY_HEADER.fullmatch(self._next(deadline) or b"")
+        if header is None:
+            return None
+        exit_code, n_out, n_err = map(int, header.groups())
+        body = self._next(deadline, n_out + n_err)
+        return None if body is None else (exit_code, body[:n_out], body[n_out:])
 
 
 class _Pool:
@@ -405,7 +403,9 @@ class CompilerPool(_Pool):
     A compile takes an idle server or starts a new one, so the pool grows to
     the number of compiles that run at once. A server that dies, answers out
     of form or exits with a javac fault code is dropped and the compile is
-    left to a cold javac; so is every compile once a server cannot start.
+    left to a cold javac; so is every compile once a server cannot start. A
+    server whose boot passes the compile's timeout is dropped and the compile
+    goes cold; one whose compile passes it is dropped and the compile timed out.
     """
 
     _cold = "every compile runs a cold javac"
@@ -423,7 +423,7 @@ class CompilerPool(_Pool):
             return None
         if server.ready(timeout):
             return server
-        if not server.expired:
+        if not server.timed_out:
             self._give_up(f"{java} cannot host a compile server")
         server.stop()
         return None
@@ -442,7 +442,7 @@ class CompilerPool(_Pool):
         start = time.monotonic()
         reply = server.compile(request, timeout)
         duration = time.monotonic() - start
-        if server.expired:
+        if server.timed_out:
             server.stop()
             return ExecutionResult(-signal.SIGKILL, "", "", duration, timed_out=True)
         if reply is None or reply[0] in JAVAC_FAULT_EXITS:

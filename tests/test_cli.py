@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 
 import pytest
 
@@ -198,9 +197,6 @@ def test_unparseable_env_value_is_reported(sample_task, monkeypatch, capsys):
     assert "APISYNTH_TEMPERATURE" in err
 
 
-TIMEOUT_MAX_MESSAGE = f"timeouts must be at most {threading.TIMEOUT_MAX:.0f} s"
-
-
 @pytest.mark.parametrize(
     "extra, env, message",
     [
@@ -212,8 +208,8 @@ TIMEOUT_MAX_MESSAGE = f"timeouts must be at most {threading.TIMEOUT_MAX:.0f} s"
         (["--run-id", "a/b"], {}, "run id must be a non-empty path segment, got 'a/b'"),
         (["--run-id", ".."], {}, "run id must be a non-empty path segment, got '..'"),
         (["--run-timeout", "nan"], {}, "timeouts must be positive"),
-        (["--run-timeout", "inf"], {}, TIMEOUT_MAX_MESSAGE),
-        ([], {"APISYNTH_COMPILE_TIMEOUT": "1e309"}, TIMEOUT_MAX_MESSAGE),
+        (["--run-timeout", "inf"], {}, "timeouts must be finite"),
+        ([], {"APISYNTH_COMPILE_TIMEOUT": "1e309"}, "timeouts must be finite"),
     ],
 )
 def test_bench_rejects_bad_settings(

@@ -1,6 +1,8 @@
 """The warm compile path: CompilerPool against cold javac, faults, timeouts, reaping.
 
-These need a real JDK and are skipped without one.
+Those that take the ``jdk`` fixture need a real JDK and are skipped without
+one. The stub-server ones run a short Python script in the server's place,
+so they control when each byte of a reply arrives, and need no JDK.
 """
 
 from __future__ import annotations
@@ -243,26 +245,6 @@ def test_server_compile_timeout(jdk, pool, java_fixture_dir, tmp_path):
     assert served_by(pool) != server.proc.pid
 
 
-def test_late_timer_callback_spares_a_kept_server(jdk, pool, java_fixture_dir, tmp_path):
-    """A compile's timer callback can begin as its reply arrives; it must not kill the server kept idle."""
-    source = (java_fixture_dir / "PalindromeChecker.java").read_text(encoding="utf-8")
-
-    def compile_in(name):
-        workdir = tmp_path / name
-        workdir.mkdir()
-        (workdir / "PalindromeChecker.java").write_text(source, encoding="utf-8")
-        return pool.compile(jdk.java, workdir, [], "PalindromeChecker.java", timeout=60)
-
-    assert compile_in("c1").exit_code == 0
-    (server,) = pool._idle
-    server._expire()  # as a timer callback that began before cancel() would
-    assert server.proc.poll() is None
-    assert not server.expired
-    again = compile_in("c2")
-    assert again.exit_code == 0 and not again.timed_out
-    assert pool._idle == [server]
-
-
 def test_concurrent_compiles_share_the_pool(jdk, java_fixture_dir, tmp_path, monkeypatch):
     """More threads than cores: no server is lost or shared, and each verdict holds."""
     threads, rounds = 3, 3
@@ -364,3 +346,112 @@ def test_bench_reaps_every_server(jdk, repo_root, tmp_path, monkeypatch, capsys)
     assert cli.main([*argv[:-3], "r2", "--workers", "2"]) == 0
     assert started and spares == []
     assert len(pools) == 2
+
+
+# Speaks CompileServer.java's protocol: "ready", then per request line a header
+# "<exit> <stdout bytes> <stderr bytes>" and the two streams. MODE picks how.
+STUB_SERVER = """
+import sys, time
+
+MODE = {mode!r}
+PAUSE = 0.2
+out = sys.stdout.buffer
+
+
+def send(*pieces):
+    for i, piece in enumerate(pieces):
+        if i:
+            time.sleep(PAUSE)
+        out.write(piece)
+        out.flush()
+
+
+if MODE == "slow-boot":
+    time.sleep(3)
+send(b"ready\\n")
+for n, request in enumerate(sys.stdin.buffer, start=1):
+    if MODE == "late":
+        time.sleep(1.5)
+    if MODE == "bad-header":
+        send(b"garbage ", b"0 0 0\\n")  # out of form only as a whole
+    elif MODE == "split" and n == 1:
+        send(b"1 5 5\\nou", b"t:1", b"err:", b"1")  # the header with the body's first bytes, then the rest
+    else:
+        send(b"0 5 5\\nout:%derr:%d" % (n, n))
+"""
+
+
+@pytest.fixture()
+def stub_server(tmp_path, monkeypatch):
+    """A function that makes every compile server from now on run STUB_SERVER in a mode; it returns them."""
+
+    def start(mode: str) -> list:
+        script = tmp_path / f"stub-{mode}.py"
+        script.write_text(STUB_SERVER.format(mode=mode), encoding="utf-8")
+        monkeypatch.setattr(sandbox_module, "COMPILE_SERVER", script)
+        monkeypatch.setattr(sandbox_module, "COMPILE_SERVER_FLAGS", ())
+        return record_servers(monkeypatch)
+
+    return start
+
+
+def stub_compile(pool: CompilerPool, tmp_path, timeout: float):
+    return pool.compile(sys.executable, tmp_path, [], "Stub.java", timeout)
+
+
+def test_stub_reply_in_pieces_is_put_together(stub_server, tmp_path, monkeypatch):
+    """Header and body apart, the body in pieces: one reply; the server is kept, and serves the next compile."""
+    started = stub_server("split")
+    with CompilerPool() as pool:
+        first = stub_compile(pool, tmp_path, 10)
+        assert (first.exit_code, first.stdout, first.stderr, first.timed_out) == (1, "out:1", "err:1", False)
+        assert first.duration_seconds >= 3 * 0.2
+        (server,) = started
+        assert pool._idle == [server]
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: pytest.fail("a warm compile started a thread"))
+        second = stub_compile(pool, tmp_path, 3e6)  # longer than one select wait may be
+        assert (second.exit_code, second.stdout, second.stderr) == (0, "out:2", "err:2")
+        assert started == [server] and pool._idle == [server] and server.proc.poll() is None
+
+
+def test_stub_late_reply_times_out(stub_server, tmp_path):
+    """A reply after the timeout: the read kills the server at the deadline, and the pool reaps and drops it."""
+    started = stub_server("late")
+    with CompilerPool() as pool:
+        result = stub_compile(pool, tmp_path, 0.3)
+        assert result.timed_out and result.exit_code == -signal.SIGKILL
+        assert result.duration_seconds < 1.5
+        (server,) = started
+        assert server.proc.returncode == -signal.SIGKILL and not server.home.exists()
+        assert pool._idle == [] and not pool._closed
+
+    # The read itself kills it: the server is dead before anything stops it.
+    server = sandbox_module._CompileServer(sys.executable)
+    try:
+        assert server.ready(10)
+        assert server.compile(b"x\n", 0.3) is None and server.timed_out
+        assert server.proc.wait(timeout=10) == -signal.SIGKILL
+    finally:
+        server.stop()
+
+
+def test_stub_late_boot_goes_cold_and_keeps_the_pool(stub_server, tmp_path, capsys):
+    """A server not ready within the timeout is dropped, that compile left to a cold javac, and the pool stays open."""
+    started = stub_server("slow-boot")
+    with CompilerPool() as pool:
+        assert stub_compile(pool, tmp_path, 0.3) is None
+        (server,) = started
+        assert server.timed_out and server.proc.returncode == -signal.SIGKILL and not server.home.exists()
+        assert not pool._closed and pool._idle == []
+    assert capsys.readouterr().err == ""
+
+
+def test_stub_out_of_form_header_drops_the_server(stub_server, tmp_path):
+    """A header that is out of form, though its last piece alone would not be: dropped, not timed out."""
+    started = stub_server("bad-header")
+    with CompilerPool() as pool:
+        assert stub_compile(pool, tmp_path, 10) is None
+        (server,) = started
+        assert not server.timed_out
+        assert server.proc.returncode is not None and not server.home.exists()
+        assert not pool._closed and pool._idle == []
