@@ -10,11 +10,14 @@ The candidates are what the repair-loop workload's model replies compile to
 (perfbench/generate.py, compile errors included), written as the sandbox
 writes them, each into a fresh directory, and sent round after round to one
 server (``sandbox._CompileServer``) started with ``sandbox.COMPILE_SERVER_FLAGS``
-plus a GC log. With ``--deps``, every other compile has the jar as its
-dependency classpath, so the server changes javac context at every compile.
+plus a GC log, from helper classes built before the log is turned on, so it
+holds the server's GCs alone. With ``--deps``, every other compile has the
+jar as its dependency classpath, so the server changes javac context at
+every compile.
 The report is one JSON object: young and full GCs and their total pause from
-the GC log, the server's CPU seconds and peak RSS from getrusage of the
-reaped server, and the p50/p90 of the compile round trip.
+the GC log, the server's CPU seconds from getrusage of the reaped server,
+its peak RSS (``VmHWM``, read just before it is stopped, since the build's
+javac is a reaped child too), and the p50/p90 of the compile round trip.
 """
 
 from __future__ import annotations
@@ -58,10 +61,12 @@ def candidates(seed: int, count: int) -> list[tuple[str, str]]:
 
 def probe(sources: list[tuple[str, str]], compiles: int, deps: str, work: Path) -> dict:
     gc_log = work / "gc.log"
+    toolchain = sandbox.find_toolchain()
+    classes = sandbox._helper_classes(toolchain.javac)
     flags = sandbox.COMPILE_SERVER_FLAGS
     sandbox.COMPILE_SERVER_FLAGS = (*flags, f"-Xlog:gc:file={gc_log}")
     try:
-        server = sandbox._CompileServer(sandbox.find_toolchain().java)
+        server = sandbox._CompileServer(toolchain.java, classes)
     finally:
         sandbox.COMPILE_SERVER_FLAGS = flags
     if not server.ready(60):
@@ -82,6 +87,7 @@ def probe(sources: list[tuple[str, str]], compiles: int, deps: str, work: Path) 
             server.stop()
             raise SystemExit(f"compile {i} got no reply")
         exits[reply[0]] = exits.get(reply[0], 0) + 1
+    peak_kb = re.search(r"^VmHWM:\s+(\d+) kB", Path(f"/proc/{server.proc.pid}/status").read_text(), re.M).group(1)
     server.stop()
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     pauses = {"Young": [], "Full": []}
@@ -94,7 +100,7 @@ def probe(sources: list[tuple[str, str]], compiles: int, deps: str, work: Path) 
         "deps": deps,
         "exits": {str(k): v for k, v in sorted(exits.items())},
         "cpu_s": round(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime, 2),
-        "rss_mb": round(after.ru_maxrss / 1024, 1),
+        "rss_mb": round(int(peak_kb) / 1024, 1),
         "full": len(pauses["Full"]),
         "young": len(pauses["Young"]),
         "pause_s": round(sum(pauses["Young"]) + sum(pauses["Full"]), 2),

@@ -14,9 +14,10 @@ first, the time the rest of an attempt gives a spare to boot. The report is
 one JSON object with, per side, the p50/p90 of the run's wall time (a cold
 java from its start, a parked one from the hand-off) and the CPU seconds of
 all its reaped children (``cpu_s``): the parked side counts every spare it
-booted, including those left idle at the end, but not the launcher's
-compile. ``cpu_ms_per_run`` is ``cpu_s`` over every run the side was asked
-for, refused ones included: the CPU of one launch. The parked side also
+booted, including those left idle at the end, but not the build of the
+launcher class, which the compiles before either side paid for.
+``cpu_ms_per_run`` is ``cpu_s`` over every run the side was asked for,
+refused ones included: the CPU of one launch. The parked side also
 gives the p10/p50 of a spare's age when it is handed its run (from the
 start of its boot). A spare boots in about 47 ms on an idle core and
 63 ms beside a busy one, so the default gap hides a boot that is not
@@ -70,7 +71,7 @@ def compiled(seed: int, count: int, work: Path, toolchain: sandbox.Toolchain) ->
                 workdir.mkdir()
                 name = f"{unit.public_class_name}.java"
                 (workdir / name).write_text(source, encoding="utf-8")
-                result = compilers.compile(toolchain.java, workdir, [], name, 60)
+                result = compilers.compile(toolchain, workdir, [], name, 60)
                 if result is None or result.exit_code != 0:
                     continue
                 found.append((workdir, main_class))
@@ -102,8 +103,8 @@ class AgedPool(sandbox.ParkedPool):
         super().__init__()
         self.ages: list[float] = []
 
-    def _take(self, toolchain, key):
-        spare = super()._take(toolchain, key)
+    def _take(self, key):
+        spare = super()._take(key)
         if spare is not None:
             self.ages.append(time.monotonic() - spare.boot_start)
         return spare
@@ -138,7 +139,7 @@ def probe(candidates: list[tuple[Path, str]], rounds: int, gap: float, toolchain
     sandbox._Spare, spare_class = CountedSpare, sandbox._Spare
     try:
         with AgedPool() as pool:
-            # The first run compiles the launcher, goes cold and parks the first spares.
+            # The first run goes cold and parks the first spares.
             pool.run(toolchain, runs[0][0], runs[0][2], runs[0][1], 30)
             before, boots[:] = children_cpu(), []
 

@@ -28,11 +28,12 @@ import javax.tools.ToolProvider;
 /**
  * Compiles candidate sources one after another in a single long-lived JVM.
  *
- * <p>Run it with the JDK's source launcher and javac's internal packages exported:
- * {@code java --add-exports jdk.compiler/com.sun.tools.javac.{api,main,util}=ALL-UNNAMED
- * CompileServer.java}. Once the system compiler is loaded it prints {@code ready}. Then it
- * reads one request per line from stdin, {@code workdir TAB classpath TAB source}, compiles
- * like {@code javac -cp classpath workdir/source} and replies {@code exit nout nerr} on one
+ * <p>Compile it and run it from its classes, javac's internal packages exported to both:
+ * {@code javac --add-exports jdk.compiler/com.sun.tools.javac.{api,main,util}=ALL-UNNAMED -d DIR
+ * CompileServer.java}, then {@code java --add-exports ...=ALL-UNNAMED -cp DIR CompileServer}. The
+ * sandbox builds it once per process, with SynthesisLauncher. Once the system compiler is loaded
+ * it prints {@code ready}. Then it reads one request per line from stdin, {@code workdir TAB
+ * classpath TAB source}, compiles like {@code javac -cp classpath workdir/source} and replies {@code exit nout nerr} on one
  * line, followed by {@code nout} bytes of the compiler's stdout and {@code nerr} bytes of its
  * stderr. Every {@code workdir/} is removed from both, so the text reads as it does from
  * {@code javac source} run inside workdir. The classpath field holds dependencies only; an

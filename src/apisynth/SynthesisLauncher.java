@@ -11,7 +11,8 @@ import java.util.Set;
  * Runs one candidate's main class in a JVM that booted before the candidate was compiled.
  *
  * <p>Start it as the candidate would be started, {@code java <flags> -cp .[:deps] SynthesisLauncher},
- * in an empty directory that holds this class. It blocks until it reads one class name and a
+ * in an empty directory that holds this class, which the sandbox compiles once per process with
+ * CompileServer and copies into each such directory. It blocks until it reads one class name and a
  * newline from stdin; at the end of stdin before that, it halts at once. The sandbox then copies
  * the candidate's class files into the directory, writes the name and closes stdin, so the
  * candidate sees stdin at its end as under a cold {@code java}.

@@ -142,18 +142,19 @@ def warm_sandbox(workers: int, **timeouts):
     """make_sandbox's sandbox with the command's compile servers and parked JVMs, reaped on exit.
 
     The command, not the sandbox (make_sandbox's result may be a wrapper),
-    owns the JVMs. It parks only while its workers leave a core idle: a
-    spare boots on a core that no worker is busy on. With a worker on every
-    core, a spare is often taken still booting: on 2 cores, 2 workers parking
-    ran 10% more tasks/s at a 9% lower p50, but their slowest tenth of tasks
-    19% slower than a cold java per run (perfbench one-shot, 4 pair medians).
-    With the cheaper boots of today's CANDIDATE_JVM_FLAGS (C1 only), parking
-    ran 25.7 against 22.5 tasks/s at a p50 of 0.065 against 0.078 s, and the
-    slowest tenth still 5% slower, 0.102 against 0.096 s (5 pair medians).
+    owns the JVMs, which start from the process's helper classes (built at
+    its first compile or parked run). It parks only while its workers leave
+    a core idle: a spare boots on a core that no worker is busy on. With a
+    worker on every core, a spare is often taken still booting: on 2 cores,
+    2 workers parking ran 10% more tasks/s at a 9% lower p50, but their
+    slowest tenth of tasks 19% slower than a cold java per run (perfbench
+    one-shot, 4 pair medians). With the cheaper boots of today's
+    CANDIDATE_JVM_FLAGS (C1 only), parking ran 25.7 against 22.5 tasks/s at
+    a p50 of 0.065 against 0.078 s, and the slowest tenth still 5% slower,
+    0.102 against 0.096 s (5 pair medians).
     """
-    with CompilerPool() as compilers, contextlib.ExitStack() as stack:
-        parked = stack.enter_context(ParkedPool(compilers)) if workers < usable_cores() else None
-        yield make_sandbox(compilers=compilers, parked=parked, **timeouts)
+    with CompilerPool() as compilers, ParkedPool() as parked:
+        yield make_sandbox(compilers=compilers, parked=parked if workers < usable_cores() else None, **timeouts)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -246,10 +247,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     deps_dir = _path(args, "deps")
-    failed = False
+    failed = unparsed = False
     seen: dict[str, Path] = {}
     for file in task_files(Path(args.path)):
-        task = parse_task_file(file)
+        try:
+            task = parse_task_file(file)
+        except TaskParseError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            unparsed = True
+            continue
         violations = validate_task(task, deps_dir)
         if task.id in seen:
             violations.append(f"duplicate task id (first seen in {seen[task.id]})")
@@ -260,6 +266,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 print(f"{task.id}: {violation}")
         else:
             print(f"{task.id}: ok")
+    if unparsed:
+        return EXIT_ENVIRONMENT
     return EXIT_TASK_FAILED if failed else EXIT_OK
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import locale
 import os
@@ -77,6 +78,7 @@ JAVAC_STACK_OVERFLOW = "java.lang.StackOverflowError"
 LAUNCHER = Path(__file__).with_name("SynthesisLauncher.java")
 LAUNCHER_CLASS = LAUNCHER.stem + ".class"
 LAUNCH_MARKER = b"\x06"
+_BUILD_TIMEOUT = 120.0  # seconds for the javac that builds both helpers, which takes about half a second
 # Bytes kept of each stream a child writes; the rest is read and dropped, but
 # searched for the markers classify reads, so a verdict never depends on it.
 OUTPUT_LIMIT = 1 << 20
@@ -262,6 +264,34 @@ def _request_line(*fields: str) -> bytes | None:
         return None
 
 
+_helpers: dict[tuple[str, Path, Path], Path] = {}
+_helpers_lock = threading.Lock()
+
+
+def _helper_classes(javac: str) -> Path:
+    """The directory of COMPILE_SERVER's and LAUNCHER's classes, built by javac at the first call in the process.
+
+    Both compile in one javac run with the server's own JVM flags, which keep
+    that javac's peak memory (about 74 MB) below a compile server's; when that
+    fails, each compiles alone, so a helper that does not compile leaves the
+    other usable and is missing from the directory. Every pool of the process
+    shares it until the process exits, which removes it. Another javac or
+    another source path gets a build of its own.
+    """
+    key = (javac, COMPILE_SERVER, LAUNCHER)
+    with _helpers_lock:
+        if key not in _helpers:
+            _helpers[key] = classes = Path(tempfile.mkdtemp(prefix="apisynth-helpers-"))
+            atexit.register(shutil.rmtree, classes, ignore_errors=True)
+            exports = [f for f in COMPILE_SERVER_FLAGS if f.startswith("--add-exports")]
+            argv = [javac, *("-J" + f for f in COMPILE_SERVER_FLAGS if f not in exports), *exports, "-d", str(classes)]
+            with contextlib.suppress(ToolchainError):  # javac cannot start: neither helper is there
+                if _execute([*argv, str(COMPILE_SERVER), str(LAUNCHER)], classes, _BUILD_TIMEOUT).exit_code != 0:
+                    for source in (COMPILE_SERVER, LAUNCHER):
+                        _execute([*argv, str(source)], classes, _BUILD_TIMEOUT)
+        return _helpers[key]
+
+
 class _Child:
     """A JVM started in a temporary directory and a process group of its own, its stdin and stdout piped."""
 
@@ -294,14 +324,14 @@ class _Child:
 
 
 class _CompileServer(_Child):
-    """One compiler JVM running CompileServer.java; it serves one compile at a time.
+    """One compiler JVM running the CompileServer class in classes; it serves one compile at a time.
 
     Its stdout is read from the raw descriptor through a selector and a buffer,
     as _collect reads; a read past its deadline kills the server itself and sets timed_out.
     """
 
-    def __init__(self, java: str) -> None:
-        argv = [java, *COMPILE_SERVER_FLAGS, str(COMPILE_SERVER)]
+    def __init__(self, java: str, classes: Path) -> None:
+        argv = [java, *COMPILE_SERVER_FLAGS, "-cp", str(classes), COMPILE_SERVER.stem]
         super().__init__(argv, "apisynth-compiler-", stderr=subprocess.DEVNULL)
         self.timed_out = False
         self._buffer = bytearray()
@@ -398,45 +428,46 @@ class _Pool:
 
 
 class CompilerPool(_Pool):
-    """Warm compiler JVMs for a sandbox, started on first use.
+    """Warm compiler JVMs for a sandbox, started on first use from the process's helper classes.
 
     A compile takes an idle server or starts a new one, so the pool grows to
     the number of compiles that run at once. A server that dies, answers out
     of form or exits with a javac fault code is dropped and the compile is
-    left to a cold javac; so is every compile once a server cannot start. A
-    server whose boot passes the compile's timeout is dropped and the compile
-    goes cold; one whose compile passes it is dropped and the compile timed out.
+    left to a cold javac; so is every compile once a server cannot start (its
+    class did not compile, or this JDK cannot run it). A server whose boot
+    passes the compile's timeout is dropped and the compile goes cold; one
+    whose compile passes it is dropped and the compile timed out.
     """
 
     _cold = "every compile runs a cold javac"
 
-    def _take(self, java: str, timeout: float) -> _CompileServer | None:
+    def _take(self, toolchain: Toolchain, timeout: float) -> _CompileServer | None:
         with self._lock:
             if self._closed:
                 return None
             if self._idle:
                 return self._idle.pop()
         try:
-            server = _CompileServer(java)
+            server = _CompileServer(toolchain.java, _helper_classes(toolchain.javac))
         except OSError:
-            self._give_up(f"{java} cannot host a compile server")
+            self._give_up(f"{toolchain.java} cannot host a compile server")
             return None
         if server.ready(timeout):
             return server
         if not server.timed_out:
-            self._give_up(f"{java} cannot host a compile server")
+            self._give_up(f"{toolchain.java} cannot host a compile server")
         server.stop()
         return None
 
     def compile(
-        self, java: str, workdir: Path, classpath: list[str], source_name: str, timeout: float
+        self, toolchain: Toolchain, workdir: Path, classpath: list[str], source_name: str, timeout: float
     ) -> ExecutionResult | None:
         """Compile workdir/source_name like javac run in workdir, classpath absolute; None leaves it to a cold javac."""
         home = os.path.abspath(workdir)
         # No entries means javac's default ".", which the server stands in for with its own
         # empty directory, so every compile without dependencies shares one javac context.
         request = _request_line(home, os.pathsep.join(classpath), source_name)
-        server = None if request is None else self._take(java, timeout)
+        server = None if request is None else self._take(toolchain, timeout)
         if server is None:
             return None
         start = time.monotonic()
@@ -454,28 +485,6 @@ class CompilerPool(_Pool):
         for capture, data in zip((out, err), streams):
             capture.add(data)
         return ExecutionResult(exit_code, out.text(), err.text(), duration)
-
-
-def _javac(
-    toolchain: Toolchain,
-    compilers: CompilerPool | None,
-    workdir: Path,
-    classpath: list[str],
-    source_name: str,
-    timeout: float,
-) -> tuple[list[str], ExecutionResult]:
-    """The javac command that compiles workdir/source_name, and its result as if run in workdir.
-
-    Through a warm server of compilers when there is one; else, or on the
-    server's fault, a cold javac.
-    """
-    argv = [toolchain.javac, *(["-cp", os.pathsep.join(classpath)] if classpath else []), source_name]
-    result = None
-    if compilers is not None:
-        result = compilers.compile(toolchain.java, workdir, classpath, source_name, timeout)
-    if result is None:
-        result = _execute([argv[0], "-J" + NO_PERF_DATA, *argv[1:]], workdir, timeout)
-    return argv, result
 
 
 def usable_cores() -> int:
@@ -534,24 +543,18 @@ class ParkedPool(_Pool):
     than two. A boot (about 45 ms of CPU; 47 ms on an idle core, 63 ms
     beside a busy one) outlasts the rest of an attempt whose model answers
     at once (35-45 ms), so a spare started by the run just before would
-    often still be booting. A spare runs one
-    candidate and exits; none is reused. The first run compiles the
-    launcher class, through a warm server of ``compilers`` when there is
-    one (tens of milliseconds, against about a second of CPU for a cold
-    javac), and goes to a cold java, as does a run whose spare refuses its
-    class. close() also removes the launcher's directory.
+    often still be booting. A spare runs one candidate and exits; none is
+    reused. Each spare copies the launcher class from the process's helper
+    classes; when the launcher did not compile, the first run gives up and
+    goes to a cold java, as does a run whose spare refuses its class.
     """
 
     _cold = "every run starts a cold java"
 
-    def __init__(self, compilers: CompilerPool | None = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._compilers = compilers
         self._running = 0
         self._peak = 1  # the most runs that have gone on at once
-        self._building = False
-        self._launcher: Path | None = None
-        self._launcher_dir: Path | None = None
 
     def run(
         self, toolchain: Toolchain, workdir: Path, classpath: list[str], main_class: str, timeout: float
@@ -565,10 +568,10 @@ class ParkedPool(_Pool):
             self._peak = max(self._peak, self._running)
         spare = None
         try:
-            spare = self._take(toolchain, key)
+            spare = self._take(key)
             if spare is not None:
                 spare.hand_off(workdir, main_class)
-            self._park(toolchain.java, key, 1 if spare is not None else 2)  # they boot while this one runs
+            self._park(toolchain, key, 1 if spare is not None else 2)  # they boot while this one runs
             return None if spare is None else spare.finish(workdir, timeout)
         finally:
             if spare is not None:
@@ -576,52 +579,31 @@ class ParkedPool(_Pool):
             with self._lock:
                 self._running -= 1
 
-    def _take(self, toolchain: Toolchain, key: tuple[str, ...]) -> _Spare | None:
-        """An idle spare for key, if there is one; the first call compiles the launcher."""
+    def _take(self, key: tuple[str, ...]) -> _Spare | None:
+        """An idle spare for key, if there is one."""
         with self._lock:
-            if self._closed or self._building:
-                return None
-            if self._launcher is not None:
-                spare = next((s for s in self._idle if s.classpath == key), None)
-                if spare is not None:
-                    self._idle.remove(spare)
-                return spare
-            self._building = True
-        self._build_launcher(toolchain)
-        return None
+            spare = next((s for s in self._idle if s.classpath == key), None)
+            if spare is not None:
+                self._idle.remove(spare)
+            return spare
 
-    def _build_launcher(self, toolchain: Toolchain) -> None:
-        self._launcher_dir = home = Path(tempfile.mkdtemp(prefix="apisynth-launcher-"))
-        shutil.copyfile(LAUNCHER, home / LAUNCHER.name)
-        try:
-            _, result = _javac(toolchain, self._compilers, home, [], LAUNCHER.name, 120.0)
-            built = result.exit_code == 0 and (home / LAUNCHER_CLASS).is_file()
-        except ToolchainError:
-            built = False
-        if not built:
-            self._give_up(f"{toolchain.javac} cannot compile {LAUNCHER.name}")
-        with self._lock:
-            if built:
-                self._launcher = home / LAUNCHER_CLASS
-            self._building = False
-
-    def _park(self, java: str, key: tuple[str, ...], count: int) -> None:
+    def _park(self, toolchain: Toolchain, key: tuple[str, ...], count: int) -> None:
         """Start count spares for key; stop the oldest idle ones beyond one more than the most runs seen at once."""
+        if self._closed:
+            return
+        launcher = _helper_classes(toolchain.javac) / LAUNCHER_CLASS
+        if not launcher.is_file():
+            self._give_up(f"{toolchain.javac} cannot compile {LAUNCHER.name}")
+            return
         for _ in range(count):
-            if self._closed or self._launcher is None:
+            if self._closed:
                 return
             try:
-                spare = _Spare(java, self._launcher, key)
+                spare = _Spare(toolchain.java, launcher, key)
             except OSError:
-                self._give_up(f"{java} cannot start a parked JVM")
+                self._give_up(f"{toolchain.java} cannot start a parked JVM")
                 return
             self._keep(spare, most=self._peak + 1)
-
-    def close(self) -> None:
-        """Stop taking runs; kill and reap every idle spare and remove the launcher."""
-        super().close()
-        if self._launcher_dir is not None:
-            shutil.rmtree(self._launcher_dir, ignore_errors=True)
 
 
 @dataclass
@@ -661,8 +643,12 @@ class Sandbox:
         # Relative entries count from workdir, as for javac and java run in it. A compile server and a parked
         # JVM run elsewhere, so each is resolved, through symlinks, to one path whatever the attempt directory.
         classpath = [os.fspath(p) if os.path.isabs(p) else os.path.realpath(workdir / p) for p in classpath]
-        timeout = self.compile_timeout
-        argv, compiled = _javac(self.toolchain, self.compilers, workdir, classpath, source_name, timeout)
+        argv = [self.toolchain.javac, *(["-cp", os.pathsep.join(classpath)] if classpath else []), source_name]
+        compiled = None
+        if self.compilers is not None:
+            compiled = self.compilers.compile(self.toolchain, workdir, classpath, source_name, self.compile_timeout)
+        if compiled is None:
+            compiled = _execute([argv[0], "-J" + NO_PERF_DATA, *argv[1:]], workdir, self.compile_timeout)
         _write_log(workdir / "compile.log", argv, compiled)
         caused_by_source = compiled.exit_code == 3 and JAVAC_STACK_OVERFLOW in compiled.stderr
         if compiled.exit_code in JAVAC_FAULT_EXITS and not caused_by_source:

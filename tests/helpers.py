@@ -184,24 +184,23 @@ def serialize_task(task: SynthesisTask) -> dict:
 
 
 class EagerParkedPool(ParkedPool):
-    """A ParkedPool whose runs never go cold for want of a spare: one is started and handed the run at once.
+    """A ParkedPool whose runs never go cold for want of a spare: two are started first when none is idle.
 
-    ``parked`` lists, per run asked of the pool, whether a spare ran it.
+    ``parked`` lists, per run asked of the pool, whether a spare ran it. It
+    takes a compiler pool, as the golden run passes one, and leaves it unused.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, compilers=None) -> None:
+        super().__init__()
         self.parked: list[bool] = []
 
-    def _take(self, toolchain, key):
-        spare = super()._take(toolchain, key)
-        if spare is None:
-            self._park(toolchain.java, key, 2)  # as a run that finds none does
-            spare = super()._take(toolchain, key)
-        return spare
-
-    def run(self, *args):
-        result = super().run(*args)
+    def run(self, toolchain, workdir, classpath, *args):
+        key = tuple(classpath)
+        with self._lock:
+            idle = any(spare.classpath == key for spare in self._idle)
+        if not idle:
+            self._park(toolchain, key, 2)  # as a run that finds none does
+        result = super().run(toolchain, workdir, classpath, *args)
         self.parked.append(result is not None)
         return result
 
@@ -211,8 +210,8 @@ def record_servers(monkeypatch) -> list:
     started = []
 
     class Recorded(sandbox_module._CompileServer):
-        def __init__(self, java):
-            super().__init__(java)
+        def __init__(self, *args):
+            super().__init__(*args)
             started.append(self)
 
     monkeypatch.setattr(sandbox_module, "_CompileServer", Recorded)

@@ -396,6 +396,23 @@ def test_validate_flags_duplicate_ids(tmp_path, repo_root, capsys):
     assert "duplicate task id" in out
 
 
+def test_validate_reports_every_file_past_one_that_does_not_parse(tmp_path, repo_root, capsys):
+    """A file that does not parse is reported and the rest still checked; the exit is 2, over a broken rule's 1."""
+    sample = repo_root / "tasks" / "sample"
+    (tmp_path / "a.json").write_text((sample / "get-range.json").read_text())
+    (tmp_path / "b.json").write_text('{"id": 1}')
+    broken = json.loads((sample / "ellipse-area.json").read_text())
+    broken["tests"][0]["ordinal"] = broken["tests"][1]["ordinal"]
+    (tmp_path / "c.json").write_text(json.dumps(broken))
+    rc = cli.main(["validate", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: {tmp_path / 'b.json'}: id: expected a string\n"
+    lines = captured.out.splitlines()
+    assert lines[0] == "get-range: ok"
+    assert lines[1].startswith("ellipse-area: ") and "ordinal" in lines[1]
+
+
 def test_validate_unresolved_dependency(tmp_path, repo_root, capsys):
     source = (repo_root / "tasks" / "extra" / "fastjson-read.json").read_text()
     (tmp_path / "t.json").write_text(source)

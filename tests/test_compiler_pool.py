@@ -21,7 +21,7 @@ import pytest
 import apisynth.cli as cli
 from apisynth import sandbox as sandbox_module
 from apisynth.extractor import SourceUnit, extract_source_unit
-from apisynth.sandbox import CompilerPool, Sandbox
+from apisynth.sandbox import CompilerPool, Sandbox, Toolchain
 from apisynth.verdict import TIMEOUT_DIAGNOSTIC, AttemptOutcome, OutcomeKind
 from helpers import EagerParkedPool, java_response, record_servers
 
@@ -207,6 +207,7 @@ def test_jvm_warnings_stay_off_the_reply_channel(jdk, java_fixture_dir, tmp_path
 
 def test_warm_compiles_run_no_full_gc(jdk, java_fixture_dir, tmp_path, monkeypatch):
     """One compile's garbage dies in the young generation, so a warm server never collects in full."""
+    sandbox_module._helper_classes(jdk.javac)  # built before the log is on, so it holds the server's GCs alone
     gc_log = tmp_path / "gc.log"
     flags = sandbox_module.COMPILE_SERVER_FLAGS + (f"-Xlog:gc:file={gc_log}",)
     monkeypatch.setattr(sandbox_module, "COMPILE_SERVER_FLAGS", flags)
@@ -216,7 +217,7 @@ def test_warm_compiles_run_no_full_gc(jdk, java_fixture_dir, tmp_path, monkeypat
             workdir = tmp_path / f"c{i}"
             workdir.mkdir()
             (workdir / "PalindromeChecker.java").write_text(source, encoding="utf-8")
-            result = pool.compile(jdk.java, workdir, [], "PalindromeChecker.java", timeout=60)
+            result = pool.compile(jdk, workdir, [], "PalindromeChecker.java", timeout=60)
             assert result is not None and result.exit_code == 0
         served_by(pool)
     log = gc_log.read_text(encoding="utf-8")
@@ -298,9 +299,25 @@ def record_spares(monkeypatch) -> tuple[list, list]:
     return pools, spares
 
 
+def helper_builds(monkeypatch) -> list:
+    """Every javac launch from now on that compiles a helper, in a process that has built none yet."""
+    builds = []
+    execute = sandbox_module._execute
+
+    def recorded(argv, *args):
+        if {str(sandbox_module.COMPILE_SERVER), str(sandbox_module.LAUNCHER)} & set(argv):
+            builds.append(argv)
+        return execute(argv, *args)
+
+    monkeypatch.setattr(sandbox_module, "_helpers", {})
+    monkeypatch.setattr(sandbox_module, "_execute", recorded)
+    return builds
+
+
 def test_bench_reaps_every_server(jdk, repo_root, tmp_path, monkeypatch, capsys):
     started = record_servers(monkeypatch)
     pools, spares = record_spares(monkeypatch)
+    builds = helper_builds(monkeypatch)
     monkeypatch.setattr(cli, "usable_cores", lambda: 3)  # a core left idle by the 2 workers
     suite = tmp_path / "suite"
     suite.mkdir()
@@ -332,25 +349,26 @@ def test_bench_reaps_every_server(jdk, repo_root, tmp_path, monkeypatch, capsys)
     for spare in spares:
         assert spare.proc.returncode is not None
         assert not spare.home.exists()
-    assert not pools[0]._launcher_dir.exists()
+    assert len(builds) == 1  # one javac built both helpers
 
-    # Resuming over finished records starts no JVM: no compile server, no launcher build, no spare.
+    # Resuming over finished records starts no JVM: no helper build, no compile server, no spare.
     started.clear()
     spares.clear()
     assert cli.main([*argv, "--resume"]) == 0
-    assert started == [] and spares == []
-    assert len(pools) == 2 and pools[1]._launcher_dir is None
+    assert started == [] and spares == [] and len(builds) == 1
 
-    # With a worker on every core, no parked pool is built and every run starts a cold java.
+    # With a worker on every core, the parked pool is left unused and every run starts a cold java.
+    # Its compile servers start from the helpers the first command built.
     monkeypatch.setattr(cli, "usable_cores", lambda: 2)
     assert cli.main([*argv[:-3], "r2", "--workers", "2"]) == 0
-    assert started and spares == []
-    assert len(pools) == 2
+    assert started and spares == [] and len(builds) == 1
+    assert len(pools) == 3 and pools[2].parked == []
 
 
 # Speaks CompileServer.java's protocol: "ready", then per request line a header
 # "<exit> <stdout bytes> <stderr bytes>" and the two streams. MODE picks how.
-STUB_SERVER = """
+# It stands in for java, whose arguments it ignores.
+STUB_SERVER = """#!{python}
 import sys, time
 
 MODE = {mode!r}
@@ -383,20 +401,26 @@ for n, request in enumerate(sys.stdin.buffer, start=1):
 
 @pytest.fixture()
 def stub_server(tmp_path, monkeypatch):
-    """A function that makes every compile server from now on run STUB_SERVER in a mode; it returns them."""
+    """A function that makes every compile server from now on run STUB_SERVER in a mode; it returns them.
+
+    The stub is the toolchain's java; its javac does not exist, so the helper build compiles nothing.
+    """
 
     def start(mode: str) -> list:
-        script = tmp_path / f"stub-{mode}.py"
-        script.write_text(STUB_SERVER.format(mode=mode), encoding="utf-8")
-        monkeypatch.setattr(sandbox_module, "COMPILE_SERVER", script)
-        monkeypatch.setattr(sandbox_module, "COMPILE_SERVER_FLAGS", ())
+        java = tmp_path / "java"
+        java.write_text(STUB_SERVER.format(python=sys.executable, mode=mode), encoding="utf-8")
+        java.chmod(0o755)
         return record_servers(monkeypatch)
 
     return start
 
 
+def stub_toolchain(tmp_path) -> Toolchain:
+    return Toolchain(javac=str(tmp_path / "javac"), java=str(tmp_path / "java"))
+
+
 def stub_compile(pool: CompilerPool, tmp_path, timeout: float):
-    return pool.compile(sys.executable, tmp_path, [], "Stub.java", timeout)
+    return pool.compile(stub_toolchain(tmp_path), tmp_path, [], "Stub.java", timeout)
 
 
 def test_stub_reply_in_pieces_is_put_together(stub_server, tmp_path, monkeypatch):
@@ -426,7 +450,7 @@ def test_stub_late_reply_times_out(stub_server, tmp_path):
         assert pool._idle == [] and not pool._closed
 
     # The read itself kills it: the server is dead before anything stops it.
-    server = sandbox_module._CompileServer(sys.executable)
+    server = sandbox_module._CompileServer(stub_toolchain(tmp_path).java, tmp_path)
     try:
         assert server.ready(10)
         assert server.compile(b"x\n", 0.3) is None and server.timed_out

@@ -20,7 +20,7 @@ from apisynth import sandbox as sandbox_module
 from apisynth.extractor import SourceUnit, extract_source_unit
 from apisynth.sandbox import CompilerPool, ParkedPool, Sandbox
 from apisynth.verdict import NO_ENTRY_POINT_DIAGNOSTIC, OutcomeKind
-from helpers import EagerParkedPool
+from helpers import EagerParkedPool, record_servers
 
 FIXTURES = [
     ("PalindromeChecker.java", "isPalindrome", 1, (1, 2, 3, 4, 5, 6)),
@@ -78,7 +78,7 @@ COLD_CASES = [
 
 @pytest.fixture()
 def pools():
-    with CompilerPool() as compilers, EagerParkedPool(compilers) as parked:
+    with CompilerPool() as compilers, EagerParkedPool() as parked:
         yield compilers, parked
 
 
@@ -184,7 +184,7 @@ def test_candidate_flags_print_nothing_of_their_own(jdk, pools, tmp_path):
         'public class One { public static void main(String[] a) { System.out.println("one line"); } }\n',
         encoding="utf-8",
     )
-    assert compilers.compile(jdk.java, tmp_path, [], "One.java", 60).exit_code == 0
+    assert compilers.compile(jdk, tmp_path, [], "One.java", 60).exit_code == 0
     cold = sandbox_module._execute(sandbox_module.candidate_argv(jdk.java, [], "One"), tmp_path, 30)
     assert (cold.exit_code, cold.stdout, cold.stderr) == (0, "one line\n", "")
     warm = parked.run(jdk, tmp_path, [], "One", 30)  # output before the launcher's marker refuses the run
@@ -369,9 +369,8 @@ def test_verdicts_do_not_depend_on_the_output_limit(jdk, pools, tmp_path, monkey
 
 
 def parked_spares(pool: ParkedPool, jdk) -> ParkedPool:
-    """The pool, with its launcher built and spares parked for no dependencies."""
-    assert pool._take(jdk, ()) is None  # compiles the launcher
-    pool._park(jdk.java, (), 2)
+    """The pool, with spares parked for no dependencies."""
+    pool._park(jdk, (), 2)
     return pool
 
 
@@ -389,7 +388,6 @@ def test_close_kills_and_reaps_idle_spares(jdk):
         spares = list(parked._idle)
     assert spares
     assert all(spare.proc.returncode is not None and not spare.home.exists() for spare in spares)
-    assert not parked._launcher_dir.exists()
 
 
 def test_idle_spares_are_bounded_by_concurrent_runs(jdk, pools, tmp_path):
@@ -410,7 +408,7 @@ def test_idle_spares_are_bounded_by_concurrent_runs(jdk, pools, tmp_path):
 def test_a_run_takes_a_spare_started_two_runs_before(jdk, tmp_path):
     """Without eager parking: the first run goes cold and parks two spares; each later run takes the oldest."""
     exits = unit_of(SAME_CASES[1])
-    with CompilerPool() as compilers, ParkedPool(compilers) as parked:
+    with CompilerPool() as compilers, ParkedPool() as parked:
         sandbox = Sandbox(jdk, compilers=compilers, parked=parked)
         sandbox.evaluate(exits, "f", (1,), tmp_path / "a1")
         first = list(parked._idle)
@@ -425,7 +423,6 @@ def test_a_run_takes_a_spare_started_two_runs_before(jdk, tmp_path):
         assert all(spare.proc.returncode is not None and not spare.home.exists() for spare in second)
         last = list(parked._idle)
     assert all(spare.proc.returncode is not None and not spare.home.exists() for spare in last)
-    assert not parked._launcher_dir.exists()
 
 
 def test_each_run_starts_one_spare_also_when_runs_overlap(jdk, tmp_path, monkeypatch):
@@ -442,7 +439,7 @@ def test_each_run_starts_one_spare_also_when_runs_overlap(jdk, tmp_path, monkeyp
         "public class Naps { public static void main(String[] a) throws Exception {\n"
         '    Thread.sleep(500);\n    System.out.println("All test cases passed.");\n} }\n'
     )
-    with CompilerPool() as compilers, ParkedPool(compilers) as parked:
+    with CompilerPool() as compilers, ParkedPool() as parked:
         sandbox = Sandbox(jdk, compilers=compilers, parked=parked)
         assert sandbox.evaluate(naps, "f", (1,), tmp_path / "a0").kind is OutcomeKind.PASS  # cold; parks two
         assert len(started) == 2
@@ -468,38 +465,29 @@ def test_each_run_starts_one_spare_also_when_runs_overlap(jdk, tmp_path, monkeyp
         assert len(parked._idle) == 2
 
 
-def test_launcher_compiles_through_a_warm_server(jdk, monkeypatch):
-    """With a compile server at hand, the launcher costs no cold javac."""
-    def no_cold_javac(argv, *args):
-        raise AssertionError(f"cold compile: {argv}")
-
-    monkeypatch.setattr(sandbox_module, "_execute", no_cold_javac)
-    with CompilerPool() as compilers, ParkedPool(compilers) as parked:
-        assert parked._take(jdk, ()) is None
-        assert parked._launcher.is_file()
-
-
 def test_a_launcher_that_does_not_compile_leaves_every_run_cold(jdk, tmp_path, monkeypatch, capsys):
-    """One warning, no spare started, and every run as from a cold sandbox."""
+    """One warning, no spare started, and every run as from a cold sandbox; compiles stay warm."""
     broken = tmp_path / "launcher" / sandbox_module.LAUNCHER.name
     broken.parent.mkdir()
     broken.write_text("public class SynthesisLauncher { not java }\n", encoding="utf-8")
     monkeypatch.setattr(sandbox_module, "LAUNCHER", broken)
     spares = []
     monkeypatch.setattr(sandbox_module, "_Spare", lambda *args: spares.append(args))
+    servers = record_servers(monkeypatch)
     cases = [unit_of(source) for source in SAME_CASES[:3]]
-    with CompilerPool() as compilers, EagerParkedPool(compilers) as parked:
+    with CompilerPool() as compilers, EagerParkedPool() as parked:
         warm, cold = Sandbox(jdk, compilers=compilers, parked=parked), Sandbox(jdk, compilers=compilers)
         for i, unit in enumerate(cases * 2):
             got = warm.evaluate(unit, "f", (1,), tmp_path / "parked" / str(i))
             assert got == cold.evaluate(unit, "f", (1,), tmp_path / "cold" / str(i)), unit.public_class_name
             assert files(tmp_path / "parked" / str(i)) == files(tmp_path / "cold" / str(i)), unit.public_class_name
+        (server,) = servers  # its build compiled the server alone, and that one server took every compile
+        assert compilers._idle == [server] and not compilers._closed
     assert parked.parked == [False] * len(cases) * 2
     assert spares == []
     assert capsys.readouterr().err == (
         f"warning: {jdk.javac} cannot compile {broken.name}; every run starts a cold java\n"
     )
-    assert not parked._launcher_dir.exists()
 
 
 def test_giving_up_stops_the_idle_spares(jdk, monkeypatch, capsys):
@@ -507,7 +495,7 @@ def test_giving_up_stops_the_idle_spares(jdk, monkeypatch, capsys):
     with parked_spares(ParkedPool(), jdk) as parked:
         idle = list(parked._idle)
         monkeypatch.setattr(sandbox_module, "_Spare", cannot_start)
-        parked._park(jdk.java, (), 1)
+        parked._park(jdk, (), 1)
         assert parked._closed and not parked._idle
         assert idle and all(spare.proc.returncode is not None and not spare.home.exists() for spare in idle)
         parked._give_up("another reason")  # said once, for the first
