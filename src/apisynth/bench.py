@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
@@ -260,17 +261,19 @@ def run_suite(
 
     With resume, tasks whose record already exists are skipped, except
     environment failures, which are retried so a repaired environment can
-    fill them in, and records that no longer decode, which are re-run.
+    fill them in, and records that no longer decode or that name another
+    task or suite, which are re-run.
     """
     records: dict[str, RunRecord] = {}
     pending = []
     for task in tasks:
         if resume:
             try:
-                existing = load_record(run_dir / task.id / "record.json")
+                existing = load_record(os.path.join(run_dir, task.id, "record.json"))
             except (OSError, ValueError):  # missing, not JSON or not UTF-8, or mistyped
                 existing = None
-            if existing and existing.final_status is not FinalStatus.FAILED_ENVIRONMENT:
+            ours = existing and (existing.task_id, existing.task_suite) == (task.id, task.suite)
+            if ours and existing.final_status is not FinalStatus.FAILED_ENVIRONMENT:
                 records[task.id] = existing
                 continue
         pending.append(task)

@@ -1,4 +1,9 @@
-"""Dataclasses as JSON: one codec derived from the fields, type-checked on decode."""
+"""Dataclasses as JSON: one codec derived from the fields, type-checked on decode.
+
+Task files and records are read with ``read_text``. A suite's task files are
+what ``tasks.task_files`` lists: every entry directly in the directory whose
+name ends in ``.json``, case-sensitive and dot-files included.
+"""
 
 from __future__ import annotations
 
@@ -43,9 +48,11 @@ def to_json_dict(obj) -> dict:
     return {f.metadata.get("json", f.name): _encode(getattr(obj, f.name)) for f in fields(obj)}
 
 
-def _items(item, value) -> list:
+def _items(item, allowed, value) -> list:
     if type(value) is not list:
         raise DecodeError("expected an array")
+    if allowed.issuperset(map(type, value)):  # only admitted scalars: one pass, no call per element
+        return value
     out = []
     try:
         for element in value:
@@ -56,6 +63,15 @@ def _items(item, value) -> list:
     return out
 
 
+def _scalar_types(hint) -> frozenset:
+    """The exact types a scalar or optional scalar annotation admits; empty for any other."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        (inner,) = [a for a in typing.get_args(hint) if a is not type(None)]
+        return _scalar_types(inner) | {type(None)} if inner in _SCALARS else frozenset()
+    # Exact types: JSON true decodes to a bool, which is no int.
+    return frozenset((int, float) if hint is float else (hint,)) if hint in _SCALARS else frozenset()
+
+
 def _decoder(hint):
     """A function that checks a JSON value against the annotation and rebuilds it."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -64,23 +80,22 @@ def _decoder(hint):
         decode = _decoder(inner)
         return lambda value: None if value is None else decode(value)
     if origin in (tuple, frozenset):
-        item = _decoder(args[0])
-        return lambda value: origin(_items(item, value))
+        item, allowed = _decoder(args[0]), _scalar_types(args[0])
+        return lambda value: origin(_items(item, allowed, value))
     if is_dataclass(hint):
-        return functools.partial(from_json_dict, hint)
+        return _object_decoder(hint)
     if issubclass(hint, Enum):
         message = "expected one of " + ", ".join(repr(m.value) for m in hint)
+        members = {m.value: m for m in hint}
 
         def member(value):
             try:
-                return hint(value)
-            except ValueError:
+                return members[value]
+            except (KeyError, TypeError):  # TypeError: an array or object is no key
                 raise DecodeError(message) from None
 
         return member
-    # Exact types: JSON true decodes to a bool, which is no int.
-    allowed = (int, float) if hint is float else (hint,)
-    message = "expected " + _SCALARS[hint]
+    allowed, message = _scalar_types(hint), "expected " + _SCALARS[hint]
 
     def scalar(value):
         if type(value) in allowed:
@@ -91,14 +106,32 @@ def _decoder(hint):
 
 
 @functools.cache
-def _field_decoders(cls) -> tuple[tuple[str, str, typing.Callable, bool], ...]:
-    """(name, JSON key, decoder, required) per field; type hints resolve once per class."""
+def _object_decoder(cls):
+    """One dataclass's decoder, built once; a scalar of an admitted type is taken as it is."""
     hints = typing.get_type_hints(cls)
-    decoders = []
-    for f in fields(cls):
-        required = f.default is MISSING and f.default_factory is MISSING
-        decoders.append((f.name, f.metadata.get("json", f.name), _decoder(hints[f.name]), required))
-    return tuple(decoders)
+    plan = tuple(
+        (f.name, f.metadata.get("json", f.name), _scalar_types(hints[f.name]),
+         _decoder(hints[f.name]), f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    )
+
+    def decode(data):
+        if type(data) is not dict:
+            raise DecodeError("expected an object")
+        kwargs = {}
+        for name, key, allowed, decode_field, required in plan:
+            try:
+                if key in data:
+                    value = data[key]
+                    kwargs[name] = value if type(value) in allowed else decode_field(value)
+                elif required:
+                    raise DecodeError("missing required field")
+            except DecodeError as exc:
+                exc.path = f".{key}{exc.path}"
+                raise
+        return cls(**kwargs)
+
+    return decode
 
 
 def from_json_dict(cls: type[T], data) -> T:
@@ -106,19 +139,14 @@ def from_json_dict(cls: type[T], data) -> T:
 
     A value that does not fit its annotation, or a missing required key, raises DecodeError.
     """
-    if type(data) is not dict:
-        raise DecodeError("expected an object")
-    kwargs = {}
-    for name, key, decode, required in _field_decoders(cls):
-        try:
-            if key in data:
-                kwargs[name] = decode(data[key])
-            elif required:
-                raise DecodeError("missing required field")
-        except DecodeError as exc:
-            exc.path = f".{key}{exc.path}"
-            raise
-    return cls(**kwargs)
+    return _object_decoder(cls)(data)
+
+
+def read_text(path: str | Path) -> str:
+    """The file as ``Path.read_text(encoding="utf-8")`` reads it, from one read of its bytes."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def save_json(obj, path: Path) -> None:

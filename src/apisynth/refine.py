@@ -13,7 +13,7 @@ from typing import Protocol
 from .extractor import ExtractionError, SourceUnit, extract_source_unit
 from .llm import BackendError, ChatBackend, TranscriptWriter
 from .prompting import Message, PromptTemplateSet, build_followup, build_initial_conversation
-from .records import from_json_dict, save_json
+from .records import from_json_dict, read_text, save_json
 from .sandbox import ToolchainError
 from .tasks import SynthesisTask
 from .verdict import AttemptOutcome, OutcomeKind
@@ -73,8 +73,8 @@ def save_record(record: RunRecord, path: Path) -> None:
     save_json(record, path)
 
 
-def load_record(path: Path) -> RunRecord:
-    return from_json_dict(RunRecord, json.loads(path.read_text(encoding="utf-8")))
+def load_record(path: str | Path) -> RunRecord:
+    return from_json_dict(RunRecord, json.loads(read_text(path)))
 
 
 def environment_record(task: SynthesisTask, reason: str) -> RunRecord:

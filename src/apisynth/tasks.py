@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .records import DecodeError, from_json_dict
+from .records import DecodeError, from_json_dict, read_text
 
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*$")
 
@@ -95,7 +95,7 @@ def parse_task_dict(data, ctx: str) -> SynthesisTask:
 
 def parse_task_file(path: Path) -> SynthesisTask:
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(read_text(path))
     except OSError as exc:
         raise TaskParseError(f"{path}: cannot read task file: {exc.strerror or exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -178,13 +178,16 @@ def validate_task(task: SynthesisTask, deps_dir: Path | None = None) -> list[str
 
 
 def task_files(path: Path) -> list[Path]:
-    """The task file at path, or the ``*.json`` files directly in a directory, by name."""
+    """The task file at path, or in a directory what ``sorted(path.glob("*.json"))`` lists."""
     path = Path(path)
     if not path.exists():
         raise TaskParseError(f"{path}: no such file or directory")
     if not path.is_dir():
         return [path]
-    files = sorted(path.glob("*.json"))
+    try:  # iterdir joins names without parsing them, unlike ``path / name``, which also interns each
+        files = sorted((f for f in path.iterdir() if f.name.endswith(".json")), key=lambda f: f.name)
+    except PermissionError:  # as glob does: an unreadable directory lists nothing
+        files = []
     if not files:
         raise TaskParseError(f"{path}: no task files found")
     return files

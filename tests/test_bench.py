@@ -494,6 +494,29 @@ def test_resume_reruns_a_truncated_record(repo_root, tmp_path):
     assert load_record(tmp_path / intact.id / "record.json") == records[2]
 
 
+def test_resume_reruns_a_record_of_another_task_or_suite(repo_root, tmp_path):
+    tasks = load_suite(repo_root / "tasks" / "sample")[:3]
+    run_suite(tasks, scripted_backend(), load_templates(), passing_sandbox(), tmp_path, transcript_in(tmp_path))
+    renamed, moved, intact = tasks
+    for task, key, value in ((renamed, "task_id", "some-other-task"), (moved, "task_suite", "old-suite")):
+        path = tmp_path / task.id / "record.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**data, key: value}), encoding="utf-8")
+
+    targets = [SAMPLE_TARGETS[task.id] for task in (renamed, moved)]
+    rerun = zip((renamed, moved), targets)
+    replies = {task.id: [java_response(f"    void {target}() {{ }}")] for task, target in rerun}
+    sandbox = StubSandbox(by_target={target: [ok()] for target in targets})
+    records = run_suite(
+        tasks, MockBackend(script=replies), load_templates(), sandbox, tmp_path, transcript_in(tmp_path),
+        resume=True, workers=1,
+    )
+    assert [call[0] for call in sandbox.calls] == targets
+    assert [(r.task_id, r.task_suite) for r in records] == [(t.id, t.suite) for t in tasks]
+    assert load_record(tmp_path / renamed.id / "record.json") == records[0]
+    assert load_record(tmp_path / moved.id / "record.json") == records[1]
+
+
 def test_resolved_dependency_lands_on_classpath(repo_root, tmp_path):
     needy = dataclasses.replace(load_suite(repo_root / "tasks" / "sample")[0], dependencies=("demo-dep",))
     deps = tmp_path / "deps"

@@ -319,6 +319,32 @@ def test_stored_record_layout_is_stable(tmp_path):
     assert [p.name for p in (tmp_path / "again").iterdir()] == ["record.json"]
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda d: d["attempts"][0]["outcome"].update(failing_ordinals=[3, True]),
+         "attempts[0].outcome.failing_ordinals[1]: expected an integer"),
+        (lambda d: d["attempts"][0]["outcome"].update(failing_ordinals=3),
+         "attempts[0].outcome.failing_ordinals: expected an array"),
+        (lambda d: d.update(attempts={}), "attempts: expected an array"),
+        (lambda d: d["attempts"][1]["outcome"].pop("kind"), "attempts[1].outcome.kind: missing required field"),
+        (lambda d: d.update(final_status=["solved"]), "final_status: expected one of 'solved', 'failed_budget', "
+         "'failed_same_error', 'failed_extraction', 'failed_environment'"),
+        (lambda d: d.update(wall_time_seconds=True), "wall_time_seconds: expected a number"),
+        (lambda d: d.update(error=5), "error: expected a string"),
+    ],
+    ids=["ordinal-true", "ordinals-int", "attempts-object", "no-kind", "status-array", "time-true", "error-int"],
+)
+def test_mistyped_record_names_the_json_path(tmp_path, change, message):
+    data = json.loads(STORED_RECORD)
+    change(data)
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        load_record(path)
+    assert str(excinfo.value) == message
+
+
 def test_record_without_optional_keys_loads():
     data = json.loads(STORED_RECORD)
     for key in ("attempts", "error"):

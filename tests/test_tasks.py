@@ -20,8 +20,10 @@ from apisynth.tasks import (
     resolve_dependencies,
     resolve_dependency,
     structural_violations,
+    task_files,
     validate_task,
 )
+from apisynth.refine import load_record
 from helpers import serialize_task
 
 
@@ -91,8 +93,11 @@ def _set_at(data, path: tuple, value) -> None:
         (("tests", 0, "ordinal"), 0, "tests[0].ordinal: expected a positive integer"),
         (("tests", 0, "ordinal"), True, "tests[0].ordinal: expected an integer"),
         (("tests", 0, "inputs", 1), None, "tests[0].inputs[1]: expected a string"),
+        (("signature", "throws"), ["E", 3], "signature.throws[1]: expected a string"),
+        (("deps",), "fastjson", "deps: expected an array"),
+        (("deps",), {"0": "fastjson"}, "deps: expected an array"),
     ],
-    ids=["param-name", "static", "ordinal-zero", "ordinal-true", "input"],
+    ids=["param-name", "static", "ordinal-zero", "ordinal-true", "input", "throws", "deps-string", "deps-object"],
 )
 def test_parse_error_names_file_and_field_path(tmp_path, path, value, message):
     task = make_task(
@@ -254,6 +259,85 @@ def test_load_suite_single_file(repo_root):
     tasks = load_suite(repo_root / "tasks" / "sample" / "get-range.json")
     assert isinstance(tasks, tuple)
     assert [t.id for t in tasks] == ["get-range"]
+
+
+def test_task_files_lists_what_glob_lists(tmp_path):
+    names = ["b.json", "a.json", ".json", ".hidden.json", "X.JSON", "Z.json", "é.json", "ä.json", "日本.json"]
+    for name in names + ["notes.txt", "a.json.bak", "json"]:
+        (tmp_path / name).write_text("{}", encoding="utf-8")
+    (tmp_path / "x.json").mkdir()
+    files = task_files(tmp_path)
+    assert files == sorted(tmp_path.glob("*.json"))
+    assert [f.name for f in files] == [
+        ".hidden.json", ".json", "Z.json", "a.json", "b.json", "x.json", "ä.json", "é.json", "日本.json"
+    ]
+    assert files[0] == tmp_path / ".hidden.json"
+
+
+def test_a_directory_named_like_a_task_file_fails_to_read(tmp_path):
+    (tmp_path / "a.json").write_text(json.dumps(serialize_task(make_task())), encoding="utf-8")
+    (tmp_path / "x.json").mkdir()
+    with pytest.raises(TaskParseError) as excinfo:
+        load_suite(tmp_path)
+    assert str(excinfo.value) == f"{tmp_path / 'x.json'}: cannot read task file: Is a directory"
+
+
+# A task file and a record as someone might write them by hand.
+TASK_TEXT = """{
+  "id": "t",
+  "suite": "s",
+  "signature": {"name": "m", "return_type": "int"},
+  "tests": [{"ordinal": 1, "inputs": [], "expected": "1"}]
+}
+"""
+RECORD_TEXT = """{
+  "task_id": "t",
+  "task_suite": "s",
+  "final_status": "solved",
+  "wall_time_seconds": 0.5
+}
+"""
+READERS = {"task": (TASK_TEXT, parse_task_file), "record": (RECORD_TEXT, load_record)}
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("kind", READERS)
+def test_files_with_crlf_or_cr_newlines_read_alike(tmp_path, kind, newline):
+    text, read = READERS[kind]
+    (tmp_path / "lf.json").write_bytes(text.encode())
+    (tmp_path / "other.json").write_bytes(text.replace("\n", newline).encode())
+    assert read(tmp_path / "other.json") == read(tmp_path / "lf.json")
+
+
+@pytest.mark.parametrize(
+    "kind, content, message",
+    [
+        ("task", TASK_TEXT[:-2].replace("\n", "\r\n").encode(),
+         "Expecting ',' delimiter: line 6 column 1 (char 142)"),
+        ("task", TASK_TEXT[:-2].replace("\n", "\r").encode(),
+         "Expecting ',' delimiter: line 6 column 1 (char 142)"),
+        ("task", b"\xef\xbb\xbf" + TASK_TEXT.encode(),
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        ("task", TASK_TEXT.encode().replace(b'"s"', b'"\xff"'),
+         "'utf-8' codec can't decode byte 0xff in position 27: invalid start byte"),
+        ("record", RECORD_TEXT[:-2].replace("\n", "\r\n").encode(),
+         "Expecting ',' delimiter: line 6 column 1 (char 96)"),
+        ("record", RECORD_TEXT[:-2].replace("\n", "\r").encode(),
+         "Expecting ',' delimiter: line 6 column 1 (char 96)"),
+        ("record", b"\xef\xbb\xbf" + RECORD_TEXT.encode(),
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        ("record", RECORD_TEXT.encode().replace(b'"s"', b'"\xff"'),
+         "'utf-8' codec can't decode byte 0xff in position 37: invalid start byte"),
+    ],
+    ids=[f"{kind}-{case}" for kind in READERS for case in ("crlf", "cr", "bom", "not-utf8")],
+)
+def test_unreadable_files_keep_their_error_text(tmp_path, kind, content, message):
+    """Positions count a CRLF or CR as one newline; a BOM is not skipped."""
+    path = tmp_path / "f.json"
+    path.write_bytes(content)
+    with pytest.raises((TaskParseError, ValueError)) as excinfo:
+        READERS[kind][1](path)
+    assert str(excinfo.value) == (f"{path}: invalid JSON: {message}" if kind == "task" else message)
 
 
 def test_load_suite_missing_path(tmp_path):
