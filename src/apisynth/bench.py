@@ -14,17 +14,9 @@ from typing import Sequence
 
 from .llm import ChatBackend, ConfigError, TranscriptWriter
 from .prompting import PromptTemplateSet
-from .refine import (
-    DEFAULT_MAX_FOLLOWUPS,
-    FinalStatus,
-    RunRecord,
-    SandboxLike,
-    environment_record,
-    load_record,
-    save_record,
-    synthesize,
-)
-from .tasks import SynthesisTask, resolve_dependencies
+from .refine import DEFAULT_MAX_FOLLOWUPS, FinalStatus, RunRecord, SandboxLike, load_record, synthesize
+from .refine import save_record  # unused here; perfbench/spans.py rebinds bench.save_record
+from .tasks import SynthesisTask
 from .verdict import OutcomeKind
 
 
@@ -230,6 +222,7 @@ def render_json(report: SuiteReport, baseline: Baseline | None = None) -> str:
 
 
 RENDERERS = {"markdown": render_markdown, "csv": render_csv, "json": render_json}
+REPORT_SUFFIXES = {"markdown": "md", "csv": "csv", "json": "json"}  # report.<suffix> per format
 
 
 def write_reports(
@@ -238,7 +231,7 @@ def write_reports(
     """Write all three report formats at the run root."""
     run_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
-    for fmt, suffix in (("markdown", "md"), ("csv", "csv"), ("json", "json")):
+    for fmt, suffix in REPORT_SUFFIXES.items():
         path = run_dir / f"report.{suffix}"
         path.write_text(RENDERERS[fmt](report, baseline), encoding="utf-8")
         paths[fmt] = path
@@ -278,20 +271,15 @@ def run_suite(
                 continue
         pending.append(task)
 
-    def work(task):
-        task_dir = run_dir / task.id
-        classpath, missing = resolve_dependencies(task, deps_dir)
-        if missing:
-            record = environment_record(task, "unresolved dependencies: " + ", ".join(missing))
-            save_record(record, task_dir / "record.json")
-            return record
-        return synthesize(
-            task, backend, templates, sandbox, task_dir, transcript, classpath, max_followups
-        )
-
     if pending:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(work, task): task for task in pending}
+            futures = [
+                pool.submit(
+                    synthesize, task, backend, templates, sandbox, run_dir / task.id, transcript, deps_dir,
+                    max_followups,
+                )
+                for task in pending
+            ]
             for future in as_completed(futures):
                 record = future.result()
                 records[record.task_id] = record

@@ -30,9 +30,8 @@ from .tasks import (
     TaskValidationError,
     is_path_segment,
     load_suite,
+    load_task,
     parse_task_file,
-    resolve_dependencies,
-    structural_violations,
     task_files,
     validate_task,
 )
@@ -120,6 +119,16 @@ def _run_dir(args: argparse.Namespace, resume: bool = False) -> Path:
     return out_dir / run_id
 
 
+def _exit_code(records: list[RunRecord]) -> int:
+    """synth's and bench's exit code: 2 when no record reached a verdict, 0 when every verdict is solved, else 1."""
+    verdicts = [r for r in records if r.final_status is not FinalStatus.FAILED_ENVIRONMENT]
+    if not verdicts:
+        return EXIT_ENVIRONMENT
+    if all(r.final_status is FinalStatus.SOLVED for r in verdicts):
+        return EXIT_OK
+    return EXIT_TASK_FAILED
+
+
 def _print_record(record: RunRecord) -> None:
     if record.final_status is FinalStatus.SOLVED:
         n = len(record.attempts)
@@ -162,24 +171,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     max_followups = _at_least(args, "max_followups", 0)
     timeouts = _timeouts(args)
     run_dir = _run_dir(args)
-    task = parse_task_file(Path(args.task))
-    violations = structural_violations(task)
-    if violations:
-        for violation in violations:
-            print(f"error: {task.id}: {violation}", file=sys.stderr)
-        return EXIT_ENVIRONMENT
+    task = load_task(Path(args.task))
     templates = load_templates(_path(args, "prompts"))
 
     if args.dry_run:
         conversation = build_initial_conversation(task, templates)
         sys.stdout.write(render_conversation_text(conversation))
         return EXIT_OK
-
-    classpath, missing = resolve_dependencies(task, _path(args, "deps"))
-    if missing:
-        for dep in missing:
-            print(f"error: dependency '{dep}' does not resolve", file=sys.stderr)
-        return EXIT_ENVIRONMENT
 
     transcript = TranscriptWriter(run_dir / "transcript.jsonl", backend_config.model)
     backend = make_backend(backend_config, _path(args, "mock_script"))
@@ -191,15 +189,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
             sandbox,
             run_dir / task.id,
             transcript,
-            classpath,
+            _path(args, "deps"),
             **_given(max_followups=max_followups),
         )
     _print_record(record)
-    if record.final_status is FinalStatus.SOLVED:
-        return EXIT_OK
-    if record.final_status is FinalStatus.FAILED_ENVIRONMENT:
-        return EXIT_ENVIRONMENT
-    return EXIT_TASK_FAILED
+    return _exit_code([record])
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -236,13 +230,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     write_reports(run_dir, report, baseline)
     sys.stdout.write(RENDERERS[output_format](report, baseline))
 
-    verdicts = [r for r in records if r.final_status is not FinalStatus.FAILED_ENVIRONMENT]
-    if not verdicts:
+    code = _exit_code(records)
+    if code == EXIT_ENVIRONMENT:
         print("error: no task reached a verdict", file=sys.stderr)
-        return EXIT_ENVIRONMENT
-    if all(r.final_status is FinalStatus.SOLVED for r in verdicts):
-        return EXIT_OK
-    return EXIT_TASK_FAILED
+    return code
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

@@ -15,7 +15,7 @@ from .llm import BackendError, ChatBackend, TranscriptWriter
 from .prompting import Message, PromptTemplateSet, build_followup, build_initial_conversation
 from .records import from_json_dict, read_text, save_json
 from .sandbox import ToolchainError
-from .tasks import SynthesisTask
+from .tasks import SynthesisTask, resolve_dependencies
 from .verdict import AttemptOutcome, OutcomeKind
 
 DEFAULT_MAX_FOLLOWUPS = 3
@@ -77,17 +77,6 @@ def load_record(path: str | Path) -> RunRecord:
     return from_json_dict(RunRecord, json.loads(read_text(path)))
 
 
-def environment_record(task: SynthesisTask, reason: str) -> RunRecord:
-    return RunRecord(
-        task_id=task.id,
-        task_suite=task.suite,
-        attempts=(),
-        final_status=FinalStatus.FAILED_ENVIRONMENT,
-        wall_time_seconds=0.0,
-        error=reason,
-    )
-
-
 def synthesize(
     task: SynthesisTask,
     backend: ChatBackend,
@@ -95,7 +84,7 @@ def synthesize(
     sandbox: SandboxLike,
     task_dir: Path,
     transcript: TranscriptWriter,
-    classpath: list[Path] | None = None,
+    deps_dir: Path | None = None,
     max_followups: int = DEFAULT_MAX_FOLLOWUPS,
 ) -> RunRecord:
     """Run the full loop for one task and persist its record under task_dir.
@@ -103,10 +92,12 @@ def synthesize(
     The conversation is continuous: each failed attempt appends the model's
     reply and one error-specific follow-up. The loop stops on a pass, on two
     consecutive attempts with the same error fingerprint, on an exhausted
-    follow-up budget, or on an environment fault (backend or toolchain). A
-    stop on unusable model output, which counts as a compile error until
-    then, is an extraction failure. The record and attempt directories that
-    an earlier run left in task_dir are removed first.
+    follow-up budget, or on an environment fault: a backend error, a
+    toolchain error, or a dependency that does not resolve under deps_dir,
+    which ends the task before the first model call. A stop on unusable
+    model output, which counts as a compile error until then, is an
+    extraction failure. The record and attempt directories that an earlier
+    run left in task_dir are removed first.
 
     Each reply goes to the transcript before its candidate is judged. The
     first attempt starts a new conversation there with the whole request;
@@ -124,6 +115,10 @@ def synthesize(
     final_status: FinalStatus | None = None
     error: str | None = None
     conversation_id: int | None = None
+    classpath, missing = resolve_dependencies(task, deps_dir)
+    if missing:
+        final_status = FinalStatus.FAILED_ENVIRONMENT
+        error = "unresolved dependencies: " + ", ".join(missing)
 
     try:
         while final_status is None:

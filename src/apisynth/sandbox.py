@@ -87,6 +87,9 @@ _MARKER_REACH = 64  # bytes carried from one read to the next, so a marker split
 _MARKERS_KEPT = 1000  # distinct markers kept from the dropped bytes of one stream
 _REPLY_HEADER = re.compile(rb"(\d+) (\d+) (\d+)\n")
 _SELECT_MAX = 3600.0  # seconds: epoll refuses a wait above about 2.1e6 s; the loop re-checks the deadline
+# Seconds a child's pipes are still read once its process group is killed: a
+# process that left the group (setsid) may hold them open for as long as it runs.
+DRAIN_GRACE = 0.5
 
 
 class ToolchainError(Exception):
@@ -180,17 +183,20 @@ class _Capture:
 
 
 def _collect(proc: subprocess.Popen, timeout: float, stdout_head: int = 0):
-    """proc's (stdout, stderr, timed out): both read to their end, its process group killed and proc reaped.
+    """proc's (stdout, stderr, timed out): both read, its process group killed and proc reaped.
 
     The group is killed once timeout passes, and in any case once proc has
-    exited, before it is reaped: so no process the child started outlives
-    it or holds its pipes open, and the group's id cannot have been reused.
+    exited, before it is reaped: so no process the child started in its
+    group outlives it, and the group's id cannot have been reused. From the
+    kill on, the pipes are read to their end for at most DRAIN_GRACE
+    seconds and then closed, so a process that left the group cannot hold
+    the run open; a proc that exited before timeout has not timed out.
     At most OUTPUT_LIMIT bytes of each stream are kept (see _Capture),
     beyond stdout_head bytes that precede the child's own output on stdout.
     """
     deadline = time.monotonic() + timeout
     out, err = _Capture(stdout_head + OUTPUT_LIMIT), _Capture(OUTPUT_LIMIT)
-    timed_out = False
+    timed_out = killed = False
     exit_fd = os.pidfd_open(proc.pid)  # readable once proc has exited, reaped or not
     try:
         with selectors.DefaultSelector() as selector:
@@ -198,15 +204,20 @@ def _collect(proc: subprocess.Popen, timeout: float, stdout_head: int = 0):
             selector.register(proc.stderr, selectors.EVENT_READ, err)
             selector.register(exit_fd, selectors.EVENT_READ)
             while selector.get_map():
-                if not timed_out and time.monotonic() >= deadline:
+                now = time.monotonic()
+                if now >= deadline:
+                    if killed:  # the grace is over
+                        break
                     # Kill the whole process group: javac/java may have forked.
-                    timed_out = True
+                    timed_out = killed = True
                     _kill_group(proc)
-                wait = None if timed_out else min(deadline - time.monotonic(), _SELECT_MAX)
-                for key, _ in selector.select(wait):
+                    deadline = now + DRAIN_GRACE
+                for key, _ in selector.select(min(deadline - now, _SELECT_MAX)):
                     if key.data is None:  # proc has exited: end what it left running, then drain
                         selector.unregister(exit_fd)
                         _kill_group(proc)
+                        if not killed:
+                            killed, deadline = True, time.monotonic() + DRAIN_GRACE
                         continue
                     chunk = os.read(key.fd, 1 << 16)
                     if chunk:

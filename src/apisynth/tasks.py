@@ -193,18 +193,23 @@ def task_files(path: Path) -> list[Path]:
     return files
 
 
+def load_task(path: Path) -> SynthesisTask:
+    """Parse one task file; a structural invariant violation fails the load."""
+    task = parse_task_file(path)
+    violations = structural_violations(task)
+    if violations:
+        raise TaskValidationError(f"{path}: task '{task.id}': " + "; ".join(violations))
+    return task
+
+
 def load_suite(path: Path) -> tuple[SynthesisTask, ...]:
     """Load the tasks of a directory of task files or of a single task file.
 
-    Tasks are returned in lexicographic id order. Structural invariant
-    violations and duplicate ids fail the load.
+    Tasks are returned in lexicographic id order. Each file loads as
+    load_task loads it, and duplicate ids fail the load.
     """
     files = task_files(path)
-    tasks = [parse_task_file(f) for f in files]
-    for task, origin in zip(tasks, files):
-        violations = structural_violations(task)
-        if violations:
-            raise TaskValidationError(f"{origin}: task '{task.id}': " + "; ".join(violations))
+    tasks = [load_task(f) for f in files]
     seen: dict[str, Path] = {}
     for task, origin in zip(tasks, files):
         if task.id in seen:

@@ -543,3 +543,39 @@ def test_resolved_dependency_lands_on_classpath(repo_root, tmp_path):
         deps_dir=deps,
     )
     assert captured[target] == [jar]
+
+
+def test_rerun_whose_dependency_no_longer_resolves_leaves_no_attempts(repo_root, tmp_path):
+    """A task run again without resume loses its earlier attempts also when its dependency is gone."""
+    needy = dataclasses.replace(load_suite(repo_root / "tasks" / "sample")[0], dependencies=("demo-dep",))
+    deps = tmp_path / "deps"
+    deps.mkdir()
+    (deps / "demo-dep.jar").write_bytes(b"PK")
+    target = SAMPLE_TARGETS[needy.id]
+
+    class WritingSandbox(StubSandbox):
+        def evaluate(self, unit, target_name, all_ordinals, workdir, classpath=None):
+            workdir.mkdir(parents=True)
+            return super().evaluate(unit, target_name, all_ordinals, workdir, classpath)
+
+    run_dir, task_dir = tmp_path / "run", tmp_path / "run" / needy.id
+    first = run_suite(
+        (needy,), scripted_backend(), load_templates(), WritingSandbox(by_target={target: [ok()]}), run_dir,
+        transcript_in(run_dir), deps_dir=deps,
+    )
+    assert first[0].final_status is FinalStatus.SOLVED
+    assert sorted(p.name for p in task_dir.iterdir()) == ["attempt-1", "record.json"]
+
+    (deps / "demo-dep.jar").unlink()
+    sandbox = StubSandbox()
+    second = run_suite(
+        (needy,), MockBackend(script={}), load_templates(), sandbox, run_dir, transcript_in(run_dir), deps_dir=deps
+    )
+    assert (second[0].final_status, second[0].error) == (
+        FinalStatus.FAILED_ENVIRONMENT,
+        "unresolved dependencies: demo-dep",
+    )
+    assert sorted(p.name for p in task_dir.iterdir()) == ["record.json"]
+    assert load_record(task_dir / "record.json") == second[0]
+    assert sandbox.calls == []
+    assert len(read_transcript(run_dir / "transcript.jsonl")) == 1

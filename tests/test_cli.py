@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -8,7 +9,7 @@ import pytest
 import apisynth.cli as cli
 from apisynth import sandbox as sandbox_module
 from apisynth.llm import read_transcript
-from apisynth.refine import load_record
+from apisynth.refine import FinalStatus, load_record
 from helpers import StubSandbox, compile_error, failing, java_response, ok, runtime_error
 
 
@@ -162,14 +163,49 @@ def test_mock_backend_requires_script(sample_task, tmp_path, capsys):
     assert "mock" in err
 
 
-def test_unresolved_dependency_exits_two(tmp_path, repo_root, capsys):
-    task = json.loads((repo_root / "tasks" / "extra" / "fastjson-read.json").read_text())
+def test_unresolved_dependency_exits_two(tmp_path, repo_root, monkeypatch, capsys):
+    """The backend is built first, as bench builds it; the task then ends as an environment failure."""
     path = tmp_path / "task.json"
-    path.write_text(json.dumps(task))
-    rc = cli.main(["synth", str(path), "--out", str(tmp_path / "runs"), "--run-id", "t1"])
-    err = capsys.readouterr().err
+    path.write_text((repo_root / "tasks" / "extra" / "fastjson-read.json").read_text())
+    out = ["--out", str(tmp_path / "runs"), "--run-id", "t1"]
+    rc = cli.main(["synth", str(path), *out])
     assert rc == 2
-    assert "fastjson" in err
+    assert "OPENAI_API_KEY" in capsys.readouterr().err
+
+    stub_sandbox_factory(monkeypatch, StubSandbox())
+    rc = cli.main(["synth", str(path), "--backend", "mock", "--mock-script",
+                   write_script(tmp_path / "script.json", []), *out])
+    assert rc == 2
+    assert capsys.readouterr() == ("not solved: failed_environment (unresolved dependencies: fastjson)\n", "")
+    record = load_record(tmp_path / "runs" / "t1" / "fastjson-read" / "record.json")
+    assert (record.final_status, record.error, record.attempts) == (
+        FinalStatus.FAILED_ENVIRONMENT,
+        "unresolved dependencies: fastjson",
+        (),
+    )
+
+
+def test_synth_and_bench_record_an_unresolved_dependency_alike(tmp_path, repo_root, monkeypatch, capsys):
+    """Neither command asks the model or runs a candidate; both write the same record and exit 2."""
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "t.json").write_text((repo_root / "tasks" / "extra" / "fastjson-read.json").read_text())
+    sandbox = StubSandbox()
+    stub_sandbox_factory(monkeypatch, sandbox)
+    script = write_script(tmp_path / "script.json", [])
+    records = {}
+    for command, target in (("synth", suite / "t.json"), ("bench", suite)):
+        rc = cli.main([command, str(target), "--backend", "mock", "--mock-script", script,
+                       "--out", str(tmp_path / "runs"), "--run-id", command])
+        assert rc == 2, command
+        run_dir = tmp_path / "runs" / command
+        records[command] = load_record(run_dir / "fastjson-read" / "record.json")
+        assert not (run_dir / "transcript.jsonl").exists(), command
+    assert capsys.readouterr().err == "error: no task reached a verdict\n"
+    synth, bench = records["synth"], records["bench"]
+    assert (synth.final_status, synth.attempts) == (FinalStatus.FAILED_ENVIRONMENT, ())
+    assert synth == dataclasses.replace(bench, wall_time_seconds=synth.wall_time_seconds)
+    assert sandbox.calls == []
 
 
 # --- option precedence ------------------------------------------------------
@@ -235,13 +271,17 @@ def test_synth_structural_violations_exit_two(tmp_path, repo_root, monkeypatch, 
     path.write_text(json.dumps(task))
     sandbox = StubSandbox()
     stub_sandbox_factory(monkeypatch, sandbox)
-    rc = cli.main(["synth", str(path), "--backend", "mock", "--mock-script",
-                   write_script(tmp_path / "script.json", []), "--out", str(tmp_path / "runs")])
+    common = ["--backend", "mock", "--mock-script", write_script(tmp_path / "script.json", []),
+              "--out", str(tmp_path / "runs")]
+    rc = cli.main(["synth", str(path), *common])
     assert rc == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "error: ellipse-area: duplicate test case ordinal 1",
-        "error: ellipse-area: test case ordinals must be 1..N consecutive, got [1, 3, 4]",
-    ]
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {path}: task 'ellipse-area': duplicate test case ordinal 1; "
+        "test case ordinals must be 1..N consecutive, got [1, 3, 4]\n"
+    )
+    assert cli.main(["bench", str(path), *common]) == 2
+    assert capsys.readouterr().err == err
     assert sandbox.calls == []
 
 
@@ -283,12 +323,11 @@ def test_task_id_that_escapes_the_run_dir_is_refused(repo_root, tmp_path, monkey
 
     rc = cli.main(["synth", str(task_file), *common])
     assert rc == 2
-    assert capsys.readouterr().err == (
-        "error: ../../escaped: task id '../../escaped' is not a single path segment\n"
-    )
+    err = capsys.readouterr().err
+    assert err == f"error: {task_file}: task '../../escaped': task id '../../escaped' is not a single path segment\n"
     rc = cli.main(["bench", str(task_file.parent), *common])
     assert rc == 2
-    assert "task id '../../escaped' is not a single path segment" in capsys.readouterr().err
+    assert capsys.readouterr().err == err
     assert sandbox.calls == []
     assert not (tmp_path / "escaped").exists()
 

@@ -7,11 +7,9 @@ import json
 
 import pytest
 
-from apisynth.bench import RENDERERS, aggregate, load_baseline
+from apisynth.bench import RENDERERS, REPORT_SUFFIXES as SUFFIXES, aggregate, load_baseline
 from apisynth.refine import load_record
 from helpers import load_script
-
-SUFFIXES = {"markdown": "md", "csv": "csv", "json": "json"}
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,7 @@ import pytest
 from apisynth import sandbox as sandbox_module
 from apisynth.extractor import SourceUnit, extract_source_unit
 from apisynth.sandbox import CompilerPool, ParkedPool, Sandbox
-from apisynth.verdict import NO_ENTRY_POINT_DIAGNOSTIC, OutcomeKind
+from apisynth.verdict import NO_ENTRY_POINT_DIAGNOSTIC, TIMEOUT_DIAGNOSTIC, OutcomeKind
 from helpers import EagerParkedPool, record_servers
 
 FIXTURES = [
@@ -290,6 +290,67 @@ def test_a_run_ends_when_its_jvm_does_though_a_child_holds_its_output(jdk, pools
         assert sandbox.evaluate(inherits, "f", (1,), tmp_path / side).kind is OutcomeKind.PASS, side
         assert time.monotonic() - start < 10, side
         assert "(timed out)" not in (tmp_path / side / "run.log").read_text(encoding="utf-8")
+    assert parked.parked == [True]
+
+
+def detaches(name: str, then: str) -> SourceUnit:
+    """A candidate that starts a `setsid sleep 30` sharing its output, prints its pid, then runs `then`."""
+    return unit_of(
+        "import java.nio.file.*;\n"
+        f"public class {name} {{ public static void main(String[] a) throws Exception {{\n"
+        '    Process p = new ProcessBuilder("setsid", "sleep", "30").inheritIO().start();\n'
+        '    Path comm = Path.of("/proc/" + p.pid() + "/comm");\n'
+        '    while (!Files.readString(comm).trim().equals("sleep")) Thread.sleep(5);  // setsid has run\n'
+        '    System.out.println("pid " + p.pid());\n'
+        f"    {then}\n}} }}\n"
+    )
+
+
+def kill_detached(workdir: Path) -> None:
+    match = re.search(r"^pid (\d+)$", (workdir / "run.log").read_text(encoding="utf-8"), re.M)
+    assert match, "the candidate printed no pid"
+    with contextlib.suppress(ProcessLookupError):
+        os.kill(int(match.group(1)), signal.SIGKILL)
+
+
+def run_seconds(workdir: Path) -> float:
+    return float(re.search(r"^exit: .*\((\d+\.\d+)s\)", (workdir / "run.log").read_text(encoding="utf-8"), re.M)[1])
+
+
+needs_setsid = pytest.mark.skipif(shutil.which("setsid") is None, reason="needs setsid")
+
+
+@needs_setsid
+def test_a_run_ends_when_its_jvm_does_though_a_detached_child_holds_its_output(jdk, pools, tmp_path):
+    """A child in a session of its own outlives the process group's kill; its pipes are read for DRAIN_GRACE only."""
+    compilers, parked = pools
+    unit = detaches("Detached", 'System.out.println("All test cases passed.");')
+    for side, sandbox in (("parked", Sandbox(jdk, run_timeout=20.0, compilers=compilers, parked=parked)),
+                          ("cold", Sandbox(jdk, run_timeout=20.0, compilers=compilers))):
+        start = time.monotonic()
+        try:
+            assert sandbox.evaluate(unit, "f", (1,), tmp_path / side).kind is OutcomeKind.PASS, side
+        finally:
+            kill_detached(tmp_path / side)
+        assert time.monotonic() - start < 10, side
+        assert "(timed out)" not in (tmp_path / side / "run.log").read_text(encoding="utf-8")
+    assert parked.parked == [True]
+
+
+@needs_setsid
+def test_a_timed_out_run_ends_though_a_detached_child_holds_its_output(jdk, pools, tmp_path):
+    """A candidate that outlives its timeout returns within the timeout and DRAIN_GRACE, its child still running."""
+    compilers, parked = pools
+    unit = detaches("Lingering", "Thread.sleep(60_000);")
+    timeout = 3.0
+    for side, sandbox in (("parked", Sandbox(jdk, run_timeout=timeout, compilers=compilers, parked=parked)),
+                          ("cold", Sandbox(jdk, run_timeout=timeout, compilers=compilers))):
+        try:
+            outcome = sandbox.evaluate(unit, "f", (1,), tmp_path / side)
+        finally:
+            kill_detached(tmp_path / side)
+        assert (outcome.kind, outcome.detail) == (OutcomeKind.RUNTIME_ERROR, TIMEOUT_DIAGNOSTIC), side
+        assert run_seconds(tmp_path / side) < timeout + sandbox_module.DRAIN_GRACE + 0.2, side
     assert parked.parked == [True]
 
 

@@ -4,6 +4,9 @@ perfbench/spans.py swaps module attributes of ``refine``, ``bench`` and
 ``cli`` for timing wrappers, and perfbench/workloads.py swaps the CLI's two
 factories. Its ``patched`` fails on a name that is gone, so a refactor that
 drops one of them breaks the benchmark; this test makes it fail the test suite too.
+So ``bench`` still imports ``save_record``, which spans.py rebinds there,
+though no code in ``bench`` calls it: ``refine.synthesize`` saves every
+record, an environment failure's too, through ``refine.save_record``.
 
 perfbench/workloads.py also reads loaded records and copies them with
 ``dataclasses.replace``. A field it reads that became a property would make

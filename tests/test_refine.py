@@ -11,7 +11,6 @@ from apisynth.records import from_json_dict, to_json_dict
 from apisynth.refine import (
     FinalStatus,
     RunRecord,
-    environment_record,
     load_record,
     save_record,
     synthesize,
@@ -245,13 +244,6 @@ def test_an_interrupted_rerun_leaves_no_stale_record(ellipse_task, tmp_path):
         resume=True,
     )
     assert [len(record.attempts) for record in rerun] == [2]
-
-
-def test_environment_record_shape(ellipse_task):
-    record = environment_record(ellipse_task, "unresolved dependencies: fastjson")
-    assert record.final_status is FinalStatus.FAILED_ENVIRONMENT
-    assert record.attempts == ()
-    assert "fastjson" in record.error
 
 
 def test_record_dict_round_trip(ellipse_task, tmp_path):
