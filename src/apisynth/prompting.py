@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-import textwrap
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -44,13 +43,6 @@ class Message:
             raise PromptError("message content must be non-empty")
 
 
-@dataclass(frozen=True)
-class Exemplar:
-    method_line: str
-    test_lines: tuple[str, ...]
-    output_code: str
-
-
 _STEP_RE = re.compile(r"^\s*Step (\d+) - ", re.MULTILINE)
 
 
@@ -58,7 +50,7 @@ _STEP_RE = re.compile(r"^\s*Step (\d+) - ", re.MULTILINE)
 class PromptTemplateSet:
     role_text: str
     instruction_text: str
-    exemplars: tuple[Exemplar, ...]
+    examples: str
     task_frame: str
     output_directive: str
 
@@ -92,34 +84,16 @@ def render_test_cases(test_cases: Sequence[TestCase]) -> list[str]:
     return lines
 
 
-def _render_exemplar(exemplar: Exemplar) -> str:
-    return "\n".join(
-        [
-            _tag_block("method", _indent(exemplar.method_line, 4)),
-            _tag_block("TestCases", _indent("\n".join(exemplar.test_lines), 4)),
-            _tag_block("output", _indent(exemplar.output_code, 4)),
-        ]
-    )
-
-
 def build_initial_conversation(
     task: SynthesisTask, templates: PromptTemplateSet
 ) -> list[Message]:
     """The two-message opening: persona, then instructions + examples + task."""
     system = Message("system", _tag_block("Role", _indent(templates.role_text, 4)))
 
-    n = len(templates.exemplars)
-    if n == 0:
-        examples_block = _tag_block("examples", "")
-    else:
-        intro = "Here is one example:" if n == 1 else f"Here are {n} examples:"
-        body = intro + "\n" + "\n".join(_render_exemplar(e) for e in templates.exemplars)
-        examples_block = _tag_block("examples", _indent(body, 4))
-
     user_content = "\n".join(
         [
             _tag_block("Instruction", _indent(templates.instruction_text, 4)),
-            examples_block,
+            _tag_block("examples", _indent(templates.examples, 4)),
             templates.task_frame,
             _tag_block("method", _indent(task.signature.render(), 4)),
             _tag_block("TestCases", _indent("\n".join(render_test_cases(task.test_cases)), 4)),
@@ -157,49 +131,34 @@ def build_followup(outcome: AttemptOutcome) -> str:
     raise PromptError("no follow-up is defined for a passing attempt")
 
 
-_EXEMPLAR_RE = re.compile(
-    r"<method>\n(.*?)\n?</method>\s*<TestCases>\n(.*?)\n?</TestCases>\s*<output>\n(.*?)\n?</output>",
-    re.DOTALL,
-)
-
-
-def parse_exemplar(text: str, origin: str) -> Exemplar:
-    match = _EXEMPLAR_RE.search(text)
-    if match is None:
-        raise PromptError(
-            f"{origin}: exemplar must contain <method>, <TestCases> and <output> blocks"
-        )
-    test_lines = tuple(line.strip() for line in match.group(2).splitlines() if line.strip())
-    if not test_lines:
-        raise PromptError(f"{origin}: exemplar has no test case lines")
-    return Exemplar(
-        method_line=match.group(1).strip(),
-        test_lines=test_lines,
-        output_code=textwrap.dedent(match.group(3)).strip("\n"),
-    )
-
-
 def load_templates(prompts_dir: Path | None = None) -> PromptTemplateSet:
-    """Load templates from a directory, falling back to the packaged defaults.
+    """Load the five templates, each from prompts_dir when it holds the file, else packaged.
 
-    A custom directory may override any subset: role.txt, instruction.txt,
-    task_frame.txt, output_directive.txt, exemplars/*.txt.
+    A custom directory may override any subset of role.txt, instruction.txt,
+    examples.txt, task_frame.txt and output_directive.txt; each is inserted
+    as written, less its trailing newlines. A directory that does not exist,
+    a template that is not UTF-8, and an exemplars/ directory (examples once
+    were one file each there) raise PromptError.
     """
-
-    def pick(name: str, present) -> Path:
-        if prompts_dir is not None and present(Path(prompts_dir) / name):
-            return Path(prompts_dir) / name
-        return PACKAGED_PROMPTS / name
+    custom = Path(prompts_dir) if prompts_dir is not None else None
+    if custom is not None and not custom.is_dir():
+        raise PromptError(f"{custom}: not a prompt directory")
+    if custom is not None and (custom / "exemplars").is_dir():
+        raise PromptError(
+            f"{custom}/exemplars/ is no longer read: write the examples as sent to {custom}/examples.txt"
+        )
 
     def read(name: str) -> str:
-        return pick(name, Path.is_file).read_text(encoding="utf-8").rstrip("\n")
-
-    exemplar_files = sorted(pick("exemplars", Path.is_dir).glob("*.txt"))
+        path = custom / name if custom is not None and (custom / name).is_file() else PACKAGED_PROMPTS / name
+        try:
+            return path.read_text(encoding="utf-8").rstrip("\n")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise PromptError(f"{path}: cannot read prompt template: {exc}") from exc
 
     return PromptTemplateSet(
         role_text=read("role.txt"),
         instruction_text=read("instruction.txt"),
-        exemplars=tuple(parse_exemplar(p.read_text(encoding="utf-8"), str(p)) for p in exemplar_files),
+        examples=read("examples.txt"),
         task_frame=read("task_frame.txt"),
         output_directive=read("output_directive.txt"),
     )

@@ -533,6 +533,38 @@ def test_mock_script_not_utf8_exits_two(sample_task, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {script}: cannot load mock script: 'utf-8' codec")
 
 
+def test_missing_prompt_directory_exits_two(sample_task, tmp_path, capsys):
+    missing = tmp_path / "nonexistent"
+    rc = cli.main(["synth", sample_task, "--dry-run", "--prompts", str(missing)])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: {missing}: not a prompt directory\n")
+
+
+def test_prompt_template_not_utf8_exits_two(sample_task, tmp_path, capsys):
+    (tmp_path / "role.txt").write_bytes(NOT_UTF8)
+    rc = cli.main(["synth", sample_task, "--dry-run", "--prompts", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {tmp_path / 'role.txt'}: cannot read prompt template: 'utf-8' codec")
+    assert captured.err.count("\n") == 1
+
+
+def test_prompt_directory_with_exemplars_exits_two(sample_suite, tmp_path, monkeypatch, capsys):
+    """Examples are one file, examples.txt; an exemplars/ directory left from before is refused, not ignored."""
+    prompts = tmp_path / "prompts"
+    (prompts / "exemplars").mkdir(parents=True)
+    sandbox = all_pass_sandbox()
+    stub_sandbox_factory(monkeypatch, sandbox)
+    rc = cli.main(bench_args(sample_suite, tmp_path, bench_script(tmp_path), "--prompts", str(prompts)))
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: {prompts}/exemplars/ is no longer read: write the examples as sent to {prompts}/examples.txt\n",
+    )
+    assert sandbox.calls == []
+
+
 def test_empty_mock_response_exits_two_before_any_task(sample_task, sample_suite, tmp_path, monkeypatch, capsys):
     sandbox = all_pass_sandbox()
     stub_sandbox_factory(monkeypatch, sandbox)

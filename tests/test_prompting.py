@@ -6,7 +6,6 @@ from apisynth.prompting import (
     COMPILE_FOLLOWUP,
     FAILING_FOLLOWUP_TEMPLATE,
     RUNTIME_FOLLOWUP,
-    Exemplar,
     Message,
     PromptError,
     PromptTemplateSet,
@@ -14,7 +13,6 @@ from apisynth.prompting import (
     build_initial_conversation,
     format_ordinals,
     load_templates,
-    parse_exemplar,
     render_conversation_text,
     render_test_cases,
 )
@@ -46,18 +44,6 @@ def test_initial_conversation_is_deterministic(ellipse_task, templates):
     assert render_conversation_text(first) == render_conversation_text(second)
 
 
-def test_single_exemplar_intro(ellipse_task, templates):
-    one = PromptTemplateSet(
-        role_text=templates.role_text,
-        instruction_text=templates.instruction_text,
-        exemplars=templates.exemplars[:1],
-        task_frame=templates.task_frame,
-        output_directive=templates.output_directive,
-    )
-    text = render_conversation_text(build_initial_conversation(ellipse_task, one))
-    assert "Here is one example:" in text
-
-
 def test_instruction_must_have_eight_steps(templates):
     truncated = "\n".join(
         line for line in templates.instruction_text.split("\n") if "Step 8" not in line
@@ -66,7 +52,7 @@ def test_instruction_must_have_eight_steps(templates):
         PromptTemplateSet(
             role_text=templates.role_text,
             instruction_text=truncated,
-            exemplars=templates.exemplars,
+            examples=templates.examples,
             task_frame=templates.task_frame,
             output_directive=templates.output_directive,
         )
@@ -127,19 +113,13 @@ def test_followup_constants_share_repair_clause():
         assert text.endswith(clause)
 
 
-def test_parse_exemplar_rejects_missing_blocks():
-    with pytest.raises(PromptError):
-        parse_exemplar("<method>\nint f()\n</method>", "broken.txt")
-
-
 def test_load_templates_defaults(templates):
-    assert len(templates.exemplars) == 5
+    assert templates.examples.startswith(
+        "Here are 5 examples:\n<method>\n    List<Integer> GetRange(int start, int end)\n</method>\n"
+        "<TestCases>\n    1. start = 10, end = 9 -> output: []\n"
+    )
     assert templates.task_frame == "Now, give you the following method signature and test cases:"
     assert templates.output_directive == "Please output the results. Only output complete code."
-    first = templates.exemplars[0]
-    assert first.method_line == "List<Integer> GetRange(int start, int end)"
-    assert first.test_lines[0] == "1. start = 10, end = 9 -> output: []"
-    assert first.output_code.startswith("List<Integer> GetRange(int start, int end) {")
 
 
 def test_load_templates_directory_override(tmp_path, ellipse_task):
@@ -147,23 +127,37 @@ def test_load_templates_directory_override(tmp_path, ellipse_task):
     templates = load_templates(tmp_path)
     assert templates.role_text == "You are a terse code generator."
     # everything else still comes from the packaged defaults
-    assert len(templates.exemplars) == 5
+    assert templates.examples == load_templates().examples
     text = render_conversation_text(build_initial_conversation(ellipse_task, templates))
     assert "<Role>\n    You are a terse code generator.\n</Role>" in text
 
 
-def test_exemplar_override_directory(tmp_path, ellipse_task, templates):
-    exemplar_dir = tmp_path / "exemplars"
-    exemplar_dir.mkdir()
-    (exemplar_dir / "only.txt").write_text(
-        "<method>\nint one()\n</method>\n"
-        "<TestCases>\n1. -> 1\n</TestCases>\n"
-        "<output>\nint one() { return 1; }\n</output>\n",
+def test_examples_override_is_inserted_as_written(tmp_path, ellipse_task):
+    (tmp_path / "examples.txt").write_text(
+        "Here is one example:\n<method>\n    int one()\n</method>\n"
+        "<TestCases>\n    1. -> 1\n</TestCases>\n<output>\n    int one() { return 1; }\n</output>\n",
         encoding="utf-8",
     )
-    loaded = load_templates(tmp_path)
-    assert loaded.exemplars == (
-        Exemplar(method_line="int one()", test_lines=("1. -> 1",), output_code="int one() { return 1; }"),
-    )
-    text = render_conversation_text(build_initial_conversation(ellipse_task, loaded))
-    assert "Here is one example:" in text
+    text = render_conversation_text(build_initial_conversation(ellipse_task, load_templates(tmp_path)))
+    assert (
+        "<examples>\n"
+        "    Here is one example:\n"
+        "    <method>\n"
+        "        int one()\n"
+        "    </method>\n"
+        "    <TestCases>\n"
+        "        1. -> 1\n"
+        "    </TestCases>\n"
+        "    <output>\n"
+        "        int one() { return 1; }\n"
+        "    </output>\n"
+        "</examples>\n"
+        "Now, give you"
+    ) in text
+
+
+def test_empty_examples_render_an_empty_block(tmp_path, ellipse_task):
+    (tmp_path / "examples.txt").write_text("", encoding="utf-8")
+    text = render_conversation_text(build_initial_conversation(ellipse_task, load_templates(tmp_path)))
+    assert "</Instruction>\n<examples>\n</examples>\nNow, give you" in text
+
