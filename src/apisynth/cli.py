@@ -26,14 +26,14 @@ from .prompting import (
 from .refine import FinalStatus, RunRecord, synthesize
 from .sandbox import CompilerPool, ParkedPool, Sandbox, ToolchainError, usable_cores
 from .tasks import (
-    TaskParseError,
-    TaskValidationError,
+    TaskError,
     is_path_segment,
     load_suite,
     load_task,
     parse_task_file,
+    resolve_dependencies,
+    structural_violations,
     task_files,
-    validate_task,
 )
 from .verdict import OutcomeKind
 
@@ -238,16 +238,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     deps_dir = _path(args, "deps")
+    where = deps_dir if deps_dir is not None else "an unconfigured dependency directory"
     failed = unparsed = False
     seen: dict[str, Path] = {}
     for file in task_files(Path(args.path)):
         try:
             task = parse_task_file(file)
-        except TaskParseError as exc:
+        except TaskError as exc:
             print(f"error: {exc}", file=sys.stderr)
             unparsed = True
             continue
-        violations = validate_task(task, deps_dir)
+        violations = structural_violations(task)
+        _, missing = resolve_dependencies(task, deps_dir)
+        violations += [f"dependency '{dep}' does not resolve under {where}" for dep in missing]
         if task.id in seen:
             violations.append(f"duplicate task id (first seen in {seen[task.id]})")
         seen.setdefault(task.id, file)
@@ -315,14 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ConfigError,
-        BackendError,
-        ToolchainError,
-        TaskParseError,
-        TaskValidationError,
-        PromptError,
-    ) as exc:
+    except (ConfigError, BackendError, ToolchainError, TaskError, PromptError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENVIRONMENT
 

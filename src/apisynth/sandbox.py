@@ -650,10 +650,9 @@ class Sandbox:
 
         The run is None when the compile failed or there is no class to run
         (main_class None). A cold javac's fault exit raises ToolchainError.
+        Classpath entries are absolute, as tasks.resolve_dependencies gives them.
         """
-        # Relative entries count from workdir, as for javac and java run in it. A compile server and a parked
-        # JVM run elsewhere, so each is resolved, through symlinks, to one path whatever the attempt directory.
-        classpath = [os.fspath(p) if os.path.isabs(p) else os.path.realpath(workdir / p) for p in classpath]
+        classpath = [os.fspath(p) for p in classpath]
         argv = [self.toolchain.javac, *(["-cp", os.pathsep.join(classpath)] if classpath else []), source_name]
         compiled = None
         if self.compilers is not None:

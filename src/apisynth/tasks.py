@@ -10,14 +10,11 @@ from pathlib import Path
 from .records import DecodeError, from_json_dict, read_text
 
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*$")
+NAME_MAX = 255  # Linux's limit on the bytes of one file name
 
 
-class TaskParseError(Exception):
-    """A task file could not be parsed; the message names the file and field."""
-
-
-class TaskValidationError(Exception):
-    """A loaded task or suite violates a structural invariant."""
+class TaskError(Exception):
+    """A task file cannot be read or decoded, or a task or suite breaks a rule; the message names the file."""
 
 
 @dataclass(frozen=True)
@@ -47,12 +44,13 @@ class MethodSignature:
 class TestCase:
     """One behavioral example: either inputs -> expected, or an assertion script.
 
+    structural_violations checks that a case has one shape; a key given as null counts as absent.
     Script-style cases cover behaviors a single expected value cannot express,
     such as reference-mutating methods and multi-assertion checks.
     """
 
     ordinal: int
-    inputs: tuple[str, ...] = ()
+    inputs: tuple[str, ...] | None = None
     expected: str | None = None
     script: str | None = None
     description: str | None = None
@@ -72,49 +70,38 @@ class SynthesisTask:
     notes: str | None = None
 
 
-def parse_task_dict(data, ctx: str) -> SynthesisTask:
-    """Decode a task file's JSON; ctx (the file) leads every error message."""
-    try:
-        task = from_json_dict(SynthesisTask, data)
-    except DecodeError as exc:
-        raise TaskParseError(f"{ctx}: {exc}") from exc
-    # Which shape a test case has is decided by the keys it gives.
-    for index, (raw, case) in enumerate(zip(data["tests"], task.test_cases)):
-        where = f"{ctx}: tests[{index}]"
-        if case.ordinal < 1:
-            raise TaskParseError(f"{where}.ordinal: expected a positive integer")
-        if "script" in raw:
-            if "inputs" in raw or "expected" in raw:
-                raise TaskParseError(f"{where}: use either 'inputs'/'expected' or 'script', not both")
-            if not (case.script or "").strip():
-                raise TaskParseError(f"{where}.script: expected a non-empty string")
-        elif "inputs" not in raw or case.expected is None:
-            raise TaskParseError(f"{where}: needs 'inputs' and a string 'expected', or a 'script'")
-    return task
-
-
 def parse_task_file(path: Path) -> SynthesisTask:
+    """Read and decode one task file, whose rules structural_violations checks; an error names the file."""
     try:
-        data = json.loads(read_text(path))
+        return from_json_dict(SynthesisTask, json.loads(read_text(path)))
     except OSError as exc:
-        raise TaskParseError(f"{path}: cannot read task file: {exc.strerror or exc}") from exc
+        raise TaskError(f"{path}: cannot read task file: {exc.strerror or exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise TaskParseError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_task_dict(data, str(path))
+        raise TaskError(f"{path}: invalid JSON: {exc}") from exc
+    except DecodeError as exc:
+        raise TaskError(f"{path}: {exc}") from exc
 
 
 def is_path_segment(name: str) -> bool:
-    """Whether name can be one directory name: not empty, "." or "..", no "/" or NUL."""
-    return name not in ("", ".", "..") and "/" not in name and "\0" not in name
+    """Whether name can be one file name: not empty, "." or "..", no "/" or NUL, at most NAME_MAX bytes of UTF-8."""
+    return (
+        name not in ("", ".", "..") and "/" not in name and "\0" not in name
+        and len(name.encode("utf-8", "surrogatepass")) <= NAME_MAX
+    )
+
+
+def is_dependency_id(name: str) -> bool:
+    """Whether name is one path segment and so is ``<name>.jar``, the first file it resolves to."""
+    return is_path_segment(name) and is_path_segment(f"{name}.jar")
 
 
 def structural_violations(task: SynthesisTask) -> list[str]:
-    """Invariant violations that are intrinsic to the task data itself."""
+    """Every rule of the format the task breaks; a rule on a test case names it by JSON path, as ``tests[0]``."""
     violations = []
     if not is_path_segment(task.id):
         violations.append(f"task id {task.id!r} is not a single path segment")
     for dep in task.dependencies:
-        if not is_path_segment(dep):
+        if not is_dependency_id(dep):
             violations.append(f"dependency id {dep!r} is not a single path segment")
     if not _IDENTIFIER_RE.match(task.signature.name):
         violations.append(f"method name {task.signature.name!r} is not a valid identifier")
@@ -123,6 +110,13 @@ def structural_violations(task: SynthesisTask) -> list[str]:
         violations.append(f"duplicate parameter name '{name}'")
     if not task.test_cases:
         violations.append("no test cases")
+    for index, case in enumerate(task.test_cases):
+        if case.script is None and None in (case.inputs, case.expected):
+            violations.append(f"tests[{index}]: needs 'inputs' and a string 'expected', or a 'script'")
+        elif case.script is not None and (case.inputs, case.expected) != (None, None):
+            violations.append(f"tests[{index}]: use either 'inputs'/'expected' or 'script', not both")
+        if case.script is not None and not case.script.strip():
+            violations.append(f"tests[{index}].script: expected a non-empty string")
     ordinals = [t.ordinal for t in task.test_cases]
     for ordinal in sorted(set(o for o in ordinals if ordinals.count(o) > 1)):
         violations.append(f"duplicate test case ordinal {ordinal}")
@@ -133,33 +127,19 @@ def structural_violations(task: SynthesisTask) -> list[str]:
     return violations
 
 
-def resolve_dependency(identifier: str, deps_dir: Path | None) -> Path | None:
-    """Map a symbolic dependency identifier to an archive under the deps directory.
-
-    Resolution rule: ``<deps_dir>/<identifier>.jar`` first, then a file named
-    exactly ``<identifier>``.
-    """
-    if deps_dir is None:
-        return None
-    jar = deps_dir / f"{identifier}.jar"
-    if jar.is_file():
-        return jar
-    bare = deps_dir / identifier
-    if bare.is_file():
-        return bare
-    return None
-
-
 def resolve_dependencies(
     task: SynthesisTask, deps_dir: Path | None
 ) -> tuple[list[Path], list[str]]:
     """The task's classpath, and the dependency identifiers that do not resolve.
 
+    An identifier ``X`` resolves to ``<deps_dir>/X.jar``, else to a file named
+    exactly ``<deps_dir>/X``; one that is no dependency id resolves to nothing.
     Classpath entries are absolute: javac and java run in the attempt's workdir.
     """
     classpath, missing = [], []
     for dep in task.dependencies:
-        path = resolve_dependency(dep, deps_dir)
+        files = (deps_dir / f"{dep}.jar", deps_dir / dep) if deps_dir is not None and is_dependency_id(dep) else ()
+        path = next((f for f in files if f.is_file()), None)
         if path is None:
             missing.append(dep)
         else:
@@ -167,21 +147,11 @@ def resolve_dependencies(
     return classpath, missing
 
 
-def validate_task(task: SynthesisTask, deps_dir: Path | None = None) -> list[str]:
-    """Full validation report; empty iff all invariants hold and deps resolve."""
-    violations = structural_violations(task)
-    _, missing = resolve_dependencies(task, deps_dir)
-    where = deps_dir if deps_dir is not None else "an unconfigured dependency directory"
-    for dep in missing:
-        violations.append(f"dependency '{dep}' does not resolve under {where}")
-    return violations
-
-
 def task_files(path: Path) -> list[Path]:
     """The task file at path, or in a directory what ``sorted(path.glob("*.json"))`` lists."""
     path = Path(path)
     if not path.exists():
-        raise TaskParseError(f"{path}: no such file or directory")
+        raise TaskError(f"{path}: no such file or directory")
     if not path.is_dir():
         return [path]
     try:  # iterdir joins names without parsing them, unlike ``path / name``, which also interns each
@@ -189,16 +159,16 @@ def task_files(path: Path) -> list[Path]:
     except PermissionError:  # as glob does: an unreadable directory lists nothing
         files = []
     if not files:
-        raise TaskParseError(f"{path}: no task files found")
+        raise TaskError(f"{path}: no task files found")
     return files
 
 
 def load_task(path: Path) -> SynthesisTask:
-    """Parse one task file; a structural invariant violation fails the load."""
+    """Read one task file; a broken rule fails the load, every one named."""
     task = parse_task_file(path)
     violations = structural_violations(task)
     if violations:
-        raise TaskValidationError(f"{path}: task '{task.id}': " + "; ".join(violations))
+        raise TaskError(f"{path}: task '{task.id}': " + "; ".join(violations))
     return task
 
 
@@ -213,7 +183,7 @@ def load_suite(path: Path) -> tuple[SynthesisTask, ...]:
     seen: dict[str, Path] = {}
     for task, origin in zip(tasks, files):
         if task.id in seen:
-            raise TaskValidationError(
+            raise TaskError(
                 f"duplicate task id '{task.id}' in {origin} (first seen in {seen[task.id]})"
             )
         seen[task.id] = origin

@@ -11,7 +11,6 @@ from apisynth import sandbox as sandbox_module
 from apisynth.llm import TranscriptWriter
 from apisynth.refine import AttemptRecord, FinalStatus, RunRecord
 from apisynth.sandbox import ParkedPool
-from apisynth.tasks import SynthesisTask
 from apisynth.verdict import AttemptOutcome, OutcomeKind
 
 
@@ -150,37 +149,6 @@ def table_rows_records() -> list[RunRecord]:
     records += [immediate_pass(f"ad-pass-{i:02d}", "additional") for i in range(14)]
     records += [solved_later("ad-late-00", "additional")]
     return records
-
-
-def serialize_task(task: SynthesisTask) -> dict:
-    """The task-file JSON that parses back into task."""
-    tests = []
-    for t in task.test_cases:
-        entry: dict = {"ordinal": t.ordinal}
-        if t.is_script:
-            entry["script"] = t.script
-        else:
-            entry["inputs"] = list(t.inputs)
-            entry["expected"] = t.expected
-        if t.description is not None:
-            entry["description"] = t.description
-        tests.append(entry)
-    data = {
-        "id": task.id,
-        "suite": task.suite,
-        "signature": {
-            "name": task.signature.name,
-            "return_type": task.signature.return_type,
-            "params": [{"name": p.name, "type": p.type} for p in task.signature.parameters],
-            "static": task.signature.static,
-            "throws": list(task.signature.declared_throws),
-        },
-        "tests": tests,
-        "deps": list(task.dependencies),
-    }
-    if task.notes is not None:
-        data["notes"] = task.notes
-    return data
 
 
 class EagerParkedPool(ParkedPool):

@@ -246,6 +246,8 @@ def test_unparseable_env_value_is_reported(sample_task, monkeypatch, capsys):
         (["--run-timeout", "nan"], {}, "timeouts must be positive"),
         (["--run-timeout", "inf"], {}, "timeouts must be finite"),
         ([], {"APISYNTH_COMPILE_TIMEOUT": "1e309"}, "timeouts must be finite"),
+        pytest.param(["--run-id", "r" * 256], {}, f"run id must be a non-empty path segment, got {'r' * 256!r}",
+                     id="run-id-too-long"),
     ],
 )
 def test_bench_rejects_bad_settings(
@@ -330,6 +332,39 @@ def test_task_id_that_escapes_the_run_dir_is_refused(repo_root, tmp_path, monkey
     assert capsys.readouterr().err == err
     assert sandbox.calls == []
     assert not (tmp_path / "escaped").exists()
+
+
+def test_an_id_too_long_for_a_file_name_is_refused(repo_root, tmp_path, monkeypatch, capsys):
+    """validate lists it; synth and bench refuse the file before any model call."""
+    task_id = "t" * 300
+    task_file = task_with_id(repo_root, tmp_path, task_id)
+    violation = f"task id {task_id!r} is not a single path segment"
+    assert cli.main(["validate", str(task_file)]) == 1
+    assert capsys.readouterr().out == f"{task_id}: {violation}\n"
+    sandbox = StubSandbox(outcomes=[ok()])
+    stub_sandbox_factory(monkeypatch, sandbox)
+    script = write_script(tmp_path / "script.json", [java_response("    void f() { }")])
+    common = ["--backend", "mock", "--mock-script", script, "--out", str(tmp_path / "runs")]
+    for command in (["synth", str(task_file)], ["bench", str(task_file.parent)]):
+        assert cli.main([*command, *common]) == 2
+        assert capsys.readouterr() == ("", f"error: {task_file}: task '{task_id}': {violation}\n")
+    assert sandbox.calls == []
+    assert not (tmp_path / "runs").exists()
+
+
+def test_a_dependency_id_too_long_for_its_archive_name_is_listed(repo_root, tmp_path, capsys):
+    """``<id>.jar`` must fit in one file name; validate --deps lists the id rather than looking it up."""
+    task = json.loads((repo_root / "tasks" / "sample" / "ellipse-area.json").read_text())
+    dep = "d" * 253
+    task["deps"] = [dep]
+    (tmp_path / "t.json").write_text(json.dumps(task))
+    (tmp_path / "deps").mkdir()
+    rc = cli.main(["validate", str(tmp_path / "t.json"), "--deps", str(tmp_path / "deps")])
+    assert rc == 1
+    assert capsys.readouterr().out == (
+        f"ellipse-area: dependency id {dep!r} is not a single path segment\n"
+        f"ellipse-area: dependency '{dep}' does not resolve under {tmp_path / 'deps'}\n"
+    )
 
 
 class WritingSandbox(StubSandbox):
@@ -459,6 +494,34 @@ def test_validate_unresolved_dependency(tmp_path, repo_root, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "fastjson" in out
+
+
+def test_validate_lists_every_rule_a_file_breaks(tmp_path, capsys):
+    """A test case's shape is one rule among the others: validate lists them all and exits 1; bench refuses the file."""
+    bad = {
+        "id": "bad-task",
+        "suite": "s",
+        "signature": {"name": "2f", "return_type": "int", "params": [
+            {"name": "a", "type": "int"}, {"name": "a", "type": "long"}
+        ]},
+        "tests": [
+            {"ordinal": 1, "inputs": ["1"]},
+            {"ordinal": 3, "inputs": ["2"], "expected": "2"},
+        ],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    violations = [
+        "method name '2f' is not a valid identifier",
+        "duplicate parameter name 'a'",
+        "tests[0]: needs 'inputs' and a string 'expected', or a 'script'",
+        "test case ordinals must be 1..N consecutive, got [1, 3]",
+    ]
+    assert cli.main(["validate", str(path)]) == 1
+    assert capsys.readouterr() == ("".join(f"bad-task: {v}\n" for v in violations), "")
+    assert cli.main(["bench", str(path), "--backend", "mock", "--out", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: task 'bad-task': " + "; ".join(violations) + "\n")
+    assert not (tmp_path / "runs").exists()
 
 
 def test_validate_empty_directory(tmp_path, capsys):

@@ -192,8 +192,8 @@ def test_candidate_flags_print_nothing_of_their_own(jdk, pools, tmp_path):
     assert (warm.exit_code, warm.stdout, warm.stderr) == (0, "one line\n", "")
 
 
-def test_a_relative_classpath_entry_parks(jdk, pools, tmp_path, monkeypatch):
-    """An entry relative to the attempt directory reaches the compile server and the spare, resolved."""
+def test_an_absolute_classpath_entry_parks_across_attempts(jdk, pools, tmp_path, monkeypatch):
+    """An absolute classpath entry reaches the compile server and the spare; another attempt shares its spares."""
     compilers, parked = pools
     lib = tmp_path / "lib"
     lib.mkdir()
@@ -207,13 +207,14 @@ def test_a_relative_classpath_entry_parks(jdk, pools, tmp_path, monkeypatch):
     def no_cold_jvm(argv, *args):
         raise AssertionError(f"cold: {argv}")
 
+    sandbox_module._helper_classes(jdk.javac)  # built by a cold javac, so before no other may run
     monkeypatch.setattr(sandbox_module, "_execute", no_cold_jvm)
     # Compiled through the server and run parked, each finding Dep only through the entry.
-    assert sandbox.evaluate(uses, "f", (1,), tmp_path / "a1", [Path("../lib")]).kind is OutcomeKind.PASS
-    assert f"-cp .{os.pathsep}{os.path.realpath(lib)} UsesDep\n" in (tmp_path / "a1" / "run.log").read_text()
-    # Named from another attempt directory, it is the same classpath: that run takes a spare parked by this one.
+    assert sandbox.evaluate(uses, "f", (1,), tmp_path / "a1", [lib]).kind is OutcomeKind.PASS
+    assert f"-cp .{os.pathsep}{lib} UsesDep\n" in (tmp_path / "a1" / "run.log").read_text()
+    # From another attempt directory it is the same classpath: that run takes a spare parked by this one.
     first = parked._idle[0]
-    assert sandbox.evaluate(uses, "f", (1,), tmp_path / "t" / "a2", [Path("../../lib")]).kind is OutcomeKind.PASS
+    assert sandbox.evaluate(uses, "f", (1,), tmp_path / "t" / "a2", [lib]).kind is OutcomeKind.PASS
     assert parked.parked == [True, True] and first.proc.returncode == 0
 
 

@@ -1,30 +1,27 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from apisynth.records import from_json_dict, to_json_dict
 from apisynth.tasks import (
     MethodSignature,
     Parameter,
     SynthesisTask,
-    TaskParseError,
-    TaskValidationError,
+    TaskError,
     TestCase as Case,
     load_suite,
-    parse_task_dict,
     parse_task_file,
     resolve_dependencies,
-    resolve_dependency,
     structural_violations,
     task_files,
-    validate_task,
 )
 from apisynth.refine import load_record
-from helpers import serialize_task
 
 
 def make_task(**overrides) -> SynthesisTask:
@@ -40,6 +37,11 @@ def make_task(**overrides) -> SynthesisTask:
     )
     base.update(overrides)
     return SynthesisTask(**base)
+
+
+def write_task(path: Path, task: SynthesisTask) -> Path:
+    path.write_text(json.dumps(to_json_dict(task)), encoding="utf-8")
+    return path
 
 
 def test_signature_render_plain():
@@ -60,20 +62,19 @@ def test_signature_render_static_and_throws():
     )
 
 
-def test_parse_sample_file_round_trip(repo_root):
+def test_parse_sample_file_round_trip(repo_root, tmp_path):
     path = repo_root / "tasks" / "sample" / "ellipse-area.json"
     task = parse_task_file(path)
     assert task.id == "ellipse-area"
     assert task.suite == "geometry"
     assert len(task.test_cases) == 4
-    again = parse_task_dict(serialize_task(task), "round-trip")
-    assert again == task
+    assert parse_task_file(write_task(tmp_path / "again.json", task)) == task
 
 
 def test_parse_error_names_file_and_field(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"id": "x", "suite": "s", "tests": []}), encoding="utf-8")
-    with pytest.raises(TaskParseError) as excinfo:
+    with pytest.raises(TaskError) as excinfo:
         parse_task_file(path)
     assert "bad.json" in str(excinfo.value)
     assert "signature" in str(excinfo.value)
@@ -90,25 +91,24 @@ def _set_at(data, path: tuple, value) -> None:
     [
         (("signature", "params", 1, "name"), 7, "signature.params[1].name: expected a string"),
         (("signature", "static"), 1, "signature.static: expected a boolean"),
-        (("tests", 0, "ordinal"), 0, "tests[0].ordinal: expected a positive integer"),
         (("tests", 0, "ordinal"), True, "tests[0].ordinal: expected an integer"),
         (("tests", 0, "inputs", 1), None, "tests[0].inputs[1]: expected a string"),
         (("signature", "throws"), ["E", 3], "signature.throws[1]: expected a string"),
         (("deps",), "fastjson", "deps: expected an array"),
         (("deps",), {"0": "fastjson"}, "deps: expected an array"),
     ],
-    ids=["param-name", "static", "ordinal-zero", "ordinal-true", "input", "throws", "deps-string", "deps-object"],
+    ids=["param-name", "static", "ordinal-true", "input", "throws", "deps-string", "deps-object"],
 )
 def test_parse_error_names_file_and_field_path(tmp_path, path, value, message):
     task = make_task(
         signature=MethodSignature("m", "int", (Parameter("a", "int"), Parameter("b", "int"))),
         test_cases=(Case(ordinal=1, inputs=("a = 1", "b = 2"), expected="3"),),
     )
-    data = serialize_task(task)
+    data = to_json_dict(task)
     _set_at(data, path, value)
     file = tmp_path / "bad.json"
     file.write_text(json.dumps(data), encoding="utf-8")
-    with pytest.raises(TaskParseError) as excinfo:
+    with pytest.raises(TaskError) as excinfo:
         parse_task_file(file)
     assert str(excinfo.value) == f"{file}: {message}"
 
@@ -116,36 +116,52 @@ def test_parse_error_names_file_and_field_path(tmp_path, path, value, message):
 def test_parse_error_on_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(TaskParseError) as excinfo:
+    with pytest.raises(TaskError) as excinfo:
         parse_task_file(path)
     assert "broken.json" in str(excinfo.value)
 
 
-def test_test_case_requires_pair_or_script():
-    with pytest.raises(TaskParseError) as excinfo:
-        parse_task_dict(
-            {
-                "id": "x",
-                "suite": "s",
-                "signature": {"name": "m", "return_type": "int"},
-                "tests": [{"ordinal": 1}],
-            },
-            "ctx",
-        )
-    assert "inputs" in str(excinfo.value)
+def violations_of(tmp_path, tests: list) -> list[str]:
+    """The rules broken by a task file whose test cases are as written."""
+    file = tmp_path / "t.json"
+    data = {"id": "x", "suite": "s", "signature": {"name": "m", "return_type": "int"}, "tests": tests}
+    file.write_text(json.dumps(data), encoding="utf-8")
+    return structural_violations(parse_task_file(file))
 
 
-def test_test_case_rejects_pair_and_script_together():
-    with pytest.raises(TaskParseError):
-        parse_task_dict(
-            {
-                "id": "x",
-                "suite": "s",
-                "signature": {"name": "m", "return_type": "int"},
-                "tests": [{"ordinal": 1, "inputs": ["a"], "expected": "b", "script": "c"}],
-            },
-            "ctx",
-        )
+def test_test_case_requires_pair_or_script(tmp_path):
+    """A key given as null counts as absent."""
+    pair = {"ordinal": 1, "inputs": [], "expected": "1"}
+    for case in ({}, {"inputs": ["a"]}, {"expected": "1"}, {"inputs": [], "expected": None}, {"script": None}):
+        assert violations_of(tmp_path, [pair, {"ordinal": 2, **case}]) == [
+            "tests[1]: needs 'inputs' and a string 'expected', or a 'script'"
+        ]
+    assert violations_of(tmp_path, [pair | {"script": None, "description": None}]) == []
+
+
+def test_test_case_rejects_pair_and_script_together(tmp_path):
+    for case in ({"inputs": ["a"], "expected": "b"}, {"inputs": []}, {"expected": "b"}):
+        assert violations_of(tmp_path, [{"ordinal": 1, "script": "c", **case}]) == [
+            "tests[0]: use either 'inputs'/'expected' or 'script', not both"
+        ]
+    assert violations_of(tmp_path, [{"ordinal": 1, "script": "c", "inputs": None, "expected": None}]) == []
+
+
+def test_script_must_not_be_blank(tmp_path):
+    assert violations_of(tmp_path, [{"ordinal": 1, "script": " \n"}]) == [
+        "tests[0].script: expected a non-empty string"
+    ]
+    assert violations_of(tmp_path, [{"ordinal": 1, "script": "", "inputs": []}]) == [
+        "tests[0]: use either 'inputs'/'expected' or 'script', not both",
+        "tests[0].script: expected a non-empty string",
+    ]
+
+
+@pytest.mark.parametrize("ordinal", [0, -1])
+def test_an_ordinal_below_one_breaks_the_ordinal_rule(tmp_path, ordinal):
+    assert violations_of(tmp_path, [{"ordinal": ordinal, "inputs": [], "expected": "1"}]) == [
+        f"test case ordinals must be 1..N consecutive, got [{ordinal}]"
+    ]
 
 
 def test_structural_violations_catch_bad_ordinals():
@@ -190,11 +206,11 @@ def test_structural_violations_catch_duplicate_params():
 
 def test_dependency_resolution_order(tmp_path):
     (tmp_path / "guava.jar").write_bytes(b"")
+    (tmp_path / "guava").write_bytes(b"")
     (tmp_path / "plainfile").write_bytes(b"")
-    assert resolve_dependency("guava", tmp_path) == tmp_path / "guava.jar"
-    assert resolve_dependency("plainfile", tmp_path) == tmp_path / "plainfile"
-    assert resolve_dependency("absent", tmp_path) is None
-    assert resolve_dependency("guava", None) is None
+    task = make_task(dependencies=("guava", "plainfile", "absent"))
+    assert resolve_dependencies(task, tmp_path) == ([tmp_path / "guava.jar", tmp_path / "plainfile"], ["absent"])
+    assert resolve_dependencies(task, None) == ([], ["guava", "plainfile", "absent"])
 
 
 def test_resolved_dependencies_are_absolute(tmp_path, monkeypatch):
@@ -207,39 +223,48 @@ def test_resolved_dependencies_are_absolute(tmp_path, monkeypatch):
     assert all(p.is_absolute() and p.is_file() for p in classpath)
 
 
-def test_validate_task_names_unresolved_dependency(tmp_path):
+def test_a_dependency_resolves_once_its_archive_exists(tmp_path):
     task = make_task(dependencies=("fastjson",))
-    violations = validate_task(task, tmp_path)
-    assert any("fastjson" in v and "resolve" in v for v in violations)
+    assert resolve_dependencies(task, tmp_path) == ([], ["fastjson"])
     (tmp_path / "fastjson.jar").write_bytes(b"")
-    assert validate_task(task, tmp_path) == []
+    assert resolve_dependencies(task, tmp_path) == ([tmp_path / "fastjson.jar"], [])
 
 
 @pytest.mark.parametrize("dep", ["/etc/hosts", "../outside", "..", ".", "", "a/b", "a\0b"])
 def test_dependency_id_must_be_one_path_segment(tmp_path, dep):
     task = make_task(dependencies=(dep,))
     assert structural_violations(task) == [f"dependency id {dep!r} is not a single path segment"]
-    (tmp_path / "demo.json").write_text(json.dumps(serialize_task(task)))
-    with pytest.raises(TaskValidationError, match="dependency id .* is not a single path segment"):
+    write_task(tmp_path / "demo.json", task)
+    with pytest.raises(TaskError, match="dependency id .* is not a single path segment"):
         load_suite(tmp_path)
 
 
 def test_dependency_id_that_leaves_the_deps_dir_is_refused(tmp_path):
-    """An absolute id, or one with "..", would resolve outside --deps; both are refused."""
+    """An absolute id, or one with "..", would resolve outside --deps; both break the rule and resolve to nothing."""
     deps = tmp_path / "deps"
     deps.mkdir()
     outside = tmp_path / "outside.jar"
     outside.write_bytes(b"")
     for dep in (str(outside), "../outside"):
-        assert resolve_dependency(dep, deps).resolve() == outside.resolve()  # what the rule guards against
         task = make_task(dependencies=(dep,))
-        assert validate_task(task, deps) == [f"dependency id {dep!r} is not a single path segment"]
+        assert structural_violations(task) == [f"dependency id {dep!r} is not a single path segment"]
+        assert resolve_dependencies(task, deps) == ([], [dep])
+
+
+def test_ids_must_fit_in_one_file_name():
+    """A task id is at most 255 bytes of UTF-8, and a dependency id leaves its ``.jar`` name within them."""
+    assert structural_violations(make_task(id="t" * 255, dependencies=("d" * 251,))) == []
+    for task_id in ("t" * 256, "é" * 128):
+        assert structural_violations(make_task(id=task_id)) == [f"task id {task_id!r} is not a single path segment"]
+    for dep in ("d" * 252, "é" * 126):
+        assert structural_violations(make_task(dependencies=(dep,))) == [
+            f"dependency id {dep!r} is not a single path segment"
+        ]
 
 
 def test_load_suite_orders_tasks_lexicographically(tmp_path):
     for task_id in ["zeta", "alpha", "midl"]:
-        task = make_task(id=task_id)
-        (tmp_path / f"{task_id}.json").write_text(json.dumps(serialize_task(task)))
+        write_task(tmp_path / f"{task_id}.json", make_task(id=task_id))
     tasks = load_suite(tmp_path)
     assert [t.id for t in tasks] == ["alpha", "midl", "zeta"]
     again = load_suite(tmp_path)
@@ -248,9 +273,9 @@ def test_load_suite_orders_tasks_lexicographically(tmp_path):
 
 def test_load_suite_rejects_duplicate_ids(tmp_path):
     task = make_task(id="dup")
-    (tmp_path / "a.json").write_text(json.dumps(serialize_task(task)))
-    (tmp_path / "b.json").write_text(json.dumps(serialize_task(task)))
-    with pytest.raises(TaskValidationError) as excinfo:
+    write_task(tmp_path / "a.json", task)
+    write_task(tmp_path / "b.json", task)
+    with pytest.raises(TaskError) as excinfo:
         load_suite(tmp_path)
     assert "dup" in str(excinfo.value)
 
@@ -275,9 +300,9 @@ def test_task_files_lists_what_glob_lists(tmp_path):
 
 
 def test_a_directory_named_like_a_task_file_fails_to_read(tmp_path):
-    (tmp_path / "a.json").write_text(json.dumps(serialize_task(make_task())), encoding="utf-8")
+    write_task(tmp_path / "a.json", make_task())
     (tmp_path / "x.json").mkdir()
-    with pytest.raises(TaskParseError) as excinfo:
+    with pytest.raises(TaskError) as excinfo:
         load_suite(tmp_path)
     assert str(excinfo.value) == f"{tmp_path / 'x.json'}: cannot read task file: Is a directory"
 
@@ -335,13 +360,13 @@ def test_unreadable_files_keep_their_error_text(tmp_path, kind, content, message
     """Positions count a CRLF or CR as one newline; a BOM is not skipped."""
     path = tmp_path / "f.json"
     path.write_bytes(content)
-    with pytest.raises((TaskParseError, ValueError)) as excinfo:
+    with pytest.raises((TaskError, ValueError)) as excinfo:
         READERS[kind][1](path)
     assert str(excinfo.value) == (f"{path}: invalid JSON: {message}" if kind == "task" else message)
 
 
 def test_load_suite_missing_path(tmp_path):
-    with pytest.raises(TaskParseError):
+    with pytest.raises(TaskError):
         load_suite(tmp_path / "nowhere")
 
 
@@ -349,7 +374,8 @@ def test_sample_suite_is_valid(repo_root):
     tasks = load_suite(repo_root / "tasks" / "sample")
     assert len(tasks) == 5
     for task in tasks:
-        assert validate_task(task) == []
+        assert structural_violations(task) == []
+        assert resolve_dependencies(task, None) == ([], [])
 
 
 identifiers = st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True)
@@ -401,11 +427,14 @@ def task_objects(draw):
 
 @given(task_objects())
 def test_serialize_parse_round_trip(task):
-    assert parse_task_dict(serialize_task(task), "prop") == task
+    """Every generated task breaks no rule, and to_json_dict writes a task file that loads back equal."""
+    assert structural_violations(task) == []
+    with tempfile.TemporaryDirectory() as tmp:
+        assert load_suite(write_task(Path(tmp) / "t.json", task)) == (task,)
 
 
 @given(task_objects())
 def test_serialized_form_is_json_stable(task):
-    first = json.dumps(serialize_task(task), sort_keys=True)
-    second = json.dumps(serialize_task(parse_task_dict(serialize_task(task), "p")), sort_keys=True)
+    first = json.dumps(to_json_dict(task), sort_keys=True)
+    second = json.dumps(to_json_dict(from_json_dict(SynthesisTask, json.loads(first))), sort_keys=True)
     assert first == second
