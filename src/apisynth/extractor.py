@@ -29,12 +29,9 @@ _STRIP_RE = re.compile(
     re.DOTALL,
 )
 
-_PUBLIC_CLASS_RE = re.compile(
-    r"\bpublic\s+(?:(?:abstract|final|strictfp|sealed|non-sealed|static)\s+)*class\s+([A-Za-z_$][\w$]*)"
-)
-_ANY_CLASS_RE = re.compile(
-    r"\b(?:(?:abstract|final|strictfp|sealed|non-sealed|static)\s+)*class\s+([A-Za-z_$][\w$]*)"
-)
+_CLASS_DECL = r"(?:(?:abstract|final|strictfp|sealed|non-sealed|static)\s+)*class\s+([A-Za-z_$][\w$]*)"
+_PUBLIC_CLASS_RE = re.compile(r"\bpublic\s+" + _CLASS_DECL)
+_ANY_CLASS_RE = re.compile(r"\b" + _CLASS_DECL)
 _MAIN_RE = re.compile(r"\bvoid\s+main\s*\(")
 
 
@@ -55,52 +52,35 @@ def strip_comments_and_strings(source: str) -> str:
 TEST_METHOD_RE = re.compile(r"\b(?:(static)\s+)?(?:final\s+)?void\s+(test\w*)\s*\(\s*\)")
 
 
-def find_test_method(stripped_source: str, target_name: str) -> tuple[str, bool] | None:
-    """Pick a no-arg test method to drive; prefers one named after the target."""
-    matches = [(m.group(2), m.group(1) is not None) for m in TEST_METHOD_RE.finditer(stripped_source)]
-    if not matches:
-        return None
-    lowered = target_name.lower()
-    for name, static in matches:
-        if lowered in name.lower():
-            return name, static
-    return matches[0]
-
-
-def make_driver(class_name: str, stripped_source: str, target_name: str) -> tuple[str, str] | None:
-    """Synthesize a main-bearing driver class; None when nothing is callable."""
-    picked = find_test_method(stripped_source, target_name)
-    if picked is None:
-        return None
-    method, static = picked
-    call = f"{class_name}.{method}();" if static else f"new {class_name}().{method}();"
-    driver_name = "SynthesisDriver"
-    n = 2
-    while driver_name in stripped_source:
-        driver_name = f"SynthesisDriver{n}"
-        n += 1
-    body = (
-        f"class {driver_name} {{\n"
-        f"    public static void main(String[] args) throws Exception {{\n"
-        f"        {call}\n"
-        f"    }}\n"
-        f"}}\n"
-    )
-    return driver_name, body
-
-
 def candidate_source(unit: SourceUnit, target_name: str) -> tuple[str, str | None]:
-    """The source file written for a candidate and the class to run (None: nothing runnable)."""
+    """The source file written for a candidate and the class to run (None: nothing runnable).
+
+    A unit without ``main`` gets a driver class that calls a no-argument test
+    method: the first one named after the target, else the first one.
+    """
     source = unit.source_text
     if not source.endswith("\n"):
         source += "\n"
     if unit.contains_main:
         return source, unit.public_class_name
-    driver = make_driver(unit.public_class_name, strip_comments_and_strings(unit.source_text), target_name)
-    if driver is None:
+    stripped = strip_comments_and_strings(unit.source_text)
+    tests = [(m.group(2), m.group(1) is not None) for m in TEST_METHOD_RE.finditer(stripped)]
+    if not tests:
         return source, None
-    main_class, driver_body = driver
-    return source + "\n" + driver_body, main_class
+    lowered = target_name.lower()
+    method, static = next((t for t in tests if lowered in t[0].lower()), tests[0])
+    class_name = unit.public_class_name
+    call = f"{class_name}.{method}();" if static else f"new {class_name}().{method}();"
+    driver_name, n = "SynthesisDriver", 2
+    while driver_name in stripped:
+        driver_name, n = f"SynthesisDriver{n}", n + 1
+    return (
+        f"{source}\nclass {driver_name} {{\n"
+        f"    public static void main(String[] args) throws Exception {{\n"
+        f"        {call}\n"
+        f"    }}\n"
+        f"}}\n"
+    ), driver_name
 
 
 def select_code_block(response_text: str, target_method_name: str) -> str:
@@ -134,60 +114,37 @@ def contains_main_method(stripped_source: str) -> bool:
     return False
 
 
-def _count_top_level_params(param_text: str) -> int:
-    if not param_text.strip():
-        return 0
-    round_depth = square_depth = curly_depth = angle_depth = 0
-    commas = 0
-    for ch in param_text:
-        if ch == "(":
-            round_depth += 1
-        elif ch == ")":
-            round_depth -= 1
-        elif ch == "[":
-            square_depth += 1
-        elif ch == "]":
-            square_depth -= 1
-        elif ch == "{":
-            curly_depth += 1
-        elif ch == "}":
-            curly_depth -= 1
-        elif ch == "<":
-            angle_depth += 1
-        elif ch == ">":
-            angle_depth = max(0, angle_depth - 1)
-        elif ch == "," and round_depth == square_depth == curly_depth == angle_depth == 0:
-            commas += 1
-    return commas + 1
+# A closing bracket and the opener whose depth it lowers.
+_OPENER = {")": "(", "]": "[", "}": "{", ">": "<"}
+_BODY_RE = re.compile(r"\s*(?:throws\s+[\w.$\s,]+)?\{")
 
 
 def contains_method_declaration(stripped_source: str, name: str, param_count: int) -> bool:
     """A declaration of ``name`` whose parameter list has ``param_count`` entries.
 
+    One scan per parameter list counts the commas outside every bracket; a
+    stray ``]`` or ``}`` takes its depth below 0, a ``>`` never does.
     Declarations are told apart from call sites by the body brace (or throws
-    clause) after the parameter list.
+    clause) after the ``)`` that closes the list.
     """
     for match in re.finditer(rf"\b{re.escape(name)}\s*\(", stripped_source):
-        open_idx = match.end() - 1
-        depth = 0
-        close_idx = -1
-        for i in range(open_idx, len(stripped_source)):
+        start = match.end()
+        depth = dict.fromkeys("([{<", 0)
+        commas = 0
+        for i in range(start, len(stripped_source)):
             ch = stripped_source[i]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    close_idx = i
-                    break
-        if close_idx < 0:
-            continue
-        params = stripped_source[open_idx + 1 : close_idx]
-        if _count_top_level_params(params) != param_count:
-            continue
-        tail = stripped_source[close_idx + 1 :]
-        if re.match(r"\s*(?:throws\s+[\w.$\s,]+)?\{", tail):
-            return True
+            if ch in depth:
+                depth[ch] += 1
+            elif ch == ")" and not depth["("]:
+                entries = commas + 1 if stripped_source[start:i].strip() else 0
+                if entries == param_count and _BODY_RE.match(stripped_source, i + 1):
+                    return True
+                break
+            elif ch in _OPENER:
+                opener = _OPENER[ch]
+                depth[opener] = max(0, depth[opener] - 1) if ch == ">" else depth[opener] - 1
+            elif ch == "," and not any(depth.values()):
+                commas += 1
     return False
 
 

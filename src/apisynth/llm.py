@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .prompting import Message, PromptError
-from .records import from_json_dict, to_json_dict
+from .records import from_json_dict, loads_unicode, to_json_dict
 
 if TYPE_CHECKING:
     import requests
@@ -315,8 +315,8 @@ def load_mock_script(path: Path) -> list[str] | dict[str, list[str]]:
     text, so a run stops before its first task instead of within one.
     """
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        data = loads_unicode(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError, UnicodeError) as exc:
         raise BackendError(f"{path}: cannot load mock script: {exc}") from exc
     if isinstance(data, list):
         if not all(isinstance(item, str) for item in data):

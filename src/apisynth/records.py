@@ -1,8 +1,9 @@
 """Dataclasses as JSON: one codec derived from the fields, type-checked on decode.
 
-Task files and records are read with ``read_text``. A suite's task files are
-what ``tasks.task_files`` lists: every entry directly in the directory whose
-name ends in ``.json``, case-sensitive and dot-files included.
+Task files and records are read with ``read_text``, and a task file or a
+mock script is decoded with ``loads_unicode``. A suite's task files are what
+``tasks.task_files`` lists: every entry directly in the directory whose name
+ends in ``.json``, case-sensitive and dot-files included.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import re
 import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
@@ -147,6 +149,21 @@ def read_text(path: str | Path) -> str:
     with open(path, "rb") as fh:
         text = fh.read().decode("utf-8")
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+# The escape of a UTF-16 surrogate, the one way JSON text can put a surrogate in a string.
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def loads_unicode(text: str):
+    """``json.loads``, refusing a lone surrogate such as ``"\\ud800"`` with UnicodeError: no UTF-8 file can hold one."""
+    data = json.loads(text)
+    if _SURROGATE_ESCAPE_RE.search(text):  # a pair decodes to one character, which encodes
+        try:
+            json.dumps(data, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise UnicodeError(f"lone surrogate {exc.object[exc.start]!r} is not Unicode text") from None
+    return data
 
 
 def save_json(obj, path: Path) -> None:

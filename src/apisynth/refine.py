@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Protocol
@@ -19,6 +20,8 @@ from .tasks import SynthesisTask, resolve_dependencies
 from .verdict import AttemptOutcome, OutcomeKind
 
 DEFAULT_MAX_FOLLOWUPS = 3
+# What a reply's JSON can carry as "\ud800" but no UTF-8 file can hold.
+_LONE_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 
 
 class FinalStatus(str, Enum):
@@ -99,9 +102,10 @@ def synthesize(
     extraction failure. The record and attempt directories that an earlier
     run left in task_dir are removed first.
 
-    Each reply goes to the transcript before its candidate is judged. The
-    first attempt starts a new conversation there with the whole request;
-    each later attempt is the next turn and adds only its follow-up.
+    Each reply goes to the transcript before its candidate is judged, with
+    each lone surrogate in it replaced by U+FFFD. The first attempt starts a
+    new conversation there with the whole request; each later attempt is the
+    next turn and adds only its follow-up.
     """
     start = time.monotonic()
     (task_dir / "record.json").unlink(missing_ok=True)
@@ -124,6 +128,8 @@ def synthesize(
         while final_status is None:
             index = len(attempts) + 1
             exchange = backend.complete(conversation, task.id)
+            # U+FFFD for each, as the sandbox decodes child output with errors="replace".
+            exchange = replace(exchange, response_text=_LONE_SURROGATE_RE.sub("\ufffd", exchange.response_text))
             new_messages = conversation if index == 1 else conversation[-1:]
             conversation_id = transcript.append(task.id, new_messages, exchange, conversation_id, index - 1)
             try:

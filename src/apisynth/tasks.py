@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .records import DecodeError, from_json_dict, read_text
+from .records import DecodeError, from_json_dict, loads_unicode, read_text
 
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*$")
 NAME_MAX = 255  # Linux's limit on the bytes of one file name
@@ -73,10 +73,10 @@ class SynthesisTask:
 def parse_task_file(path: Path) -> SynthesisTask:
     """Read and decode one task file, whose rules structural_violations checks; an error names the file."""
     try:
-        return from_json_dict(SynthesisTask, json.loads(read_text(path)))
+        return from_json_dict(SynthesisTask, loads_unicode(read_text(path)))
     except OSError as exc:
         raise TaskError(f"{path}: cannot read task file: {exc.strerror or exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeError) as exc:
         raise TaskError(f"{path}: invalid JSON: {exc}") from exc
     except DecodeError as exc:
         raise TaskError(f"{path}: {exc}") from exc

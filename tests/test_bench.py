@@ -466,22 +466,22 @@ def test_resume_with_nothing_pending_reads_from_disk(repo_root, tmp_path):
 
 
 def test_resume_reruns_a_truncated_record(repo_root, tmp_path):
-    """A record cut short, or one with a field of the wrong type, is re-run."""
-    tasks = load_suite(repo_root / "tasks" / "sample")[:3]
+    """A record cut short, one with a field of the wrong type, or one that is no JSON object is re-run."""
+    tasks = load_suite(repo_root / "tasks" / "sample")[:4]
     run_suite(tasks, scripted_backend(), load_templates(), passing_sandbox(), tmp_path, transcript_in(tmp_path))
-    truncated, mistyped, intact = tasks
+    truncated, mistyped, listed, intact = tasks
     path = tmp_path / truncated.id / "record.json"
     path.write_text(path.read_text(encoding="utf-8")[:40], encoding="utf-8")
     mistyped_path = tmp_path / mistyped.id / "record.json"
     data = json.loads(mistyped_path.read_text(encoding="utf-8"))
     mistyped_path.write_text(json.dumps({**data, "wall_time_seconds": "x"}), encoding="utf-8")
+    listed_path = tmp_path / listed.id / "record.json"
+    listed_path.write_text(json.dumps([json.loads(listed_path.read_text(encoding="utf-8"))]), encoding="utf-8")
 
-    targets = [SAMPLE_TARGETS[task.id] for task in (truncated, mistyped)]
+    rerun = (truncated, mistyped, listed)
+    targets = [SAMPLE_TARGETS[task.id] for task in rerun]
     backend = MockBackend(
-        script={
-            task.id: [java_response(f"    void {target}() {{ }}")]
-            for task, target in zip((truncated, mistyped), targets)
-        }
+        script={task.id: [java_response(f"    void {target}() {{ }}")] for task, target in zip(rerun, targets)}
     )
     sandbox = StubSandbox(by_target={target: [ok()] for target in targets})
     records = run_suite(
@@ -491,7 +491,8 @@ def test_resume_reruns_a_truncated_record(repo_root, tmp_path):
     assert all(r.final_status is FinalStatus.SOLVED for r in records)
     assert load_record(path) == records[0]
     assert load_record(mistyped_path) == records[1]
-    assert load_record(tmp_path / intact.id / "record.json") == records[2]
+    assert load_record(listed_path) == records[2]
+    assert load_record(tmp_path / intact.id / "record.json") == records[3]
 
 
 def test_resume_reruns_a_record_of_another_task_or_suite(repo_root, tmp_path):

@@ -576,6 +576,53 @@ def test_task_file_not_utf8_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {task}: invalid JSON: 'utf-8' codec")
 
 
+LONE = "\ud800"  # json.dumps writes it as the escape "\ud800", which decodes to no Unicode character
+
+
+@pytest.mark.parametrize("field", ["id", "suite"])
+def test_a_lone_surrogate_in_a_task_file_is_refused(field, repo_root, tmp_path, monkeypatch, capsys):
+    """validate reports the file and checks the others; synth and bench stop before any model call."""
+    sample = repo_root / "tasks" / "sample"
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "a.json").write_text((sample / "get-range.json").read_text())
+    task = json.loads((sample / "ellipse-area.json").read_text())
+    bad = suite / "b.json"
+    bad.write_text(json.dumps({**task, field: f"bad{LONE}"}))
+    paired = suite / "c.json"  # a surrogate pair decodes to one character and stays valid
+    paired.write_text(json.dumps({**task, "id": "pair-\U0001F600"}))
+    error = f"error: {bad}: invalid JSON: lone surrogate '\\ud800' is not Unicode text\n"
+
+    rc = cli.main(["validate", str(suite)])
+    assert rc == 2
+    assert capsys.readouterr() == ("get-range: ok\npair-\U0001F600: ok\n", error)
+
+    sandbox = StubSandbox(outcomes=[ok()])
+    stub_sandbox_factory(monkeypatch, sandbox)
+    script = write_script(tmp_path / "script.json", [java_response("    void ellipseArea() { }")])
+    rc = cli.main(["synth", str(bad), "--backend", "mock", "--mock-script", script, "--out", str(tmp_path / "runs")])
+    assert rc == 2
+    assert capsys.readouterr() == ("", error)
+    rc = cli.main(bench_args(str(suite), tmp_path, script))
+    assert rc == 2
+    assert capsys.readouterr() == ("", error)
+    assert sandbox.calls == []
+
+
+def test_a_lone_surrogate_in_a_mock_script_is_refused(sample_task, sample_suite, tmp_path, monkeypatch, capsys):
+    sandbox = all_pass_sandbox()
+    stub_sandbox_factory(monkeypatch, sandbox)
+    script = write_script(tmp_path / "script.json", {"ellipse-area": [java_response(f"    // {LONE}")]})
+    error = f"error: {script}: cannot load mock script: lone surrogate '\\ud800' is not Unicode text\n"
+    rc = cli.main(["synth", sample_task, "--backend", "mock", "--mock-script", script, "--out", str(tmp_path / "runs")])
+    assert rc == 2
+    assert capsys.readouterr() == ("", error)
+    rc = cli.main(bench_args(sample_suite, tmp_path, script))
+    assert rc == 2
+    assert capsys.readouterr() == ("", error)
+    assert sandbox.calls == []
+
+
 def test_baseline_not_utf8_exits_two(sample_suite, tmp_path, monkeypatch, capsys):
     sandbox = all_pass_sandbox()
     stub_sandbox_factory(monkeypatch, sandbox)

@@ -171,6 +171,18 @@ def test_warm_compiles_match_cold_javac(jdk, pool, helper_jar, java_fixture_dir,
     assert pool._idle == []
 
 
+# A tab would end a field of the request line; the byte is no UTF-8, so the line cannot be encoded.
+@pytest.mark.parametrize("name", ["tab\there", "byte\udcffhere"], ids=["tab", "undecodable-byte"])
+def test_a_workdir_no_request_can_carry_is_compiled_cold(jdk, pool, java_fixture_dir, tmp_path, monkeypatch, name):
+    started = record_servers(monkeypatch)
+    unit = fixture_unit(java_fixture_dir, "BrokenSyntax.java", "answer", 0)
+    warm = Sandbox(jdk, compilers=pool).evaluate(unit, "answer", (1,), tmp_path / name / "warm")
+    cold = Sandbox(jdk).evaluate(unit, "answer", (1,), tmp_path / name / "cold")
+    assert warm == cold and warm.kind is OutcomeKind.COMPILE_ERROR
+    assert compile_log(tmp_path / name / "warm") == compile_log(tmp_path / name / "cold")
+    assert started == []
+
+
 def test_server_killed_between_compiles(jdk, pool, java_fixture_dir, tmp_path):
     warm = Sandbox(jdk, compilers=pool)
     unit = fixture_unit(java_fixture_dir, "SecondCaseFails.java", "twice", 1)

@@ -109,6 +109,22 @@ def test_method_detection_generic_params_not_split():
     assert contains_method_declaration(stripped, "size", 1)
 
 
+@pytest.mark.parametrize(
+    "params, count",
+    [
+        ("@Size(min = 1, max = 2) String s, int[] xs", 2),
+        ("@A({1, 2}) int x", 1),
+        ("Map<String, List<int[]>> m, Runnable r", 2),
+        ("int] a, b", 1),  # a stray ] keeps every later comma from counting
+    ],
+    ids=["annotation-arguments", "array-initializer", "nested-generics", "stray-bracket"],
+)
+def test_method_detection_counts_only_top_level_commas(params, count):
+    stripped = f"class A {{ void f({params}) {{ }} }}"
+    assert contains_method_declaration(stripped, "f", count)
+    assert not contains_method_declaration(stripped, "f", count + 1)
+
+
 def test_method_detection_ignores_call_sites():
     stripped = "class A { void run() { helper(1, 2); } }"
     assert not contains_method_declaration(stripped, "helper", 2)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -24,9 +25,10 @@ from apisynth.llm import (
     make_backend,
     read_transcript,
 )
-from apisynth.prompting import Message
+from apisynth.prompting import Message, load_templates
 from apisynth.records import to_json_dict
-from helpers import load_script
+from apisynth.refine import FinalStatus, synthesize
+from helpers import StubSandbox, load_script, ok, simple_response, transcript_in
 
 
 def conversation(text: str = "implement it") -> list[Message]:
@@ -441,3 +443,50 @@ def test_http_backend_honours_retry_after(monkeypatch):
     assert backend.complete(conversation(), "t").response_text == "at last"
     assert session.posts == 5
     assert sleeps == [7.0, llm.RETRY_AFTER_CAP, 4.0, 8.0]
+
+
+def test_http_backend_gives_up_after_transport_failures(ellipse_task, monkeypatch, tmp_path):
+    """A port that refuses every connection: two retries, then an environment failure of the task."""
+    monkeypatch.setenv("DEMO_KEY", "k")
+    sleeps = []
+    monkeypatch.setattr(llm.time, "sleep", sleeps.append)
+    with socket.socket() as refusing:
+        refusing.bind(("127.0.0.1", 0))  # bound but not listening: a connection is refused
+        endpoint = f"http://127.0.0.1:{refusing.getsockname()[1]}/v1"
+        backend = HttpBackend(BackendConfig(endpoint_url=endpoint, credential_source="DEMO_KEY"))
+        with pytest.raises(BackendError) as excinfo:
+            backend.complete(conversation(), "t")
+        assert sleeps == [1.0, 2.0]
+        assert str(excinfo.value).startswith("transport failed after 3 attempts: ")
+        record = synthesize(
+            ellipse_task, backend, load_templates(), StubSandbox(), tmp_path / ellipse_task.id, transcript_in(tmp_path)
+        )
+    assert record.final_status is FinalStatus.FAILED_ENVIRONMENT
+    assert record.error.startswith("transport failed after 3 attempts: ")
+    assert record.attempts == ()
+
+
+@pytest.mark.parametrize("kind", ["mock", "http"])
+def test_a_lone_surrogate_in_a_reply_is_replaced_before_it_is_written(
+    kind, http_stub, ellipse_task, monkeypatch, tmp_path
+):
+    """As the sandbox decodes child output: the reply is judged and written with U+FFFD in the surrogate's place."""
+    reply = simple_response().replace("    void testAll", "    // \ud800 and \U0001F600\n    void testAll")
+    if kind == "mock":
+        backend = MockBackend(script=[reply])
+    else:
+        server, handler = http_stub
+        handler.responses.append((200, _completion_payload(reply)))  # sent as "\ud800" and "\ud83d\ude00"
+        monkeypatch.setenv("DEMO_KEY", "k")
+        endpoint = f"http://127.0.0.1:{server.server_port}/v1"
+        backend = HttpBackend(BackendConfig(endpoint_url=endpoint, credential_source="DEMO_KEY"))
+    sandbox = StubSandbox(outcomes=[ok()])
+    record = synthesize(
+        ellipse_task, backend, load_templates(), sandbox, tmp_path / ellipse_task.id, transcript_in(tmp_path)
+    )
+    assert record.final_status is FinalStatus.SOLVED
+    replaced = reply.replace("\ud800", "\ufffd")
+    [(line, _)] = read_transcript(tmp_path / "transcript.jsonl")
+    assert line.response_text == replaced
+    [(_, _, unit)] = sandbox.calls
+    assert "// \ufffd and \U0001F600\n" in unit.source_text

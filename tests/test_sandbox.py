@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from apisynth import sandbox as sandbox_module
-from apisynth.extractor import SourceUnit, find_test_method, make_driver
+from apisynth.extractor import SourceUnit, candidate_source
 from apisynth.llm import MockBackend
 from apisynth.records import from_json_dict, to_json_dict
 from apisynth.refine import FinalStatus, synthesize
@@ -161,29 +161,41 @@ def test_verdicts_and_prompts_load_no_process_code():
     assert not {"subprocess", "apisynth.sandbox"} & loaded
 
 
-def test_find_test_method_prefers_target_name():
-    stripped = "class A { void testHelper() {} void testGetRange() {} }"
-    assert find_test_method(stripped, "GetRange") == ("testGetRange", False)
+def driven(source: str, target: str, class_name="A") -> tuple[str, str | None]:
+    """candidate_source of a unit with no main: the file written and the class to run."""
+    return candidate_source(unit(source, class_name, main=False), target)
 
 
-def test_find_test_method_static_flag_and_fallback():
-    stripped = "class A { static void testAll() {} }"
-    assert find_test_method(stripped, "whatever") == ("testAll", True)
-    assert find_test_method("class A { int f() { return 1; } }", "f") is None
+def test_driver_prefers_the_test_method_named_after_the_target():
+    written, main_class = driven("class A { void testHelper() {} void testGetRange() {} }", "GetRange")
+    assert main_class == "SynthesisDriver"
+    assert "new A().testGetRange();" in written
 
 
-def test_make_driver_instance_and_static():
-    name, body = make_driver("Calc", "class Calc { void testCalc() {} }", "calc")
-    assert name == "SynthesisDriver"
-    assert "new Calc().testCalc();" in body
-    name, body = make_driver("Calc", "class Calc { static void testCalc() {} }", "calc")
-    assert "Calc.testCalc();" in body
+def test_driver_static_call_and_fallback():
+    written, _ = driven("class A { static void testAll() {} }", "whatever")
+    assert "A.testAll();" in written and "new A()" not in written
+    source = "class A { int f() { return 1; } }"
+    assert driven(source, "f") == (source + "\n", None)
 
 
-def test_make_driver_avoids_name_collision():
-    stripped = "class SynthesisDriver { void testX() {} }"
-    name, body = make_driver("SynthesisDriver", stripped, "x")
-    assert name == "SynthesisDriver2"
+def test_driver_instance_and_static():
+    written, main_class = driven("class Calc { void testCalc() {} }", "calc", "Calc")
+    assert main_class == "SynthesisDriver"
+    assert written.endswith(
+        "\nclass SynthesisDriver {\n"
+        "    public static void main(String[] args) throws Exception {\n"
+        "        new Calc().testCalc();\n"
+        "    }\n"
+        "}\n"
+    )
+    written, _ = driven("class Calc { static void testCalc() {} }", "calc", "Calc")
+    assert "        Calc.testCalc();\n" in written
+
+
+def test_driver_avoids_name_collision():
+    _, main_class = driven("class SynthesisDriver { void testX() {} }", "x", "SynthesisDriver")
+    assert main_class == "SynthesisDriver2"
 
 
 def test_find_toolchain_env_override(monkeypatch, tmp_path):
@@ -196,6 +208,15 @@ def test_find_toolchain_env_override(monkeypatch, tmp_path):
     toolchain = find_toolchain()
     assert toolchain.javac == str(javac)
     assert toolchain.java == str(java)
+    # Without them, JAVA_HOME's bin comes before PATH.
+    monkeypatch.delenv("APISYNTH_JAVAC")
+    monkeypatch.delenv("APISYNTH_JAVA")
+    home = tmp_path / "jdk"
+    (home / "bin").mkdir(parents=True)
+    for tool in ("javac", "java"):
+        (home / "bin" / tool).write_text("#!/bin/sh\n")
+    monkeypatch.setenv("JAVA_HOME", str(home))
+    assert find_toolchain() == Toolchain(javac=str(home / "bin" / "javac"), java=str(home / "bin" / "java"))
 
 
 def test_find_toolchain_missing_raises(monkeypatch, tmp_path):
