@@ -6,7 +6,7 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -191,7 +191,7 @@ def render_markdown(report: SuiteReport, baseline: Baseline | None = None) -> st
     ]
     _, solved_key, pct_key = BASELINE_KEYS
     for row in report_rows(report, baseline):
-        cells = [str(row[key]) for key in LABEL_KEYS]
+        cells = [str(row[key]).replace("|", r"\|") for key in LABEL_KEYS]  # a suite name may hold a "|"
         cells += [_cell(row[key], row[key + "_pct"]) for _, key, _ in MEASURES]
         if baseline is not None:
             cells.append(_cell(row[solved_key], row[pct_key]))
@@ -238,6 +238,17 @@ def write_reports(
     return paths
 
 
+def _consistent(record: RunRecord) -> bool:
+    """Whether a solved record passed at its last attempt only, and any other passed at none.
+
+    synthesize writes only such records, and every count _check_invariants tests holds for them.
+    """
+    passes = [attempt for attempt in record.attempts if attempt.outcome.kind is OutcomeKind.PASS]
+    if record.final_status is FinalStatus.SOLVED:
+        return len(passes) == 1 and passes[0] is record.attempts[-1]
+    return not passes
+
+
 def run_suite(
     tasks: Sequence[SynthesisTask],
     backend: ChatBackend,
@@ -254,8 +265,9 @@ def run_suite(
 
     With resume, tasks whose record already exists are skipped, except
     environment failures, which are retried so a repaired environment can
-    fill them in, and records that no longer decode or that name another
-    task or suite, which are re-run.
+    fill them in, and records that no longer decode, that name another task
+    or suite, or that contradict themselves (see _consistent), which are re-run.
+    One worker runs the tasks in the calling thread.
     """
     records: dict[str, RunRecord] = {}
     pending = []
@@ -266,22 +278,19 @@ def run_suite(
             except (OSError, ValueError):  # missing, not JSON or not UTF-8, or mistyped
                 existing = None
             ours = existing and (existing.task_id, existing.task_suite) == (task.id, task.suite)
-            if ours and existing.final_status is not FinalStatus.FAILED_ENVIRONMENT:
+            if ours and existing.final_status is not FinalStatus.FAILED_ENVIRONMENT and _consistent(existing):
                 records[task.id] = existing
                 continue
         pending.append(task)
 
+    def run(task: SynthesisTask) -> RunRecord:
+        return synthesize(task, backend, templates, sandbox, run_dir / task.id, transcript, deps_dir, max_followups)
+
     if pending:
+        # One worker is the calling thread, so Ctrl-C stops its task at once. With more, an exception
+        # here, Ctrl-C too, makes map cancel the tasks not yet started; the running ones finish.
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    synthesize, task, backend, templates, sandbox, run_dir / task.id, transcript, deps_dir,
-                    max_followups,
-                )
-                for task in pending
-            ]
-            for future in as_completed(futures):
-                record = future.result()
+            for record in (map if workers == 1 else pool.map)(run, pending):
                 records[record.task_id] = record
 
     return [records[task.id] for task in tasks]

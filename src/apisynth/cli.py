@@ -7,9 +7,9 @@ upper-cased), else the default of the library call it is passed to.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
+import signal
 import sys
 import time
 from pathlib import Path
@@ -23,7 +23,7 @@ from .prompting import (
     load_templates,
     render_conversation_text,
 )
-from .refine import FinalStatus, RunRecord, synthesize
+from .refine import FinalStatus, RunRecord
 from .sandbox import CompilerPool, ParkedPool, Sandbox, ToolchainError, usable_cores
 from .tasks import (
     TaskError,
@@ -146,64 +146,54 @@ def _print_record(record: RunRecord) -> None:
         print(line)
 
 
-@contextlib.contextmanager
-def warm_sandbox(workers: int, **timeouts):
-    """make_sandbox's sandbox with the command's compile servers and parked JVMs, reaped on exit.
+def _prepare(args: argparse.Namespace, load_tasks):
+    """The step synth and bench share: check the run settings, then load the tasks and the templates.
 
-    The command, not the sandbox (make_sandbox's result may be a wrapper),
-    owns the JVMs, which start from the process's helper classes (built at
-    its first compile or parked run). It parks only while its workers leave
-    a core idle: a spare boots on a core that no worker is busy on. With a
-    worker on every core, a spare is often taken still booting: on 2 cores,
-    2 workers parking ran 10% more tasks/s at a 9% lower p50, but their
-    slowest tenth of tasks 19% slower than a cold java per run (perfbench
-    one-shot, 4 pair medians). With the cheaper boots of today's
-    CANDIDATE_JVM_FLAGS (C1 only), parking ran 25.7 against 22.5 tasks/s at
-    a p50 of 0.065 against 0.078 s, and the slowest tenth still 5% slower,
-    0.102 against 0.096 s (5 pair medians).
+    Returns these, the run directory and a function that runs the tasks there as one bench run.
     """
-    with CompilerPool() as compilers, ParkedPool() as parked:
-        yield make_sandbox(compilers=compilers, parked=parked if workers < usable_cores() else None, **timeouts)
-
-
-def cmd_synth(args: argparse.Namespace) -> int:
     backend_config = _backend_config(args)
-    max_followups = _at_least(args, "max_followups", 0)
-    timeouts = _timeouts(args)
-    run_dir = _run_dir(args)
-    task = load_task(Path(args.task))
-    templates = load_templates(_path(args, "prompts"))
-
-    if args.dry_run:
-        conversation = build_initial_conversation(task, templates)
-        sys.stdout.write(render_conversation_text(conversation))
-        return EXIT_OK
-
-    transcript = TranscriptWriter(run_dir / "transcript.jsonl", backend_config.model)
-    backend = make_backend(backend_config, _path(args, "mock_script"))
-    with warm_sandbox(workers=1, **timeouts) as sandbox:
-        record = synthesize(
-            task,
-            backend,
-            templates,
-            sandbox,
-            run_dir / task.id,
-            transcript,
-            _path(args, "deps"),
-            **_given(max_followups=max_followups),
-        )
-    _print_record(record)
-    return _exit_code([record])
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    backend_config = _backend_config(args)
-    workers = _at_least(args, "workers", 1)
+    workers = _at_least(args, "workers", 1) or DEFAULT_WORKERS
     max_followups = _at_least(args, "max_followups", 0)
     timeouts = _timeouts(args)
     run_dir = _run_dir(args, args.resume)
-    tasks = load_suite(Path(args.suite))
+    tasks = load_tasks()
     templates = load_templates(_path(args, "prompts"))
+
+    def run() -> list[RunRecord]:
+        transcript = TranscriptWriter(run_dir / "transcript.jsonl", backend_config.model)
+        backend = make_backend(backend_config, _path(args, "mock_script"))
+        # The command, not the sandbox (make_sandbox's result may be a wrapper), owns the compile
+        # servers and parked JVMs, which start from the process's helper classes (built at its first
+        # compile or parked run) and are reaped on exit. It parks only while its workers leave a core
+        # idle: a spare boots on a core that no worker is busy on. With a worker on every core, a
+        # spare is often taken still booting: on 2 cores, 2 workers parking ran 10% more tasks/s at
+        # a 9% lower p50, but their slowest tenth of tasks 19% slower than a cold java per run
+        # (perfbench one-shot, 4 pair medians). With the cheaper boots of today's
+        # CANDIDATE_JVM_FLAGS (C1 only), parking ran 25.7 against 22.5 tasks/s at a p50 of 0.065
+        # against 0.078 s, and the slowest tenth still 5% slower, 0.102 against 0.096 s (5 pair
+        # medians).
+        with CompilerPool() as compilers, ParkedPool() as parked:
+            sandbox = make_sandbox(compilers=compilers, parked=parked if workers < usable_cores() else None, **timeouts)
+            return run_suite(
+                tasks, backend, templates, sandbox, run_dir, transcript, _path(args, "deps"),
+                workers=workers, resume=args.resume, **_given(max_followups=max_followups),
+            )
+
+    return tasks, templates, run_dir, run
+
+
+def cmd_synth(args: argparse.Namespace) -> int:
+    (task,), templates, _, run = _prepare(args, lambda: [load_task(Path(args.task))])
+    if args.dry_run:
+        sys.stdout.write(render_conversation_text(build_initial_conversation(task, templates)))
+        return EXIT_OK
+    records = run()
+    _print_record(records[0])
+    return _exit_code(records)
+
+
+def cmd_bench(args: argparse.Namespace) -> int:
+    _, _, run_dir, run = _prepare(args, lambda: load_suite(Path(args.suite)))
     baseline_path = _path(args, "baseline")
     baseline = load_baseline(baseline_path) if baseline_path else None
     output_format = _setting(args, "format")
@@ -212,20 +202,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if output_format not in RENDERERS:
         raise ConfigError(f"unknown report format {output_format!r}")
 
-    transcript = TranscriptWriter(run_dir / "transcript.jsonl", backend_config.model)
-    backend = make_backend(backend_config, _path(args, "mock_script"))
-    with warm_sandbox(workers or DEFAULT_WORKERS, **timeouts) as sandbox:
-        records = run_suite(
-            tasks,
-            backend,
-            templates,
-            sandbox,
-            run_dir,
-            transcript,
-            deps_dir=_path(args, "deps"),
-            resume=args.resume,
-            **_given(max_followups=max_followups, workers=workers),
-        )
+    records = run()
     report = aggregate(records)
     write_reports(run_dir, report, baseline)
     sys.stdout.write(RENDERERS[output_format](report, baseline))
@@ -294,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the fully rendered initial prompt and exit without contacting a backend",
     )
     add_common(synth)
-    synth.set_defaults(func=cmd_synth)
+    synth.set_defaults(func=cmd_synth, workers=1, resume=False)  # a one-task bench
 
     bench = sub.add_parser("bench", help="run a whole suite and write reports")
     bench.add_argument("suite", help="path to a directory of task JSON files")
@@ -313,6 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class Terminated(KeyboardInterrupt):
+    """SIGTERM, raised in the main thread by entry() so that the run unwinds as on Ctrl-C."""
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -321,9 +302,19 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, BackendError, ToolchainError, TaskError, PromptError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENVIRONMENT
+    except KeyboardInterrupt as exc:
+        print("error: interrupted; bench --resume runs the tasks that have no record", file=sys.stderr)
+        return 128 + (signal.SIGTERM if isinstance(exc, Terminated) else signal.SIGINT)
+
+
+def _terminate(signum, frame):
+    raise Terminated
 
 
 def entry() -> None:
+    # Python's default SIGTERM ends the process at once: no with block exits and no atexit
+    # function runs, so child JVMs and temporary directories would outlive it.
+    signal.signal(signal.SIGTERM, _terminate)
     sys.exit(main())
 
 

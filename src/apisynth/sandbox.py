@@ -193,6 +193,9 @@ def _collect(proc: subprocess.Popen, timeout: float, stdout_head: int = 0):
     the run open; a proc that exited before timeout has not timed out.
     At most OUTPUT_LIMIT bytes of each stream are kept (see _Capture),
     beyond stdout_head bytes that precede the child's own output on stdout.
+    An exception raised while it waits, as Ctrl-C and the command line's
+    SIGTERM are, kills the group and reaps proc before it goes on: the
+    child runs in a session of its own, which the terminal's signals miss.
     """
     deadline = time.monotonic() + timeout
     out, err = _Capture(stdout_head + OUTPUT_LIMIT), _Capture(OUTPUT_LIMIT)
@@ -224,11 +227,14 @@ def _collect(proc: subprocess.Popen, timeout: float, stdout_head: int = 0):
                         key.data.add(chunk)
                     else:
                         selector.unregister(key.fileobj)
+    except BaseException:
+        _kill_group(proc)
+        raise
     finally:
         os.close(exit_fd)
-    proc.wait()
-    proc.stdout.close()
-    proc.stderr.close()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
     return out, err, timed_out
 
 

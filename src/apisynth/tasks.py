@@ -100,6 +100,8 @@ def structural_violations(task: SynthesisTask) -> list[str]:
     violations = []
     if not is_path_segment(task.id):
         violations.append(f"task id {task.id!r} is not a single path segment")
+    if task.suite.splitlines() != [task.suite]:
+        violations.append(f"suite name must be one non-empty line, got {task.suite!r}")
     for dep in task.dependencies:
         if not is_dependency_id(dep):
             violations.append(f"dependency id {dep!r} is not a single path segment")

@@ -4,7 +4,10 @@ import csv
 import dataclasses
 import io
 import json
+import re
+import signal
 import sys
+import threading
 import time
 from decimal import Decimal
 
@@ -44,7 +47,8 @@ def markdown_rows(text: str) -> dict[str, list[str]]:
     for line in text.splitlines():
         if not line.startswith("|") or line.startswith("| ---") or line.startswith("| Suite"):
             continue
-        cells = [c.strip() for c in line.strip("|").split(" | ")]
+        # A cell ends at each "|" that no backslash escapes, as GitHub reads a table row.
+        cells = [c.strip().replace("\\|", "|") for c in re.split(r"(?<!\\)\|", line.strip("|"))]
         rows[cells[0]] = cells[1:]
     return rows
 
@@ -134,7 +138,7 @@ def test_impossible_counts_rejected():
 
 
 def test_renderers_agree_on_numbers():
-    records = table_rows_records() + [env_failed("env-00", "frangel")]
+    records = table_rows_records() + [env_failed("env-00", "frangel"), immediate_pass("pipe-00", "a|b")]
     report = aggregate(records)
     md_rows = markdown_rows(render_markdown(report))
     data = json.loads(render_json(report))
@@ -395,6 +399,60 @@ def test_transcript_rebuilds_interleaved_conversations(repo_root, tmp_path):
     assert len({seen[0][0] for seen in turns.values()}) == len(tasks)
 
 
+def test_one_worker_is_the_calling_thread(repo_root, tmp_path):
+    threads = set()
+
+    class ThreadSandbox(StubSandbox):
+        def evaluate(self, *args, **kwargs):
+            threads.add(threading.current_thread())
+            return super().evaluate(*args, **kwargs)
+
+    tasks = load_suite(repo_root / "tasks" / "sample")
+    sandbox = ThreadSandbox(by_target={target: [ok()] for target in SAMPLE_TARGETS.values()})
+    run_suite(tasks, scripted_backend(), load_templates(), sandbox, tmp_path, transcript_in(tmp_path), workers=1)
+    assert threads == {threading.current_thread()}
+
+
+def test_an_interrupt_starts_no_queued_task(repo_root, tmp_path):
+    """Ctrl-C in the calling thread: the running tasks finish and write their records, the queued
+    ones never reach the backend, and a resume runs the rest."""
+    swap = load_suite(repo_root / "tasks" / "sample")[0]
+    tasks = tuple(dataclasses.replace(swap, id=f"task-{i:02d}") for i in range(12))
+    reply = [java_response("    void swap() { }")]
+    backend = RecordingBackend(MockBackend(script={task.id: reply for task in tasks}))
+
+    class SlowSandbox(StubSandbox):
+        def evaluate(self, *args, **kwargs):
+            time.sleep(0.5)  # a real sandbox waits on javac and java here
+            return ok()
+
+    called_then = []
+
+    def interrupt(signum, frame):
+        called_then.extend(backend.sent)
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.25)  # while the first two tasks wait in the sandbox
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_suite(tasks, backend, load_templates(), SlowSandbox(), tmp_path, transcript_in(tmp_path), workers=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert sorted(called_then) == [task.id for task in tasks[:2]]
+    assert sorted(backend.sent) == sorted(called_then)
+    assert sorted(path.parent.name for path in tmp_path.glob("*/record.json")) == sorted(called_then)
+
+    backend = RecordingBackend(MockBackend(script={task.id: reply for task in tasks}))
+    records = run_suite(
+        tasks, backend, load_templates(), StubSandbox(outcomes=[ok()] * 10), tmp_path, transcript_in(tmp_path),
+        workers=2, resume=True,
+    )
+    assert sorted(backend.sent) == [task.id for task in tasks[2:]]
+    assert [r.final_status for r in records] == [FinalStatus.SOLVED] * len(tasks)
+
+
 def test_unresolved_dependency_skips_backend(repo_root, tmp_path):
     tasks = load_suite(repo_root / "tasks" / "sample")
     needy = dataclasses.replace(tasks[0], dependencies=("demo-dep",))
@@ -466,19 +524,29 @@ def test_resume_with_nothing_pending_reads_from_disk(repo_root, tmp_path):
 
 
 def test_resume_reruns_a_truncated_record(repo_root, tmp_path):
-    """A record cut short, one with a field of the wrong type, or one that is no JSON object is re-run."""
-    tasks = load_suite(repo_root / "tasks" / "sample")[:4]
-    run_suite(tasks, scripted_backend(), load_templates(), passing_sandbox(), tmp_path, transcript_in(tmp_path))
-    truncated, mistyped, listed, intact = tasks
+    """A record cut short, one with a field of the wrong type, one that is no JSON object, or one that
+    contradicts itself (a first-attempt pass stored as failed_budget, or a solve with no passing attempt)
+    is re-run."""
+    sample = load_suite(repo_root / "tasks" / "sample")
+    intact = dataclasses.replace(sample[0], id="intact-copy")
+    tasks = sample + (intact,)
+    backend = scripted_backend(extra={intact.id: scripted_backend().script[sample[0].id]})
+    sandbox = passing_sandbox()
+    sandbox.by_target[SAMPLE_TARGETS[sample[0].id]].append(ok())
+    run_suite(tasks, backend, load_templates(), sandbox, tmp_path, transcript_in(tmp_path))
+    rerun = truncated, mistyped, listed, misjudged, unfounded = sample
     path = tmp_path / truncated.id / "record.json"
     path.write_text(path.read_text(encoding="utf-8")[:40], encoding="utf-8")
-    mistyped_path = tmp_path / mistyped.id / "record.json"
-    data = json.loads(mistyped_path.read_text(encoding="utf-8"))
-    mistyped_path.write_text(json.dumps({**data, "wall_time_seconds": "x"}), encoding="utf-8")
-    listed_path = tmp_path / listed.id / "record.json"
-    listed_path.write_text(json.dumps([json.loads(listed_path.read_text(encoding="utf-8"))]), encoding="utf-8")
+    edits = (
+        (mistyped, lambda data: {**data, "wall_time_seconds": "x"}),
+        (listed, lambda data: [data]),
+        (misjudged, lambda data: {**data, "final_status": "failed_budget"}),
+        (unfounded, lambda data: {**data, "attempts": []}),
+    )
+    for task, edit in edits:
+        edited = tmp_path / task.id / "record.json"
+        edited.write_text(json.dumps(edit(json.loads(edited.read_text(encoding="utf-8")))), encoding="utf-8")
 
-    rerun = (truncated, mistyped, listed)
     targets = [SAMPLE_TARGETS[task.id] for task in rerun]
     backend = MockBackend(
         script={task.id: [java_response(f"    void {target}() {{ }}")] for task, target in zip(rerun, targets)}
@@ -489,10 +557,9 @@ def test_resume_reruns_a_truncated_record(repo_root, tmp_path):
     )
     assert [call[0] for call in sandbox.calls] == targets
     assert all(r.final_status is FinalStatus.SOLVED for r in records)
-    assert load_record(path) == records[0]
-    assert load_record(mistyped_path) == records[1]
-    assert load_record(listed_path) == records[2]
-    assert load_record(tmp_path / intact.id / "record.json") == records[3]
+    for task, record in zip(tasks, records):
+        assert load_record(tmp_path / task.id / "record.json") == record
+    assert aggregate(records).total.passed_without == len(tasks)
 
 
 def test_resume_reruns_a_record_of_another_task_or_suite(repo_root, tmp_path):

@@ -3,6 +3,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -296,6 +300,73 @@ def test_synth_backend_failure_exits_two(sample_task, tmp_path, monkeypatch, cap
     assert capsys.readouterr().out == (
         "not solved: failed_environment (mock script exhausted after 0 responses)\n"
     )
+
+
+INTERRUPTED = "error: interrupted; bench --resume runs the tasks that have no record\n"
+
+
+@pytest.mark.parametrize("raised, code", [(KeyboardInterrupt, 130), (cli.Terminated, 143)])
+def test_an_interrupted_run_exits_with_its_signal(sample_task, tmp_path, monkeypatch, capsys, raised, code):
+    class Interrupted(StubSandbox):
+        def evaluate(self, *args, **kwargs):
+            raise raised
+
+    stub_sandbox_factory(monkeypatch, Interrupted())
+    script = write_script(tmp_path / "script.json", [java_response("    void f() { }")])
+    rc = cli.main(["synth", sample_task, "--backend", "mock", "--mock-script", script,
+                   "--out", str(tmp_path / "runs"), "--run-id", "t1"])
+    assert rc == code
+    assert capsys.readouterr() == ("", INTERRUPTED)
+
+
+def processes_working_under(root):
+    """The pids of the processes whose working directory lies under root."""
+    pids = []
+    for entry in os.scandir("/proc"):
+        if entry.name.isdigit():
+            try:
+                cwd = os.readlink(os.path.join(entry.path, "cwd"))
+            except OSError:  # gone, or another user's
+                continue
+            if cwd == str(root) or cwd.startswith(f"{root}/"):
+                pids.append(int(entry.name))
+    return pids
+
+
+def test_sigterm_leaves_no_candidate_and_no_temporary_directory(jdk, sample_task, repo_root, tmp_path):
+    """SIGTERM unwinds as Ctrl-C does: the command exits 143, and its spinning candidate, its warm
+    JVMs and every apisynth-* directory go with it."""
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    spin = java_response(
+        "    public double ellipseArea(java.awt.geom.Ellipse2D e) { return 0; }\n"
+        "    public static void main(String[] a) { while (true) { } }",
+        class_name="Spin",
+    )
+    argv = [sys.executable, "-m", "apisynth.cli", "synth", sample_task, "--backend", "mock",
+            "--mock-script", write_script(tmp_path / "script.json", [spin]), "--out", str(tmp_path / "runs"),
+            "--run-id", "t1", "--run-timeout", "60"]
+    env = {**os.environ, "TMPDIR": str(temp), "PYTHONPATH": str(repo_root / "src")}
+    compiled = tmp_path / "runs" / "t1" / "ellipse-area" / "attempt-1" / "Spin.class"
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            deadline = time.monotonic() + 60
+            while not compiled.exists() and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+            time.sleep(1.0)  # the candidate starts and spins
+            assert proc.poll() is None and processes_working_under(tmp_path)
+            proc.send_signal(signal.SIGTERM)
+            start = time.monotonic()
+            out, err = proc.communicate(timeout=30)
+            elapsed = time.monotonic() - start
+        finally:
+            proc.kill()
+            for pid in processes_working_under(tmp_path):  # so that a failing run leaves no JVM behind
+                os.kill(pid, signal.SIGKILL)
+    assert (proc.returncode, err.decode()) == (143, INTERRUPTED)
+    assert elapsed < 10
+    assert processes_working_under(tmp_path) == []
+    assert [p.name for p in temp.iterdir() if p.name.startswith("apisynth-")] == []
 
 
 def task_with_id(repo_root, tmp_path, task_id):

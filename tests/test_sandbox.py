@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -512,3 +513,43 @@ def test_candidate_heap_is_bounded(jdk, tmp_path):
             assert outcome.kind is OutcomeKind.RUNTIME_ERROR, side
             assert "OutOfMemoryError" in outcome.detail, side
     assert parked.parked == [True, True]
+
+
+class Interrupted(Exception):
+    """Raised in the main thread by a SIGALRM handler, as Ctrl-C raises KeyboardInterrupt."""
+
+
+def test_an_exception_while_a_child_runs_ends_its_group(jdk, tmp_path, monkeypatch):
+    """The candidate runs in a session of its own, which Ctrl-C and SIGTERM do not reach: an
+    exception raised while _execute waits on it kills its group and reaps it."""
+    (tmp_path / "Spin.java").write_text(
+        "public class Spin { public static void main(String[] a) { while (true) { } } }\n", encoding="utf-8"
+    )
+    assert sandbox_module._execute([jdk.javac, "Spin.java"], tmp_path, 60).exit_code == 0
+    started = []
+    popen = subprocess.Popen
+
+    def recorded(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    monkeypatch.setattr(sandbox_module.subprocess, "Popen", recorded)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(Interrupted):
+            sandbox_module._execute(sandbox_module.candidate_argv(jdk.java, [], "Spin"), tmp_path, 60)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        alive = [proc for proc in started if proc.returncode is None]
+        for proc in alive:  # so that a failing run leaves no JVM spinning either
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    (proc,) = started
+    assert alive == []
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)

@@ -195,6 +195,18 @@ def test_structural_violations_catch_empty_tests_and_bad_name():
     assert any("identifier" in v for v in violations)
 
 
+@pytest.mark.parametrize("suite", ["", "a\nb", "a\r\nb", "a\u2028b", "trailing\n"])
+def test_suite_name_must_be_one_non_empty_line(suite):
+    """A report row holds the suite name: a line break in it would split the row."""
+    assert structural_violations(make_task(suite=suite)) == [
+        f"suite name must be one non-empty line, got {suite!r}"
+    ]
+
+
+def test_a_suite_name_may_hold_a_pipe():
+    assert structural_violations(make_task(suite="a|b")) == []
+
+
 def test_structural_violations_catch_duplicate_params():
     task = make_task(
         signature=MethodSignature(
